@@ -171,8 +171,8 @@ fn main() {
             Err(_) => eprintln!("coordinator: listening on {addr}"),
         }
         let (tx, rx) = mpsc::channel::<Box<dyn Communicator>>();
-        // The accept thread feeds the single-threaded event loop; it
-        // dies with the process once the run completes.
+        // The accept thread feeds the coordinator's connection source;
+        // it dies with the process once the run completes.
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { continue };

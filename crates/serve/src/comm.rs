@@ -88,8 +88,11 @@ pub trait Communicator: Send {
     fn send(&mut self, frame: &Frame) -> Result<(), CommError>;
 
     /// Waits up to `timeout` for the next frame. `Ok(None)` means the
-    /// timeout elapsed with the peer still alive — the coordinator's
-    /// poll loop treats it as "nothing new from this worker".
+    /// timeout elapsed with the peer still alive. A zero `timeout`
+    /// still returns a frame that has already been delivered. The
+    /// coordinator's per-connection driver waits one heartbeat TTL at a
+    /// time, so `Ok(None)` there means the worker stayed silent that
+    /// long.
     ///
     /// # Errors
     ///
@@ -199,6 +202,13 @@ pub mod tcp_v1 {
             }
         }
 
+        /// Reads whatever the socket buffer holds without waiting.
+        fn read_now(&mut self, chunk: &mut [u8]) -> std::io::Result<usize> {
+            self.stream.set_nonblocking(true)?;
+            let read = self.stream.read(chunk);
+            self.stream.set_nonblocking(false).and(read)
+        }
+
         /// Connects to a coordinator, retrying every 100 ms for up to
         /// `patience` (workers routinely start before the coordinator's
         /// listener is up).
@@ -259,23 +269,34 @@ pub mod tcp_v1 {
                     }
                     DecodeStep::Incomplete { .. } => {}
                 }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Ok(None);
-                }
-                // Short read timeout so a frame arriving mid-wait is
-                // still picked up promptly within the poll window.
-                let wait = (deadline - now)
-                    .min(Duration::from_millis(50))
-                    .max(Duration::from_millis(1));
-                self.stream
-                    .set_read_timeout(Some(wait))
-                    .map_err(|e| CommError::Io(format!("set_read_timeout: {e}")))?;
                 let mut chunk = [0u8; 4096];
-                match self.stream.read(&mut chunk) {
+                let read = if timeout.is_zero() {
+                    // Non-blocking reads until the buffer runs dry: a
+                    // zero timeout still sees bytes already delivered.
+                    self.read_now(&mut chunk)
+                } else {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Ok(None);
+                    }
+                    // Short read timeout so a frame arriving mid-wait is
+                    // still picked up promptly within the window.
+                    let wait = (deadline - now)
+                        .min(Duration::from_millis(50))
+                        .max(Duration::from_millis(1));
+                    self.stream
+                        .set_read_timeout(Some(wait))
+                        .map_err(|e| CommError::Io(format!("set_read_timeout: {e}")))?;
+                    self.stream.read(&mut chunk)
+                };
+                match read {
                     Ok(0) => return Err(CommError::Closed),
                     Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                        if timeout.is_zero() {
+                            return Ok(None);
+                        }
+                    }
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
                     Err(e) if closed_kind(e.kind()) => return Err(CommError::Closed),
                     Err(e) => return Err(CommError::Io(format!("recv: {e}"))),
@@ -356,6 +377,37 @@ mod tests {
         assert_eq!(client.recv().unwrap(), frame);
         drop(client);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn zero_timeout_returns_an_already_delivered_frame() {
+        use std::net::TcpListener;
+        let frame = Frame::Heartbeat {
+            lease_id: 7,
+            done: 3,
+        };
+
+        let (mut a, mut b) = Loopback::pair();
+        assert_eq!(b.recv_timeout(Duration::ZERO), Ok(None));
+        a.send(&frame).unwrap();
+        assert_eq!(b.recv_timeout(Duration::ZERO), Ok(Some(frame.clone())));
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = tcp_v1::TcpCommunicator::connect(addr, Duration::from_secs(5)).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let probe = stream.try_clone().unwrap();
+        let mut server = tcp_v1::TcpCommunicator::new(stream);
+        assert_eq!(server.recv_timeout(Duration::ZERO), Ok(None));
+        client.send(&frame).unwrap();
+        // Wait until the whole frame sits in the server's socket buffer.
+        let len = frame.encode().len();
+        let mut peeked = vec![0u8; len];
+        while probe.peek(&mut peeked).unwrap() < len {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(server.recv_timeout(Duration::ZERO), Ok(Some(frame)));
+        assert_eq!(server.recv_timeout(Duration::ZERO), Ok(None));
     }
 
     #[test]

@@ -19,6 +19,17 @@
 //! range migrates to a different worker instead of bouncing back to
 //! the silent one until retries run out.
 //!
+//! Concurrency: each connection is owned by one *driver* thread that
+//! follows the protocol's turn rule. The worker holds the turn from
+//! adoption until its `Hello`, and from each `Lease` until its
+//! `Result`, `Bye` or an error; meanwhile the driver reads and forwards
+//! every frame into one event channel. Otherwise the driver blocks on
+//! its outgoing channel, so a grant leaves the moment the coordinator
+//! decides it. The coordinator thread alone owns the lease table and
+//! sleeps on the event channel until the next frame, lease deadline,
+//! backoff release or run deadline — a silent worker never delays a
+//! live one.
+//!
 //! Determinism: the joined artifact is assembled from per-range CSV
 //! fragments keyed by range start and emitted in range order, so worker
 //! count, lease size, interleaving, and kill/retry schedules never
@@ -49,7 +60,8 @@ use crate::ServeError;
 use perfport_core::{figure_specs, study_grid, StudyConfig, STUDY_CSV_HEADER};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Everything the coordinator needs to run one distributed study.
@@ -64,10 +76,9 @@ pub struct CoordinatorConfig {
     /// shorter). The byte-identity contract holds for any value ≥ 1.
     pub lease_points: usize,
     /// Heartbeat time-to-live: a leased range whose worker has not
-    /// heartbeat within this window is re-leased.
+    /// heartbeat within this window is re-leased, and a connection that
+    /// stays silent this long after adoption is dropped.
     pub ttl: Duration,
-    /// Per-connection receive poll window of the event loop.
-    pub poll: Duration,
     /// Delay before an expired range becomes grantable again, scaled
     /// linearly by its attempt count (bounded backoff).
     pub backoff: Duration,
@@ -87,7 +98,6 @@ impl Default for CoordinatorConfig {
             quick: false,
             lease_points: 4,
             ttl: Duration::from_secs(30),
-            poll: Duration::from_millis(10),
             backoff: Duration::from_millis(250),
             max_retries: 3,
             deadline: None,
@@ -271,11 +281,32 @@ struct Chunk {
     csv: Option<String>,
 }
 
+/// What a driver thread or the connection forwarder tells the
+/// coordinator. Everything the coordinator reacts to arrives on one
+/// channel of these.
+enum Event {
+    /// A worker connection arrived from the connection source.
+    Connect(Box<dyn Communicator>),
+    /// The connection source hung up: no further worker can arrive.
+    SourceClosed,
+    /// Connection `conn` delivered `frame`.
+    Frame { conn: usize, frame: Frame },
+    /// Connection `conn`'s driver gave up on it for the reason `why`
+    /// and dropped its communicator.
+    Lost { conn: usize, why: String },
+}
+
+/// The coordinator's view of one adopted connection.
 struct Conn {
-    comm: Box<dyn Communicator>,
+    /// Frames for this connection's driver; `None` once the connection
+    /// is dropped, which lets the driver exit.
+    out: Option<Sender<Frame>>,
+    driver: Option<JoinHandle<()>>,
     ident: Option<String>,
-    busy: bool,
-    alive: bool,
+    /// Mirrors the driver's turn: `true` while the worker holds it
+    /// (before its `Hello`, and from a `Lease` until its `Result`). Only
+    /// a connection whose worker does not hold the turn gets a grant.
+    worker_turn: bool,
     /// Set when this worker misses a heartbeat window: a suspect worker
     /// receives no further grants (the range would just bounce back to
     /// the silent peer until retries ran out) until it proves it is
@@ -284,20 +315,120 @@ struct Conn {
 }
 
 impl Conn {
+    fn alive(&self) -> bool {
+        self.out.is_some()
+    }
+
+    /// Queues `frame` for the driver; `false` when the driver is gone.
+    fn send(&self, frame: Frame) -> bool {
+        self.out.as_ref().is_some_and(|out| out.send(frame).is_ok())
+    }
+
     fn kill(&mut self) {
-        self.alive = false;
-        self.busy = false;
+        self.out = None;
     }
 }
 
-/// Runs the coordinator event loop over a stream of incoming worker
-/// connections (TCP accept loop or loopback harness) until every lease
-/// range is `Done`, then assembles the joined artifact.
+/// Body of connection `conn`'s driver thread: owns `comm` and follows
+/// the turn rule until the connection ends (see the module docs).
+fn drive(
+    conn: usize,
+    mut comm: Box<dyn Communicator>,
+    out: Receiver<Frame>,
+    events: Sender<Event>,
+    ttl: Duration,
+) {
+    let lost = |why: String| {
+        let _ = events.send(Event::Lost { conn, why });
+    };
+    let mut introduced = false;
+    loop {
+        // The worker holds the turn: forward its frames until one of
+        // them hands the turn back.
+        loop {
+            let frame = match comm.recv_timeout(ttl) {
+                Ok(Some(frame)) => frame,
+                Ok(None) if !introduced => {
+                    return lost(format!("no hello within {ttl:?}; dropping connection"));
+                }
+                // A silent worker's lease expires on the coordinator's
+                // clock; here only a pending shutdown matters.
+                Ok(None) => {
+                    if shut_down(comm.as_mut(), &out) {
+                        return;
+                    }
+                    continue;
+                }
+                Err(CommError::Closed) => return lost("disconnected".to_string()),
+                Err(e) => {
+                    // On a framing error, tell the peer why before
+                    // giving up on the stream (best effort).
+                    if let CommError::Frame(fe) = &e {
+                        let _ = comm.send(&Frame::Bye {
+                            reason: format!("protocol error: {fe} (speaking v{PROTOCOL_VERSION})"),
+                        });
+                    }
+                    return lost(format!("{e}; dropping connection"));
+                }
+            };
+            let hands_back = !matches!(frame, Frame::Heartbeat { .. });
+            let bye = matches!(frame, Frame::Bye { .. });
+            introduced |= matches!(frame, Frame::Hello { .. });
+            if events.send(Event::Frame { conn, frame }).is_err() || bye {
+                return;
+            }
+            if hands_back {
+                break;
+            }
+            if shut_down(comm.as_mut(), &out) {
+                return;
+            }
+        }
+        // The coordinator holds the turn: send what it decides.
+        loop {
+            let Ok(frame) = out.recv() else { return };
+            if let Err(e) = comm.send(&frame) {
+                return lost(format!("send failed: {e}"));
+            }
+            match frame {
+                Frame::Lease { .. } => break,
+                Frame::Bye { .. } => return,
+                _ => {}
+            }
+        }
+    }
+}
+
+/// While the worker holds the turn the coordinator queues nothing but
+/// its final `Bye`. Sends that `Bye` if one is queued; `true` once the
+/// connection should end.
+fn shut_down(comm: &mut dyn Communicator, out: &Receiver<Frame>) -> bool {
+    match out.try_recv() {
+        Ok(bye) => {
+            let _ = comm.send(&bye);
+            true
+        }
+        Err(TryRecvError::Disconnected) => true,
+        Err(TryRecvError::Empty) => false,
+    }
+}
+
+/// Runs the coordinator over a stream of incoming worker connections
+/// (TCP accept loop or loopback harness) until every lease range is
+/// `Done` and every live worker has said `Hello`, then assembles the
+/// joined artifact.
 ///
-/// The loop is single-threaded by design: every connection is polled
-/// with a bounded timeout, so the lease table needs no locking and the
-/// state machine is easy to reason about (and to document). Worker
-/// connections arriving after the run completes are simply never read.
+/// Each adopted connection moves into its own driver thread; this
+/// thread keeps sole ownership of the lease table and blocks on one
+/// event channel until a frame arrives or the earliest lease deadline,
+/// backoff release or run deadline passes (see the module docs). A
+/// connection that says nothing for `ttl` after adoption is dropped; a
+/// worker whose `Hello` arrives after the last range is done is
+/// answered with `Hello` and then `Bye`, so it leaves cleanly with no
+/// lease. On success every live worker gets a `Bye`; on failure every
+/// connection is closed. Either way every driver is joined before `run`
+/// returns, which a worker silent mid-lease delays by at most one
+/// `ttl`. Connections arriving after the run are closed unread.
 ///
 /// # Errors
 ///
@@ -311,11 +442,63 @@ pub fn run(
     cfg: &CoordinatorConfig,
 ) -> Result<JoinedArtifact, ServeError> {
     let id_refs = validate_ids(&cfg.ids).map_err(ServeError::BadSpec)?;
-    let study_cfg = cfg.study_config();
-    let total = study_grid(&id_refs, &study_cfg).len();
-    let spec = cfg.spec_string();
+    let total = study_grid(&id_refs, &cfg.study_config()).len();
 
+    let (events_tx, events) = mpsc::channel::<Event>();
+    let forward = events_tx.clone();
+    // Left detached: it blocks on the connection source, which may
+    // outlive the run (a TCP accept loop). After the run it exits on the
+    // next connection, dropping it, or when the source closes.
+    std::thread::Builder::new()
+        .name("serve-accept".to_string())
+        .spawn(move || {
+            for comm in conn_rx {
+                if forward.send(Event::Connect(comm)).is_err() {
+                    return;
+                }
+            }
+            let _ = forward.send(Event::SourceClosed);
+        })
+        .map_err(|e| ServeError::Comm(CommError::Io(format!("spawn: {e}"))))?;
+
+    let mut conns = Vec::new();
+    let outcome = serve(cfg, total, &mut conns, &events_tx, &events);
+    for conn in &mut conns {
+        if outcome.is_ok() {
+            conn.send(Frame::Bye {
+                reason: "complete".to_string(),
+            });
+        }
+        conn.kill();
+    }
+    for driver in conns.iter_mut().filter_map(|c| c.driver.take()) {
+        if let Err(panic) = driver.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+    let (chunks, manifests) = outcome?;
+
+    let mut csv = String::from(STUDY_CSV_HEADER);
+    csv.push('\n');
+    for chunk in &chunks {
+        csv.push_str(chunk.csv.as_ref().expect("every chunk is Done"));
+    }
+    Ok(JoinedArtifact { csv, manifests })
+}
+
+/// The event loop of [`run`] over a grid of `total` points: adopts
+/// connections into `conns`, grants and re-leases ranges, and returns
+/// the finished lease table with every worker's provenance.
+fn serve(
+    cfg: &CoordinatorConfig,
+    total: usize,
+    conns: &mut Vec<Conn>,
+    events_tx: &Sender<Event>,
+    events: &Receiver<Event>,
+) -> Result<(Vec<Chunk>, BTreeMap<String, WorkerProvenance>), ServeError> {
+    let spec = cfg.spec_string();
     let started = Instant::now();
+    let run_deadline = cfg.deadline.map(|cap| started + cap);
     let mut chunks: Vec<Chunk> = lease_ranges(total, cfg.lease_points)
         .into_iter()
         .map(|range| Chunk {
@@ -327,10 +510,10 @@ pub fn run(
             csv: None,
         })
         .collect();
-    let mut conns: Vec<Conn> = Vec::new();
     let mut manifests: BTreeMap<String, WorkerProvenance> = BTreeMap::new();
     let mut next_lease_id: u64 = 0;
     let mut points_done: usize = 0;
+    let mut source_open = true;
 
     let progress = |msg: &str| {
         if cfg.verbose {
@@ -344,196 +527,25 @@ pub fn run(
         cfg.lease_points.max(1)
     ));
 
-    while !chunks.iter().all(|c| matches!(c.state, ChunkState::Done)) {
-        if let Some(cap) = cfg.deadline {
-            if started.elapsed() > cap {
-                return Err(ServeError::DeadlineExceeded);
-            }
+    loop {
+        let live = conns.iter().filter(|c| c.alive()).count();
+        perfport_telemetry::gauge_set("serve/workers_connected", live as u64);
+        // A worker adopted but not yet introduced may still be on its
+        // way in: finishing now would drop it mid-handshake.
+        if chunks.iter().all(|c| matches!(c.state, ChunkState::Done))
+            && conns.iter().all(|c| !c.alive() || c.ident.is_some())
+        {
+            break;
         }
-
-        // Adopt newly arrived connections.
-        while let Ok(comm) = conn_rx.try_recv() {
-            progress(&format!("worker connected from {}", comm.peer()));
-            conns.push(Conn {
-                comm,
-                ident: None,
-                busy: false,
-                alive: true,
-                suspect: false,
-            });
+        if live == 0 && !source_open {
+            return Err(ServeError::NoWorkers);
         }
-        perfport_telemetry::gauge_set(
-            "serve/workers_connected",
-            conns.iter().filter(|c| c.alive).count() as u64,
-        );
-
-        // With nobody alive, block on the connection source; if it is
-        // gone too, no worker can ever finish the outstanding work.
-        if !conns.iter().any(|c| c.alive) {
-            match conn_rx.recv_timeout(cfg.poll.max(Duration::from_millis(1))) {
-                Ok(comm) => {
-                    progress(&format!("worker connected from {}", comm.peer()));
-                    conns.push(Conn {
-                        comm,
-                        ident: None,
-                        busy: false,
-                        alive: true,
-                        suspect: false,
-                    });
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Err(ServeError::NoWorkers),
-            }
-        }
-
-        // Poll every live connection once.
-        for (i, conn) in conns.iter_mut().enumerate() {
-            if !conn.alive {
-                continue;
-            }
-            let frame = match conn.comm.recv_timeout(cfg.poll) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => continue,
-                Err(CommError::Closed) => {
-                    progress(&format!(
-                        "worker {} disconnected",
-                        conn.ident.as_deref().unwrap_or("?")
-                    ));
-                    release_conn_lease(&mut chunks, i, cfg, conn)?;
-                    conn.kill();
-                    continue;
-                }
-                Err(e) => {
-                    progress(&format!(
-                        "worker {}: {e}; dropping connection",
-                        conn.ident.as_deref().unwrap_or("?")
-                    ));
-                    // On a framing error, tell the peer why before
-                    // giving up on the stream (best effort).
-                    if let CommError::Frame(fe) = &e {
-                        let _ = conn.comm.send(&Frame::Bye {
-                            reason: format!("protocol error: {fe} (speaking v{PROTOCOL_VERSION})"),
-                        });
-                    }
-                    release_conn_lease(&mut chunks, i, cfg, conn)?;
-                    conn.kill();
-                    continue;
-                }
-            };
-            match frame {
-                Frame::Hello {
-                    role: Role::Worker,
-                    ident,
-                    detail,
-                } => {
-                    progress(&format!("hello from worker {ident}"));
-                    let entry = manifests.entry(ident.clone()).or_insert(WorkerProvenance {
-                        manifest: String::new(),
-                        leases: 0,
-                    });
-                    entry.manifest = detail;
-                    conn.ident = Some(ident);
-                    let reply = Frame::Hello {
-                        role: Role::Coordinator,
-                        ident: "coordinator".to_string(),
-                        detail: spec.clone(),
-                    };
-                    if conn.comm.send(&reply).is_err() {
-                        conn.kill();
-                    }
-                }
-                Frame::Heartbeat { lease_id, done } => {
-                    perfport_telemetry::counter_add("serve/heartbeats", 1);
-                    conn.suspect = false;
-                    let now = Instant::now();
-                    for chunk in chunks.iter_mut() {
-                        if let ChunkState::Leased {
-                            conn: owner,
-                            lease_id: id,
-                            deadline,
-                            ..
-                        } = &mut chunk.state
-                        {
-                            if *id == lease_id && *owner == i {
-                                *deadline = now + cfg.ttl;
-                                let _ = done;
-                            }
-                        }
-                    }
-                }
-                Frame::Result {
-                    lease_id,
-                    start,
-                    end,
-                    csv,
-                    manifest,
-                } => {
-                    conn.busy = false;
-                    conn.suspect = false;
-                    let accepted =
-                        accept_result(&mut chunks, lease_id, start as usize..end as usize, csv);
-                    match accepted {
-                        Ok(fresh_points) => {
-                            if fresh_points > 0 {
-                                points_done += fresh_points;
-                                perfport_telemetry::counter_add("serve/leases_completed", 1);
-                                perfport_telemetry::counter_add(
-                                    "serve/points_done",
-                                    fresh_points as u64,
-                                );
-                                if let Some(ident) = &conn.ident {
-                                    let entry = manifests.entry(ident.clone()).or_insert(
-                                        WorkerProvenance {
-                                            manifest: manifest.clone(),
-                                            leases: 0,
-                                        },
-                                    );
-                                    entry.manifest = manifest;
-                                    entry.leases += 1;
-                                }
-                                progress(&format!(
-                                    "lease {lease_id} done ({points_done}/{total} points)"
-                                ));
-                            }
-                        }
-                        Err(detail) => {
-                            progress(&format!(
-                                "worker {} sent a bad result ({detail}); dropping connection",
-                                conn.ident.as_deref().unwrap_or("?")
-                            ));
-                            let _ = conn.comm.send(&Frame::Bye {
-                                reason: format!("bad result: {detail}"),
-                            });
-                            release_conn_lease(&mut chunks, i, cfg, conn)?;
-                            conn.kill();
-                        }
-                    }
-                }
-                Frame::Bye { reason } => {
-                    progress(&format!(
-                        "worker {} said bye ({reason})",
-                        conn.ident.as_deref().unwrap_or("?")
-                    ));
-                    release_conn_lease(&mut chunks, i, cfg, conn)?;
-                    conn.kill();
-                }
-                other => {
-                    progress(&format!(
-                        "unexpected {} frame from {}; dropping connection",
-                        other.name(),
-                        conn.ident.as_deref().unwrap_or("?")
-                    ));
-                    let _ = conn.comm.send(&Frame::Bye {
-                        reason: format!("unexpected {} frame", other.name()),
-                    });
-                    release_conn_lease(&mut chunks, i, cfg, conn)?;
-                    conn.kill();
-                }
-            }
+        let now = Instant::now();
+        if run_deadline.is_some_and(|at| now > at) {
+            return Err(ServeError::DeadlineExceeded);
         }
 
         // Expire leases whose workers missed their heartbeat window.
-        let now = Instant::now();
         for chunk in chunks.iter_mut() {
             if let ChunkState::Leased {
                 conn,
@@ -542,7 +554,7 @@ pub fn run(
                 ..
             } = chunk.state
             {
-                if now > deadline {
+                if now >= deadline {
                     perfport_telemetry::counter_add("serve/leases_expired", 1);
                     progress(&format!(
                         "lease over points {}..{} missed its heartbeat window; re-leasing",
@@ -553,10 +565,7 @@ pub fn run(
                     // but free the range for someone else, and put the
                     // silent worker on probation so the range is not
                     // granted straight back to it.
-                    if let Some(c) = conns.get_mut(conn) {
-                        c.busy = false;
-                        c.suspect = true;
-                    }
+                    conns[conn].suspect = true;
                     expire_chunk(chunk, attempt, cfg)?;
                 }
             }
@@ -565,7 +574,7 @@ pub fn run(
         // Grant pending ranges to idle, introduced workers.
         let now = Instant::now();
         for (i, conn) in conns.iter_mut().enumerate() {
-            if !conn.alive || conn.busy || conn.suspect || conn.ident.is_none() {
+            if !conn.alive() || conn.worker_turn || conn.suspect || conn.ident.is_none() {
                 continue;
             }
             let next = chunks.iter().position(|c| {
@@ -582,7 +591,7 @@ pub fn run(
                 ChunkState::Pending { attempt, .. } => attempt,
                 _ => unreachable!("position() matched Pending"),
             };
-            if conn.comm.send(&lease).is_err() {
+            if !conn.send(lease) {
                 conn.kill();
                 continue;
             }
@@ -599,27 +608,192 @@ pub fn run(
                 deadline: Instant::now() + cfg.ttl,
                 attempt,
             };
-            conn.busy = true;
+            conn.worker_turn = true;
+        }
+
+        // Sleep until the next event or the next instant the lease
+        // table can change on its own.
+        let wake = chunks
+            .iter()
+            .filter_map(|c| match c.state {
+                ChunkState::Leased { deadline, .. } => Some(deadline),
+                ChunkState::Pending { not_before, .. } if not_before > now => Some(not_before),
+                _ => None,
+            })
+            .chain(run_deadline)
+            .min();
+        let event = match wake {
+            Some(at) => events.recv_timeout(at.saturating_duration_since(now)),
+            None => events.recv().map_err(RecvTimeoutError::from),
+        };
+        let (i, frame) = match event {
+            Err(_) => continue,
+            Ok(Event::Connect(comm)) => {
+                progress(&format!("worker connected from {}", comm.peer()));
+                let conn = conns.len();
+                let (out, out_rx) = mpsc::channel();
+                let events = events_tx.clone();
+                let ttl = cfg.ttl;
+                let driver = std::thread::Builder::new()
+                    .name(format!("serve-conn-{conn}"))
+                    .spawn(move || drive(conn, comm, out_rx, events, ttl));
+                if let Err(e) = &driver {
+                    progress(&format!(
+                        "cannot start a driver thread ({e}); dropping connection"
+                    ));
+                }
+                conns.push(Conn {
+                    out: driver.is_ok().then_some(out),
+                    driver: driver.ok(),
+                    ident: None,
+                    worker_turn: true,
+                    suspect: false,
+                });
+                continue;
+            }
+            Ok(Event::SourceClosed) => {
+                source_open = false;
+                continue;
+            }
+            Ok(Event::Lost { conn: i, why }) => {
+                let conn = &mut conns[i];
+                if conn.alive() {
+                    progress(&format!(
+                        "worker {}: {why}",
+                        conn.ident.as_deref().unwrap_or("?")
+                    ));
+                    conn.kill();
+                    release_conn_lease(&mut chunks, i, cfg)?;
+                }
+                continue;
+            }
+            Ok(Event::Frame { conn, frame }) => (conn, frame),
+        };
+        let conn = &mut conns[i];
+        if !conn.alive() {
+            // A frame the driver forwarded before its connection was
+            // dropped.
+            continue;
+        }
+        if !matches!(frame, Frame::Heartbeat { .. }) {
+            conn.worker_turn = false;
+        }
+        match frame {
+            Frame::Hello {
+                role: Role::Worker,
+                ident,
+                detail,
+            } => {
+                progress(&format!("hello from worker {ident}"));
+                let entry = manifests.entry(ident.clone()).or_insert(WorkerProvenance {
+                    manifest: String::new(),
+                    leases: 0,
+                });
+                entry.manifest = detail;
+                conn.ident = Some(ident);
+                let reply = Frame::Hello {
+                    role: Role::Coordinator,
+                    ident: "coordinator".to_string(),
+                    detail: spec.clone(),
+                };
+                if !conn.send(reply) {
+                    conn.kill();
+                }
+            }
+            // A worker speaks first; anything else before its Hello is
+            // a protocol violation like any unexpected frame below.
+            Frame::Heartbeat { lease_id, .. } if conn.ident.is_some() => {
+                perfport_telemetry::counter_add("serve/heartbeats", 1);
+                conn.suspect = false;
+                let now = Instant::now();
+                for chunk in chunks.iter_mut() {
+                    if let ChunkState::Leased {
+                        conn: owner,
+                        lease_id: id,
+                        deadline,
+                        ..
+                    } = &mut chunk.state
+                    {
+                        if *id == lease_id && *owner == i {
+                            *deadline = now + cfg.ttl;
+                        }
+                    }
+                }
+            }
+            Frame::Result {
+                lease_id,
+                start,
+                end,
+                csv,
+                manifest,
+            } if conn.ident.is_some() => {
+                conn.suspect = false;
+                let accepted =
+                    accept_result(&mut chunks, lease_id, start as usize..end as usize, csv);
+                match accepted {
+                    Ok(fresh_points) => {
+                        if fresh_points > 0 {
+                            points_done += fresh_points;
+                            perfport_telemetry::counter_add("serve/leases_completed", 1);
+                            perfport_telemetry::counter_add(
+                                "serve/points_done",
+                                fresh_points as u64,
+                            );
+                            if let Some(ident) = &conn.ident {
+                                let entry =
+                                    manifests.entry(ident.clone()).or_insert(WorkerProvenance {
+                                        manifest: manifest.clone(),
+                                        leases: 0,
+                                    });
+                                entry.manifest = manifest;
+                                entry.leases += 1;
+                            }
+                            progress(&format!(
+                                "lease {lease_id} done ({points_done}/{total} points)"
+                            ));
+                        }
+                    }
+                    Err(detail) => {
+                        progress(&format!(
+                            "worker {} sent a bad result ({detail}); dropping connection",
+                            conn.ident.as_deref().unwrap_or("?")
+                        ));
+                        conn.send(Frame::Bye {
+                            reason: format!("bad result: {detail}"),
+                        });
+                        conn.kill();
+                        release_conn_lease(&mut chunks, i, cfg)?;
+                    }
+                }
+            }
+            Frame::Bye { reason } => {
+                progress(&format!(
+                    "worker {} said bye ({reason})",
+                    conn.ident.as_deref().unwrap_or("?")
+                ));
+                conn.kill();
+                release_conn_lease(&mut chunks, i, cfg)?;
+            }
+            other => {
+                progress(&format!(
+                    "unexpected {} frame from {}; dropping connection",
+                    other.name(),
+                    conn.ident.as_deref().unwrap_or("?")
+                ));
+                conn.send(Frame::Bye {
+                    reason: format!("unexpected {} frame", other.name()),
+                });
+                conn.kill();
+                release_conn_lease(&mut chunks, i, cfg)?;
+            }
         }
     }
 
-    // Orderly shutdown: every live worker gets a Bye.
-    for conn in conns.iter_mut().filter(|c| c.alive) {
-        let _ = conn.comm.send(&Frame::Bye {
-            reason: "complete".to_string(),
-        });
-    }
     progress(&format!(
         "complete: {total} points joined from {} worker(s)",
         manifests.len()
     ));
-
-    let mut csv = String::from(STUDY_CSV_HEADER);
-    csv.push('\n');
-    for chunk in &chunks {
-        csv.push_str(chunk.csv.as_ref().expect("every chunk is Done"));
-    }
-    Ok(JoinedArtifact { csv, manifests })
+    Ok((chunks, manifests))
 }
 
 /// Accepts a `Result` frame into the lease table. Returns the number of
@@ -678,9 +852,7 @@ fn release_conn_lease(
     chunks: &mut [Chunk],
     i: usize,
     cfg: &CoordinatorConfig,
-    conn: &mut Conn,
 ) -> Result<(), ServeError> {
-    conn.busy = false;
     for chunk in chunks.iter_mut() {
         if let ChunkState::Leased { conn, attempt, .. } = chunk.state {
             if conn == i {

@@ -59,8 +59,8 @@ pub fn run_local(
     drop(tx);
     let result = coordinator::run(rx, cfg);
     for handle in handles {
-        // Workers exit on Bye or on their closed connection once the
-        // coordinator returns (it drops every conn), so joins are brief.
+        // A successful run has delivered every live worker its Bye, and
+        // a failed one drops every connection, so joins are brief.
         let _ = handle.join();
     }
     result
@@ -78,7 +78,6 @@ mod tests {
             quick: true,
             lease_points: 2,
             ttl: Duration::from_secs(30),
-            poll: Duration::from_millis(5),
             backoff: Duration::from_millis(10),
             max_retries: 3,
             deadline: Some(Duration::from_secs(120)),

@@ -15,6 +15,7 @@ use crate::coordinator::{parse_spec, validate_ids};
 use crate::frame::{Frame, Role};
 use crate::ServeError;
 use perfport_core::{render_study_csv, shard::run_grid_point, study_grid, StudyConfig};
+use std::sync::OnceLock;
 
 /// Options for one worker session.
 #[derive(Debug, Clone)]
@@ -54,10 +55,18 @@ pub struct WorkerSummary {
 /// The worker's one-line provenance manifest: `perfport-manifest/1`
 /// JSON with newlines removed, suitable for `Hello`/`Result` frames and
 /// the joined artifact's one-line-per-worker trailer.
+///
+/// Collected once per process: collection runs `git` and `rustc`, which
+/// costs tens of milliseconds, and nothing it records changes while the
+/// process lives.
 pub fn manifest_line() -> String {
-    perfport_bench::Manifest::collect(1)
-        .to_json(0)
-        .replace('\n', "")
+    static LINE: OnceLock<String> = OnceLock::new();
+    LINE.get_or_init(|| {
+        perfport_bench::Manifest::collect(1)
+            .to_json(0)
+            .replace('\n', "")
+    })
+    .clone()
 }
 
 /// Runs one worker session over an established connection: `Hello`

@@ -11,14 +11,16 @@
 //! insert) and whenever [`snapshot`] merges all shards into one
 //! [`Snapshot`].
 //!
-//! Shards are append-only for the process lifetime: a thread that
-//! exits leaves its totals behind, so counters and histograms stay
-//! monotonic and snapshot deltas remain meaningful.
+//! A thread that exits folds its shard into the registry's retired
+//! totals and unregisters it, so the registry holds only live threads'
+//! shards however many short-lived threads come and go. Folding keeps
+//! every merge rule: counters and histograms stay monotonic (snapshot
+//! deltas remain meaningful) and gauges keep their max-merge.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::histogram::Histogram;
 use crate::snapshot::Snapshot;
@@ -31,12 +33,54 @@ struct Shard {
     histograms: Mutex<HashMap<String, Arc<Histogram>>>,
 }
 
-/// All shards ever registered. Guarded by a mutex that is only taken
-/// at thread registration and snapshot time.
-static SHARDS: OnceLock<Mutex<Vec<Arc<Shard>>>> = OnceLock::new();
+impl Shard {
+    /// Merges this shard into `snap`: counters sum, gauges take the
+    /// maximum, histograms add bucket-wise.
+    fn fold_into(&self, snap: &mut Snapshot) {
+        for (name, counter) in self
+            .counters
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+        {
+            *snap.counters.entry(name.clone()).or_insert(0) += counter.load(Ordering::Relaxed);
+        }
+        for (name, gauge) in self.gauges.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+            let value = gauge.load(Ordering::Relaxed);
+            let slot = snap.gauges.entry(name.clone()).or_insert(0);
+            *slot = (*slot).max(value);
+        }
+        for (name, hist) in self
+            .histograms
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+        {
+            snap.histograms
+                .entry(name.clone())
+                .or_default()
+                .merge_from(&hist.snapshot());
+        }
+    }
+}
 
-fn shards() -> &'static Mutex<Vec<Arc<Shard>>> {
-    SHARDS.get_or_init(|| Mutex::new(Vec::new()))
+/// The shards of live threads, plus the folded totals of every shard
+/// whose thread has exited.
+#[derive(Default)]
+struct Registry {
+    live: Vec<Arc<Shard>>,
+    retired: Snapshot,
+}
+
+/// Guarded by a mutex that is only taken at thread registration, thread
+/// exit and snapshot time.
+static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY
+        .get_or_init(|| Mutex::new(Registry::default()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
 }
 
 /// Thread-local handle caches: once a thread has resolved a metric
@@ -51,16 +95,24 @@ struct Local {
 impl Local {
     fn register() -> Local {
         let shard = Arc::new(Shard::default());
-        shards()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&shard));
+        registry().live.push(Arc::clone(&shard));
         Local {
             shard,
             counters: RefCell::new(HashMap::new()),
             gauges: RefCell::new(HashMap::new()),
             histograms: RefCell::new(HashMap::new()),
         }
+    }
+}
+
+impl Drop for Local {
+    /// Thread exit: fold the shard into the retired totals and
+    /// unregister it under one lock, so no snapshot sees it twice or
+    /// not at all.
+    fn drop(&mut self) {
+        let mut registry = registry();
+        self.shard.fold_into(&mut registry.retired);
+        registry.live.retain(|s| !Arc::ptr_eq(s, &self.shard));
     }
 }
 
@@ -120,39 +172,12 @@ pub fn observe(name: &str, value: u64) {
 
 /// Merges every shard into one canonical [`Snapshot`]: counters sum,
 /// gauges take the per-shard maximum, histograms add bucket-wise.
+/// Exited threads' shards count through the retired totals.
 pub fn snapshot() -> Snapshot {
-    let mut snap = Snapshot::default();
-    let shards = shards().lock().unwrap_or_else(|e| e.into_inner());
-    for shard in shards.iter() {
-        for (name, counter) in shard
-            .counters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-        {
-            *snap.counters.entry(name.clone()).or_insert(0) += counter.load(Ordering::Relaxed);
-        }
-        for (name, gauge) in shard
-            .gauges
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-        {
-            let value = gauge.load(Ordering::Relaxed);
-            let slot = snap.gauges.entry(name.clone()).or_insert(0);
-            *slot = (*slot).max(value);
-        }
-        for (name, hist) in shard
-            .histograms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-        {
-            snap.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge_from(&hist.snapshot());
-        }
+    let registry = registry();
+    let mut snap = registry.retired.clone();
+    for shard in &registry.live {
+        shard.fold_into(&mut snap);
     }
     snap
 }
@@ -213,6 +238,36 @@ mod tests {
             .flat_map(|i| (0..50u64).map(move |v| i * 1000 + v))
             .sum();
         assert_eq!(h.sum, expected);
+    }
+
+    #[test]
+    fn exited_threads_retire_their_shards_and_keep_their_totals() {
+        const THREADS: u64 = 2000;
+        for batch in (0..THREADS).collect::<Vec<_>>().chunks(8) {
+            let threads: Vec<_> = batch
+                .iter()
+                .map(|&i| {
+                    std::thread::spawn(move || {
+                        counter_add("test_metrics/retired_ctr", 1);
+                        gauge_set("test_metrics/retired_gauge", i);
+                        observe("test_metrics/retired_hist", i);
+                    })
+                })
+                .collect();
+            for t in threads {
+                t.join().unwrap();
+            }
+        }
+        let snap = snapshot();
+        assert_eq!(snap.counters["test_metrics/retired_ctr"], THREADS);
+        assert_eq!(snap.gauges["test_metrics/retired_gauge"], THREADS - 1);
+        let h = &snap.histograms["test_metrics/retired_hist"];
+        assert_eq!(h.count, THREADS);
+        assert_eq!(h.sum, (0..THREADS).sum::<u64>());
+        // Only threads alive right now (this test binary's harness and
+        // concurrent tests) may still hold a registered shard.
+        let live = registry().live.len();
+        assert!(live <= 64, "{live} shards registered after {THREADS} exits");
     }
 
     #[test]
