@@ -294,9 +294,11 @@ fn execution_order(problems: &[Problem]) -> Vec<(usize, TunedParams)> {
 ///
 /// Work items are whole problems in canonical bucket order; each worker
 /// packs through its reusable thread-local arena, so a steady stream of
-/// batches never reallocates pack buffers after warm-up. Outputs are
-/// bitwise identical to [`gemm_batch_serial`] for any worker count and
-/// either scheduler (see the module docs).
+/// batches never reallocates pack buffers after warm-up. Under the graph
+/// scheduler a one-problem batch runs and packs on the calling thread's
+/// arena instead, with no pool round trip. Outputs are bitwise identical
+/// to [`gemm_batch_serial`] for any worker count and either scheduler
+/// (see the module docs).
 pub fn gemm_batch(pool: &ThreadPool, problems: &[Problem]) -> Vec<Output> {
     gemm_batch_with(pool, problems, perfport_pool::sched::active())
 }
@@ -305,7 +307,8 @@ pub fn gemm_batch(pool: &ThreadPool, problems: &[Problem]) -> Vec<Output> {
 /// whole problems through `parallel_map` (one implicit end barrier per
 /// batch), `Graph` runs them as independent [`TaskGraph`] tasks drained
 /// without a barrier, so a straggler problem no longer idles the team
-/// against the region join.
+/// against the region join. A one-problem `Graph` batch is a one-task
+/// graph, which runs and packs on the calling thread's arena.
 ///
 /// [`TaskGraph`]: perfport_pool::TaskGraph
 pub fn gemm_batch_with(pool: &ThreadPool, problems: &[Problem], sched: SchedMode) -> Vec<Output> {
@@ -489,6 +492,32 @@ mod tests {
                         b.to_le_bytes(),
                         s.to_le_bytes(),
                         "problem {i} diverged at {threads} threads under {sched:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_problem_batch_runs_on_the_caller_and_matches_serial() {
+        let problems = mixed_batch(41);
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            // One problem of each precision (indices 0, 1, 3 of the mix).
+            for problem in [&problems[0], &problems[1], &problems[3]] {
+                let single = std::slice::from_ref(problem);
+                let serial = gemm_batch_serial(single);
+                let regions = pool.regions_run();
+                let batch = gemm_batch_with(&pool, single, SchedMode::Graph);
+                // No region forked: the problem ran on this thread.
+                assert_eq!(pool.regions_run(), regions);
+                let active = gemm_batch(&pool, single);
+                for out in [&batch, &active] {
+                    assert_eq!(
+                        out[0].to_le_bytes(),
+                        serial[0].to_le_bytes(),
+                        "{} diverged at {threads} threads",
+                        problem.key()
                     );
                 }
             }

@@ -9,14 +9,18 @@
 //! becomes *eligible* the instant its last upstream completion arrives,
 //! and eligibility — not a barrier — is the only synchronisation between
 //! tasks. One pool region hosts the whole graph; inside it workers pop
-//! eligible tasks until every task has settled.
+//! eligible tasks until every task has settled. A graph of at most one
+//! task has nothing to overlap, so it runs on the calling thread instead.
 //!
 //! Three contracts, mirrored from the rest of the crate:
 //!
-//! * **Cycle rejection.** [`TaskGraph::validate`] (and [`TaskGraph::run`]
-//!   /[`TaskGraph::run_serial`], which call it) reject graphs with
+//! * **Cycle rejection.** [`TaskGraph::validate`] rejects graphs with
 //!   dependency cycles up front via Kahn's algorithm, instead of
-//!   deadlocking a worker team at runtime.
+//!   deadlocking a worker team at runtime. [`TaskGraph::run`] and
+//!   [`TaskGraph::run_serial`] call it whenever
+//!   [`TaskGraph::add_dependency`] was used; a graph built with
+//!   [`TaskGraph::add`] alone has only backward edges and is acyclic by
+//!   construction.
 //! * **Deterministic ordering.** Eligible tasks are claimed
 //!   lowest-[`TaskId`] first from a min-heap, so the serial execution
 //!   order ([`TaskGraph::run_serial`]) is a pure function of the graph,
@@ -91,9 +95,10 @@ struct Node<'env> {
 /// team without barriers (see the module docs for the contracts).
 ///
 /// Tasks may borrow from the enclosing scope (`'env`): [`TaskGraph::run`]
-/// executes the whole graph inside a single pool region, and the
-/// region's join protocol guarantees every borrow outlives every use —
-/// the same soundness argument `parallel_for` relies on.
+/// executes the whole graph inside a single pool region (or on the
+/// calling thread), and the region's join protocol guarantees every
+/// borrow outlives every use — the same soundness argument
+/// `parallel_for` relies on.
 ///
 /// ```
 /// use perfport_pool::{TaskGraph, ThreadPool};
@@ -122,12 +127,18 @@ struct Node<'env> {
 #[derive(Default)]
 pub struct TaskGraph<'env> {
     nodes: Vec<Node<'env>>,
+    /// Set by [`TaskGraph::add_dependency`], the only constructor of
+    /// forward edges: without it the graph cannot hold a cycle.
+    forward_edges: bool,
 }
 
 impl<'env> TaskGraph<'env> {
     /// An empty graph.
     pub fn new() -> Self {
-        TaskGraph { nodes: Vec::new() }
+        TaskGraph {
+            nodes: Vec::new(),
+            forward_edges: false,
+        }
     }
 
     /// Number of tasks added so far.
@@ -179,6 +190,7 @@ impl<'env> TaskGraph<'env> {
         assert!(task.0 < self.nodes.len(), "unknown task {task:?}");
         assert!(dep.0 < self.nodes.len(), "unknown dependency {dep:?}");
         assert_ne!(task, dep, "a task cannot depend on itself");
+        self.forward_edges = true;
         let deps = &mut self.nodes[task.0].deps;
         if !deps.contains(&dep.0) {
             deps.push(dep.0);
@@ -219,13 +231,31 @@ impl<'env> TaskGraph<'env> {
         })
     }
 
-    /// Executes the graph on the pool's whole team inside one parallel
-    /// region and returns the run's instrumentation.
+    /// Panics with the [`CycleError`] message if the graph may hold a
+    /// cycle and does. Only [`TaskGraph::add_dependency`] can make one.
+    fn assert_acyclic(&self) {
+        if self.forward_edges {
+            if let Err(cycle) = self.validate() {
+                panic!("{cycle}");
+            }
+        }
+    }
+
+    /// Executes the graph on the pool and returns the run's
+    /// instrumentation.
     ///
-    /// Workers claim eligible tasks lowest-id first; a task's completion
-    /// is published to its dependents with release/acquire ordering, so
-    /// everything a task wrote is visible to every task that names it as
-    /// a dependency (the happens-before edge pipelined users rely on).
+    /// A graph of two or more tasks runs on the pool's whole team inside
+    /// one parallel region. Workers claim eligible tasks lowest-id first;
+    /// a task's completion is published to its dependents with
+    /// release/acquire ordering, so everything a task wrote is visible to
+    /// every task that names it as a dependency (the happens-before edge
+    /// pipelined users rely on).
+    ///
+    /// A graph of at most one task has nothing to overlap, so it runs on
+    /// the calling thread through [`TaskGraph::run_serial`]'s executor and
+    /// forks no region: the caller would otherwise only block while one
+    /// worker is woken, runs the task and wakes it again. Its
+    /// [`GraphStats`] are still sized to the team (see there).
     ///
     /// # Panics
     ///
@@ -234,10 +264,11 @@ impl<'env> TaskGraph<'env> {
     /// settled (dependents of the panicking task are skipped — see the
     /// module docs).
     pub fn run(self, pool: &ThreadPool) -> GraphStats {
-        if let Err(cycle) = self.validate() {
-            panic!("{cycle}");
-        }
         let team = pool.num_threads();
+        if self.nodes.len() <= 1 {
+            return self.run_on_caller(team);
+        }
+        self.assert_acyclic();
         let rt = Runtime::new(self.nodes);
         let tasks = SlotCell::<usize>::new(team);
         let idle = SlotCell::<Duration>::new(team);
@@ -274,19 +305,27 @@ impl<'env> TaskGraph<'env> {
     ///
     /// Same contract as [`TaskGraph::run`].
     pub fn run_serial(self) -> GraphStats {
-        if let Err(cycle) = self.validate() {
-            panic!("{cycle}");
-        }
+        self.run_on_caller(1)
+    }
+
+    /// The serial executor, reporting as slot 0 of a `team`-sized
+    /// [`GraphStats`].
+    fn run_on_caller(self, team: usize) -> GraphStats {
+        self.assert_acyclic();
         let total = self.nodes.len();
         let rt = Runtime::new(self.nodes);
         let started = Instant::now();
         let (tasks, idle) = rt.worker_loop();
         debug_assert_eq!(tasks, total);
+        let mut tasks_per_worker = vec![0; team];
+        let mut idle_per_worker = vec![Duration::ZERO; team];
+        tasks_per_worker[0] = tasks;
+        idle_per_worker[0] = idle;
         let stats = GraphStats {
             executed: rt.executed.load(Ordering::Relaxed),
             skipped: rt.skipped.load(Ordering::Relaxed),
-            tasks_per_worker: vec![tasks],
-            idle_per_worker: vec![idle],
+            tasks_per_worker,
+            idle_per_worker,
             elapsed: started.elapsed(),
         };
         stats.publish();
@@ -298,6 +337,12 @@ impl<'env> TaskGraph<'env> {
 }
 
 /// Instrumentation of one [`TaskGraph`] run.
+///
+/// The per-worker vectors have one slot per team member: the pool's
+/// `num_threads()` for [`TaskGraph::run`], one for
+/// [`TaskGraph::run_serial`]. When `run` executes a graph of at most one
+/// task on the calling thread, the caller's counts fill slot 0 and every
+/// other slot is zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Tasks whose bodies ran to completion.
@@ -492,6 +537,8 @@ impl ThreadPool {
     /// results **in index order**. Tasks are claimed lowest-index first
     /// and drained without any intermediate barrier; the final join is
     /// the single happens-before edge the ordered collection needs.
+    /// With `n <= 1` the call runs `f` on the calling thread and forks
+    /// no region (see [`TaskGraph::run`]).
     ///
     /// # Panics
     ///
@@ -743,6 +790,92 @@ mod tests {
         assert_eq!(stats.idle_per_worker.len(), 4);
         assert!(stats.total_idle() > Duration::ZERO);
         assert!(stats.elapsed >= Duration::from_millis(10));
+    }
+
+    #[test]
+    fn one_task_graph_runs_on_the_caller_without_a_region() {
+        let pool = ThreadPool::new(3);
+        let regions = pool.regions_run();
+        let ran_on = StdMutex::new(None);
+        let mut g = TaskGraph::new();
+        g.add(&[], || {
+            *ran_on.lock().unwrap() = Some(std::thread::current().id());
+        });
+        let stats = g.run(&pool);
+        assert_eq!(
+            ran_on.into_inner().unwrap(),
+            Some(std::thread::current().id())
+        );
+        assert_eq!(pool.regions_run(), regions);
+        assert_eq!(stats.executed, 1);
+        assert_eq!(stats.tasks_per_worker, vec![1, 0, 0]);
+        assert_eq!(stats.idle_per_worker, vec![Duration::ZERO; 3]);
+    }
+
+    #[test]
+    fn one_task_graph_still_publishes_graph_telemetry() {
+        if perfport_telemetry::build_mode() != "on" {
+            return;
+        }
+        let pool = ThreadPool::new(3);
+        let before = perfport_telemetry::snapshot();
+        let mut g = TaskGraph::new();
+        g.add(&[], || {});
+        g.run(&pool);
+        // Other tests share the process-wide registry, so only a lower
+        // bound on the delta is deterministic.
+        let delta = perfport_telemetry::snapshot().delta_since(&before);
+        assert!(delta.counters.get("graph/tasks_executed").copied() >= Some(1));
+        assert!(delta.histograms.get("graph/run_ns").map(|h| h.count) >= Some(1));
+    }
+
+    #[test]
+    fn one_task_panic_reraises_its_payload_and_the_pool_survives() {
+        let pool = ThreadPool::new(3);
+        let mut g = TaskGraph::new();
+        g.add(&[], || panic!("boom inline"));
+        let payload =
+            catch_unwind(AssertUnwindSafe(|| g.run(&pool))).expect_err("panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("boom inline"));
+        assert_eq!(pool.graph_map(5, |i| i + 1), vec![1, 2, 3, 4, 5]);
+        assert_eq!(
+            pool.parallel_map(4, crate::Schedule::StaticBlock, |i| i)
+                .len(),
+            4
+        );
+    }
+
+    #[test]
+    fn one_task_graph_map_matches_for_any_team() {
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            assert_eq!(pool.graph_map(1, |i| (i + 7) * 3), vec![21]);
+        }
+    }
+
+    #[test]
+    fn cycles_from_add_dependency_are_rejected_on_every_path() {
+        let cyclic = || {
+            let mut g = TaskGraph::new();
+            let a = g.add(&[], || {});
+            let b = g.add(&[a], || {});
+            g.add_dependency(a, b);
+            g
+        };
+        let serial = catch_unwind(AssertUnwindSafe(|| cyclic().run_serial()));
+        let payload = serial.expect_err("run_serial must reject a cycle");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("dependency cycle"), "{msg}");
+        // A one-task graph can never hold a cycle: the only edge it could
+        // take is a self-edge, which add_dependency refuses, so the
+        // inline path of `run` sees acyclic graphs alone.
+        let mut single = TaskGraph::new();
+        let only = single.add(&[], || {});
+        assert!(catch_unwind(AssertUnwindSafe(|| single.add_dependency(only, only))).is_err());
+        assert_eq!(single.run(&ThreadPool::new(2)).executed, 1);
     }
 
     #[test]
