@@ -92,20 +92,17 @@ fn main() {
         std::process::exit(2);
     }
     let isa_of = |s: &Snapshot| s.simd_isa.clone().unwrap_or_else(|| "unknown".to_string());
-    let sched_of = |s: &Snapshot| s.sched.clone().unwrap_or_else(|| "unknown".to_string());
     println!(
-        "baseline:  {base_path} ({}, {} points, isa {}, sched {})",
+        "baseline:  {base_path} ({}, {} points, isa {})",
         base.schema,
         base.points.len(),
-        isa_of(&base),
-        sched_of(&base)
+        isa_of(&base)
     );
     println!(
-        "candidate: {cand_path} ({}, {} points, isa {}, sched {})",
+        "candidate: {cand_path} ({}, {} points, isa {})",
         cand.schema,
         cand.points.len(),
-        isa_of(&cand),
-        sched_of(&cand)
+        isa_of(&cand)
     );
     // Telemetry never gates: it is context for reading the deltas below
     // (e.g. barrier-wait blowups behind a latency regression).
@@ -123,17 +120,6 @@ fn main() {
         telemetry_of(&base),
         telemetry_of(&cand)
     );
-    if let (Some(bs), Some(cs)) = (&base.sched, &cand.sched) {
-        if bs != cs {
-            // A scheduler A/B is a legitimate comparison (that is how the
-            // graph scheduler is evaluated), so this never gates — but the
-            // delta includes the scheduling change, so say so.
-            eprintln!(
-                "warning: snapshots were produced under different schedulers \
-                 ({bs} vs {cs}); differences below include the scheduling change"
-            );
-        }
-    }
     match (&base.simd_isa, &cand.simd_isa) {
         (Some(bi), Some(ci)) if bi != ci => {
             // Different dispatched microkernels are a legitimate A/B run

@@ -229,11 +229,6 @@ fn json_snapshot(
         out,
         "  \"protocol\": {{\"reps\": {reps}, \"warmup_runs\": 1, \"metric\": \"gflops\", \"spread\": \"rel_half_range\"}},"
     );
-    let _ = writeln!(
-        out,
-        "  \"sched\": {},",
-        perfport_bench::sched_totals_json_since(epoch)
-    );
     let _ = writeln!(out, "  \"telemetry\":");
     let _ = writeln!(
         out,
@@ -295,7 +290,6 @@ fn json_snapshot(
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let sched = args.apply_sched();
     args.start_profiling();
     let trace = args.start_trace();
     let reps = if args.quick { 3 } else { 5 };
@@ -303,7 +297,7 @@ fn main() {
     let pool = ThreadPool::new(workers);
     let manifest = Manifest::collect(workers);
     println!(
-        "host: {workers} workers; caches L1d={}K L2={}K L3={}K ({}); {reps} reps after warm-up; counters {}; tuned microkernel ISA: {}; scheduler: {sched}\n",
+        "host: {workers} workers; caches L1d={}K L2={}K L3={}K ({}); {reps} reps after warm-up; counters {}; tuned microkernel ISA: {}\n",
         manifest.cache.l1d_bytes / 1024,
         manifest.cache.l2_bytes / 1024,
         manifest.cache.l3_bytes / 1024,

@@ -72,10 +72,6 @@ pub struct Snapshot {
     /// embedded manifest's `simd_isa` field (`/2` snapshots produced
     /// since the dispatcher landed); `None` for older files.
     pub simd_isa: Option<String>,
-    /// Scheduler discipline of the producing run (`"barrier"` /
-    /// `"graph"`), from the embedded manifest's `sched` field; `None`
-    /// for files that predate the scheduler dispatch.
-    pub sched: Option<String>,
     /// The run's always-on runtime telemetry (schema `gemm/3` and
     /// `serve/2` snapshots), parsed leniently: telemetry is supporting
     /// evidence, never a gated metric, so a missing or malformed block
@@ -193,7 +189,6 @@ fn parse_serve(
     schema: String,
     quick: bool,
     simd_isa: Option<String>,
-    sched: Option<String>,
     telemetry: Option<perfport_telemetry::Snapshot>,
 ) -> Result<Snapshot, String> {
     let requests = doc
@@ -230,7 +225,6 @@ fn parse_serve(
         kind: SnapshotKind::Serve,
         quick,
         simd_isa,
-        sched,
         telemetry,
         points: vec![SnapshotPoint {
             n: requests,
@@ -260,14 +254,9 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
         .and_then(|m| m.get("simd_isa"))
         .and_then(Json::as_str)
         .map(str::to_string);
-    let sched = doc
-        .get("manifest")
-        .and_then(|m| m.get("sched"))
-        .and_then(Json::as_str)
-        .map(str::to_string);
     let telemetry = parse_telemetry(&doc);
     if schema.starts_with("perfport-bench-serve/") {
-        return parse_serve(&doc, schema, quick, simd_isa, sched, telemetry);
+        return parse_serve(&doc, schema, quick, simd_isa, telemetry);
     }
     let kind = if schema.starts_with("perfport-bench-gemm/") {
         SnapshotKind::Gemm
@@ -288,7 +277,6 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
         kind,
         quick,
         simd_isa,
-        sched,
         telemetry,
         points,
     })
@@ -456,24 +444,26 @@ mod tests {
     }
 
     #[test]
-    fn sched_is_read_from_the_manifest_when_present() {
-        // Pre-scheduler snapshots carry no sched field: None, not an error.
-        assert_eq!(parse_snapshot(V2).unwrap().sched, None);
-        let with_manifest = V2.replacen(
+    fn snapshots_with_retired_scheduler_fields_still_parse() {
+        // Snapshots written before the task-graph scheduler was removed
+        // carry a manifest `sched` field and a top-level `sched` block;
+        // both are ignored.
+        let old_gemm = V2.replacen(
             "\"quick\": true,",
-            "\"quick\": true,\n      \"manifest\": {\"schema\": \"perfport-manifest/1\", \"simd_isa\": \"avx2\", \"sched\": \"graph\"},",
+            "\"quick\": true,\n      \"manifest\": {\"schema\": \"perfport-manifest/1\", \"simd_isa\": \"avx2\", \"sched\": \"graph\"},\n      \"sched\": {\"mode\": \"graph\", \"barrier_wait_ns\": 0, \"idle_ns\": 12, \"pack_overlap_ns\": 3},",
             1,
         );
-        let snap = parse_snapshot(&with_manifest).unwrap();
-        assert_eq!(snap.sched.as_deref(), Some("graph"));
-        let serve = SERVE.replacen(
+        let snap = parse_snapshot(&old_gemm).unwrap();
+        assert_eq!(snap.simd_isa.as_deref(), Some("avx2"));
+        assert_eq!(snap.points, parse_snapshot(V2).unwrap().points);
+        let old_serve = SERVE.replacen(
             "\"simd_isa\": \"avx2\"",
             "\"simd_isa\": \"avx2\", \"sched\": \"barrier\"",
             1,
         );
         assert_eq!(
-            parse_snapshot(&serve).unwrap().sched.as_deref(),
-            Some("barrier")
+            parse_snapshot(&old_serve).unwrap(),
+            parse_snapshot(SERVE).unwrap()
         );
     }
 
@@ -724,7 +714,6 @@ mod tests {
         let snap = parse_snapshot(GPU).unwrap();
         assert_eq!(snap.schema, "perfport-bench-gpu/1");
         assert_eq!(snap.kind, SnapshotKind::Gpu);
-        assert_eq!(snap.sched.as_deref(), Some("graph"));
         assert_eq!(snap.points.len(), 1);
         let p = &snap.points[0];
         assert_eq!(p.gflops["cuda"], 0.08);

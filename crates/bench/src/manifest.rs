@@ -41,10 +41,6 @@ pub struct Manifest {
     /// because the host cannot execute it (unknown values abort the
     /// process instead). `None` when the override was honoured or absent.
     pub simd_rejected: Option<String>,
-    /// Scheduler discipline the process ran with
-    /// (`perfport_pool::sched::active`): `"barrier"` or `"graph"`.
-    /// Reflects any `--sched` / `PERFPORT_SCHED` override in effect.
-    pub sched: String,
     /// Worker-team size of the run.
     pub threads: usize,
     /// Study-grid shard this run executed (`"i/n"`), `None` for
@@ -130,7 +126,6 @@ impl Manifest {
             arch: std::env::consts::ARCH.to_string(),
             simd_isa: perfport_gemm::simd::active().name().to_string(),
             simd_rejected: perfport_gemm::simd::rejected_override().map(|i| i.name().to_string()),
-            sched: perfport_pool::sched::active().name().to_string(),
             threads,
             shard: None,
             jobs: None,
@@ -173,7 +168,6 @@ impl Manifest {
             None => "null".to_string(),
         };
         let _ = writeln!(out, "{pad}  \"simd_rejected\": {rejected},");
-        let _ = writeln!(out, "{pad}  \"sched\": \"{}\",", esc(&self.sched));
         let shard = match &self.shard {
             Some(s) => format!("\"{}\"", esc(s)),
             None => "null".to_string(),
@@ -212,7 +206,6 @@ impl Manifest {
             ("os".to_string(), Value::Str(self.os.clone())),
             ("arch".to_string(), Value::Str(self.arch.clone())),
             ("simd_isa".to_string(), Value::Str(self.simd_isa.clone())),
-            ("sched".to_string(), Value::Str(self.sched.clone())),
             ("threads".to_string(), Value::from(self.threads)),
             ("l1d_bytes".to_string(), Value::from(self.cache.l1d_bytes)),
             ("l2_bytes".to_string(), Value::from(self.cache.l2_bytes)),
@@ -266,7 +259,6 @@ mod tests {
             arch: "x86_64".to_string(),
             simd_isa: "avx2".to_string(),
             simd_rejected: None,
-            sched: "graph".to_string(),
             threads: 16,
             shard: None,
             jobs: None,
@@ -281,7 +273,6 @@ mod tests {
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(MANIFEST_SCHEMA));
         assert_eq!(doc.get("git_sha").unwrap().as_str(), Some("abc123"));
         assert_eq!(doc.get("simd_isa").unwrap().as_str(), Some("avx2"));
-        assert_eq!(doc.get("sched").unwrap().as_str(), Some("graph"));
         // Unsharded runs stamp explicit nulls, keeping the schema stable.
         use perfport_trace::json::Json;
         assert!(matches!(doc.get("shard"), Some(Json::Null)));
@@ -352,21 +343,9 @@ mod tests {
             "telemetry",
             "threads",
             "simd_isa",
-            "sched",
         ] {
             assert!(keys.contains(&key), "missing {key}");
         }
-    }
-
-    #[test]
-    fn sched_names_the_active_scheduler() {
-        let m = Manifest::collect(1);
-        assert_eq!(
-            perfport_pool::SchedMode::from_name(&m.sched),
-            Some(perfport_pool::sched::active()),
-            "manifest sched {:?} must name the active mode",
-            m.sched
-        );
     }
 
     #[test]

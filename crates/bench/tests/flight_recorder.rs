@@ -3,9 +3,9 @@
 //! event is the injected failure.
 //!
 //! This is the flight recorder's whole contract exercised through a
-//! real binary: a panicking task rides the work queue into a pool
-//! region, the worker's panic fires the first-trigger-wins dump, the
-//! queue poisons, and the process dies — with the black box on disk.
+//! real binary: a panicking item runs in a pool region, the worker's
+//! panic fires the first-trigger-wins dump, the region poisons, and the
+//! process dies — with the black box on disk.
 
 use perfport_trace::json::{self, Json};
 use std::path::PathBuf;
@@ -30,8 +30,6 @@ fn injected_panic_dumps_a_parseable_flight_recording() {
             "40",
             "--jobs",
             "2",
-            "--sched",
-            "barrier",
             "--inject-panic",
             "7",
             "--out",
@@ -120,7 +118,7 @@ fn injected_panic_dumps_a_parseable_flight_recording() {
         .iter()
         .filter_map(|e| e.get("kind").and_then(Json::as_str))
         .collect();
-    for expected in ["queue_drain_begin", "region_begin"] {
+    for expected in ["region_begin", "region_end"] {
         assert!(
             kinds.contains(&expected),
             "kind '{expected}' missing from {kinds:?}"

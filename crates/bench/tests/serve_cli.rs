@@ -156,7 +156,7 @@ fn flag_rejection_and_help() {
         vec!["--dry-run", "--verify"],
         vec!["--dry-run", "--inject-panic", "3"],
         vec!["--inject-panic", "banana"],
-        vec!["--quick", "--sched", "graph", "--inject-panic", "3"],
+        vec!["--quick", "--inject-panic"],
         vec!["--quick", "--requests", "8", "--inject-panic", "99"],
     ] {
         let (code, _, stderr) = run(&bad);

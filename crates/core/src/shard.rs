@@ -37,7 +37,7 @@ use crate::runner::run_experiment;
 use crate::study::{figure_specs, StudyConfig};
 use perfport_machines::Precision;
 use perfport_models::{Arch, ProgModel};
-use perfport_pool::{SchedMode, Schedule, ThreadPool};
+use perfport_pool::{Schedule, ThreadPool};
 
 /// One point of the study grid: a (figure, model, precision, size) cell.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -210,30 +210,16 @@ fn run_point(p: &GridPoint, cfg: &StudyConfig) -> Result<PointRun, RunError> {
 /// workers and returns its points' results **in canonical order**.
 ///
 /// `jobs == 1` runs the shard serially on the calling thread; `jobs > 1`
-/// fans the points out over a [`ThreadPool`] under the process-wide
-/// scheduler verdict ([`perfport_pool::sched::active`]) — each point is
-/// one work item; the grid is embarrassingly parallel. Either way the
-/// returned order, and therefore any output rendered from it, is
-/// independent of execution interleaving and of the scheduler.
+/// fans the points out over a [`ThreadPool`] through `parallel_map`, one
+/// point per dynamic grab, so a slow point (a big `n`) does not hold up
+/// the points queued behind it. Either way the returned order, and
+/// therefore any output rendered from it, is independent of execution
+/// interleaving.
 pub fn run_study_sharded(
     ids: &[&str],
     cfg: &StudyConfig,
     shard: Shard,
     jobs: usize,
-) -> Vec<PointResult> {
-    run_study_sharded_with(ids, cfg, shard, jobs, perfport_pool::sched::active())
-}
-
-/// [`run_study_sharded`] with an explicit scheduler: `Barrier` fans
-/// points out through `parallel_map` (one implicit end barrier per
-/// shard), `Graph` runs them as independent task-graph tasks, so a slow
-/// point (a big `n`) no longer idles finished workers at the join.
-pub fn run_study_sharded_with(
-    ids: &[&str],
-    cfg: &StudyConfig,
-    shard: Shard,
-    jobs: usize,
-    sched: SchedMode,
 ) -> Vec<PointResult> {
     let grid = study_grid(ids, cfg);
     let own = shard.range(grid.len());
@@ -244,7 +230,6 @@ pub fn run_study_sharded_with(
     if sp.is_recording() {
         sp.arg("shard", shard.to_string());
         sp.arg("jobs", jobs);
-        sp.arg("sched", sched.name());
         sp.arg("grid_points", grid.len());
         sp.arg("shard_points", points.len());
     }
@@ -252,15 +237,9 @@ pub fn run_study_sharded_with(
     let outcomes: Vec<Result<PointRun, RunError>> = if jobs == 1 {
         points.iter().map(|p| run_point(p, cfg)).collect()
     } else {
-        let pool = ThreadPool::new(jobs);
-        match sched {
-            SchedMode::Barrier => {
-                pool.parallel_map(points.len(), Schedule::Dynamic { chunk: 1 }, |i| {
-                    run_point(&points[i], cfg)
-                })
-            }
-            SchedMode::Graph => pool.graph_map(points.len(), |i| run_point(&points[i], cfg)),
-        }
+        ThreadPool::new(jobs).parallel_map(points.len(), Schedule::Dynamic { chunk: 1 }, |i| {
+            run_point(&points[i], cfg)
+        })
     };
 
     points
@@ -441,29 +420,15 @@ mod tests {
     #[test]
     fn jobs_do_not_change_results() {
         let cfg = StudyConfig::quick();
-        let serial = run_study_sharded(&["fig6a", "fig6c"], &cfg, Shard::FULL, 1);
-        let parallel = run_study_sharded(&["fig6a", "fig6c"], &cfg, Shard::FULL, 4);
-        assert_eq!(
-            render_study_csv(&serial, true),
-            render_study_csv(&parallel, true)
-        );
-    }
-
-    #[test]
-    fn schedulers_do_not_change_results() {
-        let cfg = StudyConfig::quick();
         let ids = ["fig6a", "fig6c"];
-        let serial = run_study_sharded_with(&ids, &cfg, Shard::FULL, 1, SchedMode::Barrier);
-        let want = render_study_csv(&serial, true);
-        for sched in [SchedMode::Barrier, SchedMode::Graph] {
-            for jobs in [2, 7] {
-                let got = run_study_sharded_with(&ids, &cfg, Shard::FULL, jobs, sched);
-                assert_eq!(
-                    render_study_csv(&got, true),
-                    want,
-                    "sched={sched} jobs={jobs} diverged from serial"
-                );
-            }
+        let want = render_study_csv(&run_study_sharded(&ids, &cfg, Shard::FULL, 1), true);
+        for jobs in [2, 4, 7] {
+            let got = run_study_sharded(&ids, &cfg, Shard::FULL, jobs);
+            assert_eq!(
+                render_study_csv(&got, true),
+                want,
+                "jobs={jobs} diverged from serial"
+            );
         }
     }
 }

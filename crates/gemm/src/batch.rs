@@ -17,17 +17,12 @@
 //!   per work item in *canonical order* (bucket-major by `BucketKey`
 //!   ordering, submission order within a bucket), packing through each
 //!   worker's reusable thread-local arena.
-//! * [`enqueue_batch`] — the streaming variant: submits the same
-//!   canonical task sequence to a [`WorkQueue`] and hands back a
-//!   [`BatchTicket`], so a server can enqueue the next batch while a
-//!   previous one drains.
 //!
 //! # The batch ≡ serial bitwise contract
 //!
-//! The concatenated outputs of [`gemm_batch`] (and of a drained
-//! [`enqueue_batch`] ticket) are **bitwise identical** to running
-//! [`gemm_serial`] per problem in submission
-//! order, for any bucketing and any worker count. Three facts make this
+//! The concatenated outputs of [`gemm_batch`] are **bitwise identical**
+//! to running [`gemm_serial`] per problem in submission order, for any
+//! bucketing and any worker count. Three facts make this
 //! hold: every problem runs *whole* on one worker (no intra-problem
 //! row-splitting), both paths derive parameters through the same
 //! [`bucket_params`] function, and the tuned kernel's accumulation order
@@ -39,10 +34,9 @@ use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
 use crate::tuned::{gemm_serial, with_thread_arena, TunedParams};
 use perfport_half::F16;
-use perfport_pool::{SchedMode, Schedule, ThreadPool, WorkQueue};
+use perfport_pool::{Schedule, ThreadPool};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 /// Element precision of one batched problem, in canonical bucket order
 /// (widest first, matching the paper's precision columns).
@@ -289,38 +283,21 @@ fn execution_order(problems: &[Problem]) -> Vec<(usize, TunedParams)> {
 }
 
 /// Executes a batch of problems on the pool and returns outputs in
-/// submission order, under the process-wide scheduler verdict
-/// ([`perfport_pool::sched::active`]).
+/// submission order.
 ///
-/// Work items are whole problems in canonical bucket order; each worker
-/// packs through its reusable thread-local arena, so a steady stream of
-/// batches never reallocates pack buffers after warm-up. Under the graph
-/// scheduler a one-problem batch runs and packs on the calling thread's
-/// arena instead, with no pool round trip. Outputs are bitwise identical
-/// to [`gemm_batch_serial`] for any worker count and either scheduler
-/// (see the module docs).
+/// Work items are whole problems in canonical bucket order, dispatched
+/// through `parallel_map` with a dynamic schedule of one problem per
+/// grab; each worker packs through its reusable thread-local arena, so a
+/// steady stream of batches never reallocates pack buffers after warm-up.
+/// A one-problem batch is a one-item loop, which runs and packs on the
+/// calling thread with no pool round trip. Outputs are bitwise identical
+/// to [`gemm_batch_serial`] for any worker count (see the module docs).
 pub fn gemm_batch(pool: &ThreadPool, problems: &[Problem]) -> Vec<Output> {
-    gemm_batch_with(pool, problems, perfport_pool::sched::active())
-}
-
-/// [`gemm_batch`] with an explicit scheduler: `Barrier` dispatches
-/// whole problems through `parallel_map` (one implicit end barrier per
-/// batch), `Graph` runs them as independent [`TaskGraph`] tasks drained
-/// without a barrier, so a straggler problem no longer idles the team
-/// against the region join. A one-problem `Graph` batch is a one-task
-/// graph, which runs and packs on the calling thread's arena.
-///
-/// [`TaskGraph`]: perfport_pool::TaskGraph
-pub fn gemm_batch_with(pool: &ThreadPool, problems: &[Problem], sched: SchedMode) -> Vec<Output> {
     let exec = execution_order(problems);
-    let run = |i: usize| {
+    let results = pool.parallel_map(exec.len(), Schedule::Dynamic { chunk: 1 }, |i| {
         let (idx, params) = &exec[i];
         (*idx, run_problem(&problems[*idx], params))
-    };
-    let results = match sched {
-        SchedMode::Barrier => pool.parallel_map(exec.len(), Schedule::Dynamic { chunk: 1 }, run),
-        SchedMode::Graph => pool.graph_map(exec.len(), run),
-    };
+    });
     scatter(problems.len(), results)
 }
 
@@ -344,84 +321,6 @@ fn scatter(n: usize, results: Vec<(usize, Output)>) -> Vec<Output> {
         .into_iter()
         .map(|s| s.expect("every problem executed exactly once"))
         .collect()
-}
-
-/// A handle to a batch submitted via [`enqueue_batch`]: collect the
-/// outputs after the queue has drained.
-pub struct BatchTicket {
-    problems: Arc<Vec<Problem>>,
-    slots: Arc<Vec<OnceLock<Output>>>,
-}
-
-impl BatchTicket {
-    /// Number of problems in the batch.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` for an empty batch.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Whether every problem in the batch has produced its output.
-    pub fn is_complete(&self) -> bool {
-        self.slots.iter().all(|s| s.get().is_some())
-    }
-
-    /// The batch's problems, in submission order (e.g. for a post-hoc
-    /// `--verify` pass against the serial reference).
-    pub fn problems(&self) -> &[Problem] {
-        &self.problems
-    }
-
-    /// Takes the outputs, in submission order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch has not fully drained — call after
-    /// [`WorkQueue::drain`] returns (the drain's region join guarantees
-    /// every executed task, and its output write, happened-before).
-    pub fn collect(self) -> Vec<Output> {
-        let BatchTicket { slots, .. } = self;
-        let slots = Arc::try_unwrap(slots).unwrap_or_else(|_| {
-            panic!("BatchTicket::collect() while batch tasks are still in flight")
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("batch fully drained before collect()")
-            })
-            .collect()
-    }
-}
-
-/// Submits a batch to a [`WorkQueue`] as one task per problem, in the
-/// same canonical bucket-major order [`gemm_batch`] uses, and returns a
-/// [`BatchTicket`] for the results.
-///
-/// Because the queue accepts submissions while a drain is running, a
-/// server can enqueue the next batch while a previous one drains; the
-/// drained ticket's outputs obey the same bitwise contract as
-/// [`gemm_batch`].
-pub fn enqueue_batch(queue: &WorkQueue, problems: Vec<Problem>) -> BatchTicket {
-    let exec = execution_order(&problems);
-    let problems = Arc::new(problems);
-    let slots: Arc<Vec<OnceLock<Output>>> =
-        Arc::new((0..problems.len()).map(|_| OnceLock::new()).collect());
-    for (idx, params) in exec {
-        let problems = Arc::clone(&problems);
-        let slots = Arc::clone(&slots);
-        queue.submit(move || {
-            let output = run_problem(&problems[idx], &params);
-            assert!(
-                slots[idx].set(output).is_ok(),
-                "problem {idx} executed twice"
-            );
-        });
-    }
-    BatchTicket { problems, slots }
 }
 
 #[cfg(test)]
@@ -480,25 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_match_serial_bitwise() {
-        let problems = mixed_batch(31);
-        let serial = gemm_batch_serial(&problems);
-        for threads in [1, 2, 7] {
-            let pool = ThreadPool::new(threads);
-            for sched in [SchedMode::Barrier, SchedMode::Graph] {
-                let batch = gemm_batch_with(&pool, &problems, sched);
-                for (i, (b, s)) in batch.iter().zip(&serial).enumerate() {
-                    assert_eq!(
-                        b.to_le_bytes(),
-                        s.to_le_bytes(),
-                        "problem {i} diverged at {threads} threads under {sched:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn one_problem_batch_runs_on_the_caller_and_matches_serial() {
         let problems = mixed_batch(41);
         for threads in [1, 2, 4] {
@@ -508,35 +388,16 @@ mod tests {
                 let single = std::slice::from_ref(problem);
                 let serial = gemm_batch_serial(single);
                 let regions = pool.regions_run();
-                let batch = gemm_batch_with(&pool, single, SchedMode::Graph);
+                let batch = gemm_batch(&pool, single);
                 // No region forked: the problem ran on this thread.
                 assert_eq!(pool.regions_run(), regions);
-                let active = gemm_batch(&pool, single);
-                for out in [&batch, &active] {
-                    assert_eq!(
-                        out[0].to_le_bytes(),
-                        serial[0].to_le_bytes(),
-                        "{} diverged at {threads} threads",
-                        problem.key()
-                    );
-                }
+                assert_eq!(
+                    batch[0].to_le_bytes(),
+                    serial[0].to_le_bytes(),
+                    "{} diverged at {threads} threads",
+                    problem.key()
+                );
             }
-        }
-    }
-
-    #[test]
-    fn enqueue_matches_serial_bitwise() {
-        let problems = mixed_batch(23);
-        let serial = gemm_batch_serial(&problems);
-        let pool = ThreadPool::new(3);
-        let queue = WorkQueue::new();
-        let ticket = enqueue_batch(&queue, problems);
-        assert!(!ticket.is_complete());
-        queue.drain(&pool);
-        assert!(ticket.is_complete());
-        let outputs = ticket.collect();
-        for (b, s) in outputs.iter().zip(&serial) {
-            assert_eq!(b.to_le_bytes(), s.to_le_bytes());
         }
     }
 

@@ -25,9 +25,8 @@
 //!   fallback included), overridable via `PERFPORT_SIMD`;
 //! * [`verify`] — numerical verification against an `f64` reference;
 //! * [`batch`] — the batched small-GEMM serving layer: shape-bucketed
-//!   [`Problem`] streams executed on the pool (or a
-//!   [`perfport_pool::WorkQueue`]) under a batch ≡ serial bitwise
-//!   contract.
+//!   [`Problem`] streams executed on the pool under a batch ≡ serial
+//!   bitwise contract.
 //!
 //! # Example
 //!
@@ -65,8 +64,7 @@ pub mod variants;
 pub mod verify;
 
 pub use batch::{
-    bucket, bucket_params, enqueue_batch, gemm_batch, gemm_batch_serial, BatchTicket, BucketKey,
-    Output, Precision, Problem,
+    bucket, bucket_params, gemm_batch, gemm_batch_serial, BucketKey, Output, Precision, Problem,
 };
 pub use gpu::{gpu_gemm, gpu_gemm_mixed, GpuVariant};
 pub use gpu_tiled::{gpu_gemm_tiled, gpu_gemm_tiled_mixed, TILE, TILE_SMEM_ELEMS};

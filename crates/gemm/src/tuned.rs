@@ -48,17 +48,14 @@ use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
 use crate::simd::{self, Isa};
 use perfport_half::F16;
-use perfport_pool::{
-    CacheInfo, DisjointSlice, GraphStats, RegionStats, SchedMode, Schedule, TaskGraph, TaskId,
-    ThreadPool,
-};
+use perfport_pool::{CacheInfo, DisjointSlice, RegionStats, Schedule, ThreadPool};
 use std::any::{Any, TypeId};
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Register-tile extents of the microkernel: `MR` rows × `NR` columns of
 /// `C` accumulated in registers.
@@ -552,8 +549,8 @@ fn pack_b_f16(
 /// The scalar-flavour hooks of the blocked loop nest: how `A`/`B` panels
 /// are packed (possibly widened), how an accumulator value lands in `C`,
 /// and which arena buffers the packs use. The loop nest itself is
-/// written exactly once ([`run_blocked`], [`compute_block`],
-/// [`run_pipelined`]) and parameterized over an implementation:
+/// written exactly once ([`run_blocked`], [`compute_block`]) and
+/// parameterized over an implementation:
 ///
 /// * [`PlainOps`] — `f64`/`f32` (and any hardware float): packs copy,
 ///   the accumulator adds in place.
@@ -696,8 +693,7 @@ struct Panel {
 
 /// The `(jc, p0)` panels of an `n×k` iteration space in the serial loop
 /// order (`jc` outer, `p0` inner) — the accumulation order per `C`
-/// element is a fixed function of this enumeration, which both
-/// schedulers share.
+/// element is a fixed function of this enumeration.
 fn panels(n: usize, k: usize, blocks: &BlockSizes) -> Vec<Panel> {
     let mut out = Vec::new();
     for jc in (0..n).step_by(blocks.nc) {
@@ -712,11 +708,9 @@ fn panels(n: usize, k: usize, blocks: &BlockSizes) -> Vec<Panel> {
 
 /// Packs `A` and runs the register-tiled contraction of one `Mc` row
 /// block against an already-packed `B` panel, accumulating into `C`.
-/// Shared verbatim by the barrier-mode loop nest ([`run_blocked`]) and
-/// the pipelined graph tasks ([`run_pipelined`]) — per `C` element the
-/// accumulation order is fixed by the panel enumeration and this
-/// function alone, which is what keeps the two schedulers
-/// bitwise-identical.
+/// Per `C` element the accumulation order is fixed by the panel
+/// enumeration and this function alone, which is what keeps serial and
+/// parallel runs bitwise-identical.
 ///
 /// SAFETY requirement: the caller must own rows `i0..i0+mb` of `C`
 /// exclusively per the [`DisjointSlice`] contract.
@@ -778,8 +772,34 @@ fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
     stats
 }
 
+/// Wall time one [`run_blocked`] call spent in its two layers: packing
+/// `B` panels, and computing row blocks (packing `A` plus the
+/// microkernel). Measured only for the parallel [`gemm`], which reports
+/// them as the `gemm/pack_ns` and `gemm/compute_ns` histograms.
+#[derive(Debug, Clone, Copy, Default)]
+struct PhaseNs {
+    pack: u64,
+    compute: u64,
+}
+
+/// Nanoseconds since the last lap of `clock` (restarting it), or 0 when
+/// the clock is off.
+fn lap(clock: &mut Option<Instant>) -> u64 {
+    let Some(start) = clock else {
+        return 0;
+    };
+    let now = Instant::now();
+    let ns = now
+        .duration_since(*start)
+        .as_nanos()
+        .min(u128::from(u64::MAX)) as u64;
+    *start = now;
+    ns
+}
+
 /// The blocked loop nest over one contiguous row range of `C`, written
-/// once for every scalar flavour (see [`PackOps`]).
+/// once for every scalar flavour (see [`PackOps`]). `timed` switches on
+/// the per-layer clock; untimed calls read no clock at all.
 #[allow(clippy::too_many_arguments)]
 fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
     a: &Matrix<P::Src>,
@@ -792,15 +812,19 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
     a_buf: &mut AlignedBuf<P::Pack>,
     b_buf: &mut AlignedBuf<P::Pack>,
     isa: Isa,
-) -> TunedStats {
+    timed: bool,
+) -> (TunedStats, PhaseNs) {
     let (_, n) = c_shape;
     let k = a.cols();
     let mc = blocks.mc;
     let microkernel = simd::select::<P::Pack, MR, NR>(isa);
     let mut stats = TunedStats::default();
+    let mut phases = PhaseNs::default();
+    let mut clock = timed.then(Instant::now);
 
     for panel in panels(n, k, blocks) {
         stats.pack_b_bytes += P::pack_b(b, panel.p0, panel.kb, panel.jc, panel.nb, NR, b_buf);
+        phases.pack += lap(&mut clock);
         let bp_len = panel.nb.div_ceil(NR) * panel.kb * NR;
         for i0 in (rows.start..rows.end).step_by(mc) {
             let mb = mc.min(rows.end - i0);
@@ -819,234 +843,9 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
             stats.pack_a_bytes += s.pack_a_bytes;
             stats.microkernel_calls += s.microkernel_calls;
         }
+        phases.compute += lap(&mut clock);
     }
-    stats
-}
-
-// --------------------------------------------------------- pipelining --
-
-/// Cumulative nanoseconds during which packing of `B` panel `s`
-/// overlapped microkernel execution on panel `s-1`, across every
-/// pipelined GEMM in this process.
-static PACK_OVERLAP_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative pack/compute overlap achieved by the pipelined graph
-/// scheduler in this process, in nanoseconds (also emitted per GEMM as
-/// the `gemm/tuned_pack_overlap_ns` trace counter). Zero under the
-/// barrier scheduler or a single worker — overlap needs a second thread.
-pub fn pack_overlap_ns() -> u64 {
-    PACK_OVERLAP_TOTAL.load(Ordering::Relaxed)
-}
-
-/// A packing buffer shared between graph tasks. Interior mutability is
-/// required because the pack task of panel `s` (writer) and the compute
-/// tasks of panel `s` (readers) hold the same buffer while the graph's
-/// dependency edges — not Rust borrows — serialise the access.
-struct SharedBuf<T>(UnsafeCell<AlignedBuf<T>>);
-
-impl<T: Scalar> SharedBuf<T> {
-    fn new() -> Self {
-        SharedBuf(UnsafeCell::new(AlignedBuf::new()))
-    }
-}
-
-// SAFETY: every access is ordered by TaskGraph happens-before edges:
-// pack[s] (the unique writer of buffer s % 2) depends on every reader of
-// the buffer's previous contents (compute[s-2][*]), and every reader of
-// the new contents (compute[s][*]) depends on pack[s].
-unsafe impl<T: Send> Sync for SharedBuf<T> {}
-
-/// The software-pipelined tuned GEMM: one dependency graph in which
-/// packing the next `Kc×Nc` `B` panel overlaps microkernel execution on
-/// the current panel.
-///
-/// * `B` panels are double-buffered: panel `s` packs into buffer
-///   `s % 2`, and its pack task depends only on the *readers of that
-///   buffer's previous contents* (`compute[s-2][*]`) — not on all of
-///   panel `s-1`'s compute, which is the barrier the fork-join nest
-///   paid per panel.
-/// * Compute task `(s, r)` (row block `r` against panel `s`) depends on
-///   `pack[s]` and on `compute[s-1][r]`. The second edge keeps each `C`
-///   row block's panel order exactly serial (bitwise-identical results)
-///   and guarantees no two live mutable borrows of the same row.
-/// * `A` blocks are packed inside the compute tasks via the worker's
-///   thread-local arena, exactly as in barrier mode.
-///
-/// Returns the packing/microkernel counters plus the graph run's
-/// instrumentation; the measured pack/compute overlap feeds
-/// [`pack_overlap_ns`].
-#[allow(clippy::too_many_arguments)]
-fn run_pipelined<P: PackOps, const MR: usize, const NR: usize>(
-    pool: &ThreadPool,
-    a: &Matrix<P::Src>,
-    b: &Matrix<P::Src>,
-    c: &DisjointSlice<'_, P::Src>,
-    c_shape: (usize, usize),
-    c_layout: Layout,
-    blocks: &BlockSizes,
-    isa: Isa,
-) -> (TunedStats, GraphStats) {
-    let (m, n) = c_shape;
-    let k = a.cols();
-    let mc = blocks.mc;
-    let microkernel = simd::select::<P::Pack, MR, NR>(isa);
-    let panels = panels(n, k, blocks);
-    let row_blocks: Vec<(usize, usize)> =
-        (0..m).step_by(mc).map(|i0| (i0, mc.min(m - i0))).collect();
-    if panels.is_empty() || row_blocks.is_empty() {
-        // Nothing to contract or no C rows: C is already correct, and
-        // building pack tasks without compute readers would break the
-        // buffer-exclusivity argument above.
-        return (TunedStats::default(), TaskGraph::new().run(pool));
-    }
-
-    let pack_a_total = AtomicU64::new(0);
-    let pack_b_total = AtomicU64::new(0);
-    let micro_total = AtomicU64::new(0);
-    // Double-buffered B panels: panel s packs into buffer s % 2.
-    let b_bufs = [SharedBuf::<P::Pack>::new(), SharedBuf::<P::Pack>::new()];
-    // Overlap instrumentation: [start, end] ns since `epoch` of each
-    // panel's pack task and of its compute tasks' union window.
-    let epoch = Instant::now();
-    let pack_win: Vec<(AtomicU64, AtomicU64)> = (0..panels.len())
-        .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-        .collect();
-    let compute_win: Vec<(AtomicU64, AtomicU64)> = (0..panels.len())
-        .map(|_| (AtomicU64::new(u64::MAX), AtomicU64::new(0)))
-        .collect();
-
-    let mut graph = TaskGraph::new();
-    // compute[s-1][*] / compute[s-2][*] ids, carried across panels
-    // (including jc boundaries — row-block order stays serial end to
-    // end).
-    let mut one_ago: Vec<TaskId> = Vec::new();
-    let mut two_ago: Vec<TaskId> = Vec::new();
-    for (s, &panel) in panels.iter().enumerate() {
-        let buf = &b_bufs[s % 2];
-        let (pb_total, pwin) = (&pack_b_total, &pack_win[s]);
-        let pack = graph.add(&two_ago, move || {
-            let t0 = epoch.elapsed().as_nanos() as u64;
-            // SAFETY: exclusive access per the SharedBuf contract.
-            let b_buf = unsafe { &mut *buf.0.get() };
-            let bytes = P::pack_b(b, panel.p0, panel.kb, panel.jc, panel.nb, NR, b_buf);
-            pb_total.fetch_add(bytes, Ordering::Relaxed);
-            pwin.0.store(t0, Ordering::Relaxed);
-            let t1 = epoch.elapsed().as_nanos() as u64;
-            pwin.1.store(t1, Ordering::Relaxed);
-            perfport_telemetry::observe("gemm/pack_ns", t1.saturating_sub(t0));
-        });
-        let mut this_panel = Vec::with_capacity(row_blocks.len());
-        for (r, &(i0, mb)) in row_blocks.iter().enumerate() {
-            let deps: Vec<TaskId> = match one_ago.get(r) {
-                Some(&prev) => vec![pack, prev],
-                None => vec![pack],
-            };
-            let (pa_total, mk_total) = (&pack_a_total, &micro_total);
-            let cwin = &compute_win[s];
-            let id = graph.add(&deps, move || {
-                let t0 = epoch.elapsed().as_nanos() as u64;
-                let bp_len = panel.nb.div_ceil(NR) * panel.kb * NR;
-                // SAFETY: shared read access per the SharedBuf contract
-                // (pack[s] happened-before this task).
-                let bp_all = unsafe { (*buf.0.get()).as_slice(bp_len) };
-                let stats = with_thread_arena(|arena: &mut PackArena<P::Src>| {
-                    let (a_buf, _) = P::bufs(arena);
-                    compute_block::<P, MR, NR>(
-                        a,
-                        c,
-                        c_shape,
-                        c_layout,
-                        panel,
-                        i0,
-                        mb,
-                        bp_all,
-                        a_buf,
-                        microkernel,
-                    )
-                });
-                pa_total.fetch_add(stats.pack_a_bytes, Ordering::Relaxed);
-                mk_total.fetch_add(stats.microkernel_calls, Ordering::Relaxed);
-                cwin.0.fetch_min(t0, Ordering::Relaxed);
-                let t1 = epoch.elapsed().as_nanos() as u64;
-                cwin.1.fetch_max(t1, Ordering::Relaxed);
-                perfport_telemetry::observe("gemm/compute_ns", t1.saturating_sub(t0));
-            });
-            this_panel.push(id);
-        }
-        two_ago = std::mem::replace(&mut one_ago, this_panel);
-    }
-    let gstats = graph.run(pool);
-
-    // Pipelining yield: how long pack[s] ran while panel s-1 was still
-    // computing. (With one worker or one panel this is zero.)
-    let mut overlap = 0u64;
-    for s in 1..panels.len() {
-        let (ps, pe) = (
-            pack_win[s].0.load(Ordering::Relaxed),
-            pack_win[s].1.load(Ordering::Relaxed),
-        );
-        let (cs, ce) = (
-            compute_win[s - 1].0.load(Ordering::Relaxed),
-            compute_win[s - 1].1.load(Ordering::Relaxed),
-        );
-        if cs != u64::MAX {
-            overlap += pe.min(ce).saturating_sub(ps.max(cs));
-        }
-    }
-    PACK_OVERLAP_TOTAL.fetch_add(overlap, Ordering::Relaxed);
-    perfport_telemetry::counter_add("gemm/pack_overlap_ns", overlap);
-    if perfport_trace::enabled() {
-        perfport_trace::counter("gemm", "tuned_pack_overlap_ns", overlap as f64);
-    }
-
-    let totals = TunedStats {
-        pack_a_bytes: pack_a_total.into_inner(),
-        pack_b_bytes: pack_b_total.into_inner(),
-        microkernel_calls: micro_total.into_inner(),
-    };
-    (totals, gstats)
-}
-
-/// Tile + scalar dispatch for [`run_pipelined`] (the graph-scheduler
-/// analogue of the dispatch in [`gemm_rows_with_isa`]).
-#[allow(clippy::too_many_arguments)]
-fn run_pipelined_dispatch<T: Scalar>(
-    pool: &ThreadPool,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &DisjointSlice<'_, T>,
-    c_shape: (usize, usize),
-    c_layout: Layout,
-    params: &TunedParams,
-    isa: Isa,
-) -> (TunedStats, GraphStats) {
-    if TypeId::of::<T>() == TypeId::of::<F16>() {
-        let a16 = (a as &dyn Any)
-            .downcast_ref::<Matrix<F16>>()
-            .expect("T is F16");
-        let b16 = (b as &dyn Any)
-            .downcast_ref::<Matrix<F16>>()
-            .expect("T is F16");
-        // SAFETY: `T` is exactly `F16` (checked above), so the cast is
-        // the identity (see `gemm_rows_with_isa`).
-        let c16 = unsafe { &*(c as *const DisjointSlice<'_, T>).cast::<DisjointSlice<'_, F16>>() };
-        let run = match (params.tile.mr, params.tile.nr) {
-            (4, 4) => run_pipelined::<WidenedF16Ops, 4, 4>,
-            (8, 4) => run_pipelined::<WidenedF16Ops, 8, 4>,
-            (4, 8) => run_pipelined::<WidenedF16Ops, 4, 8>,
-            (8, 8) => run_pipelined::<WidenedF16Ops, 8, 8>,
-            _ => panic!("unsupported tile shape {}", params.tile),
-        };
-        return run(pool, a16, b16, c16, c_shape, c_layout, &params.blocks, isa);
-    }
-    let run = match (params.tile.mr, params.tile.nr) {
-        (4, 4) => run_pipelined::<PlainOps<T>, 4, 4>,
-        (8, 4) => run_pipelined::<PlainOps<T>, 8, 4>,
-        (4, 8) => run_pipelined::<PlainOps<T>, 4, 8>,
-        (8, 8) => run_pipelined::<PlainOps<T>, 8, 8>,
-        _ => panic!("unsupported tile shape {}", params.tile),
-    };
-    run(pool, a, b, c, c_shape, c_layout, &params.blocks, isa)
+    (stats, phases)
 }
 
 fn check_shapes<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, m: usize, n: usize) {
@@ -1114,6 +913,24 @@ pub fn gemm_rows_with_isa<T: Scalar>(
     arena: &mut PackArena<T>,
     isa: Isa,
 ) -> TunedStats {
+    rows_phased(a, b, c, c_shape, c_layout, rows, params, arena, isa, false).0
+}
+
+/// [`gemm_rows_with_isa`] that also returns the per-layer wall time when
+/// `timed` is set (see [`PhaseNs`]).
+#[allow(clippy::too_many_arguments)]
+fn rows_phased<T: Scalar>(
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    c: &DisjointSlice<'_, T>,
+    c_shape: (usize, usize),
+    c_layout: Layout,
+    rows: Range<usize>,
+    params: &TunedParams,
+    arena: &mut PackArena<T>,
+    isa: Isa,
+    timed: bool,
+) -> (TunedStats, PhaseNs) {
     let (m, n) = c_shape;
     check_shapes(a, b, m, n);
     assert_eq!(c.len(), m * n, "C storage size mismatch");
@@ -1153,6 +970,7 @@ pub fn gemm_rows_with_isa<T: Scalar>(
             aw,
             bw,
             isa,
+            timed,
         );
     }
     let run = match (params.tile.mr, params.tile.nr) {
@@ -1174,6 +992,7 @@ pub fn gemm_rows_with_isa<T: Scalar>(
         a_buf,
         b_buf,
         isa,
+        timed,
     )
 }
 
@@ -1208,32 +1027,19 @@ pub fn gemm_serial_with_isa<T: Scalar>(
     stats
 }
 
-/// Parallel tuned GEMM under the process-wide scheduler verdict
-/// ([`perfport_pool::sched::active`]): the pipelined task graph by
-/// default, the classic barrier fork-join under `--sched barrier` /
-/// `PERFPORT_SCHED=barrier`. Returns the region instrumentation; the
-/// packing/microkernel counters go to `perfport-trace`. Results are
-/// bitwise-identical across schedulers, team sizes, and serial.
+/// Parallel tuned GEMM: `Mc` row blocks of `C` are the work-sharing
+/// index space of one `parallel_for` (static block schedule), and every
+/// worker packs through its thread-local arena. Returns the region
+/// instrumentation; the packing/microkernel counters go to telemetry and
+/// `perfport-trace`, and each worker's pack and compute wall time to the
+/// `gemm/pack_ns` and `gemm/compute_ns` histograms. Results are
+/// bitwise-identical to [`gemm_serial`] for every team size.
 pub fn gemm<T: Scalar>(
     pool: &ThreadPool,
     a: &Matrix<T>,
     b: &Matrix<T>,
     c: &mut Matrix<T>,
     params: &TunedParams,
-) -> RegionStats {
-    gemm_with_sched(pool, a, b, c, params, perfport_pool::sched::active())
-}
-
-/// [`gemm`] with an explicit scheduler instead of the process-wide one —
-/// the A/B entry point tests and ablations use to compare schedulers
-/// without touching `PERFPORT_SCHED`.
-pub fn gemm_with_sched<T: Scalar>(
-    pool: &ThreadPool,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &mut Matrix<T>,
-    params: &TunedParams,
-    sched: SchedMode,
 ) -> RegionStats {
     let (m, n) = (c.rows(), c.cols());
     check_shapes(a, b, m, n);
@@ -1245,7 +1051,6 @@ pub fn gemm_with_sched<T: Scalar>(
         sp.arg("k", a.cols());
         sp.arg("tile", params.tile.name());
         sp.arg("isa", isa.name());
-        sp.arg("sched", sched.name());
         sp.arg("mc", params.blocks.mc);
         sp.arg("kc", params.blocks.kc);
         sp.arg("nc", params.blocks.nc);
@@ -1260,48 +1065,31 @@ pub fn gemm_with_sched<T: Scalar>(
     }
     let layout = c.layout();
     let ds = DisjointSlice::new(c.as_mut_slice());
-    match sched {
-        SchedMode::Graph => {
-            let (totals, gstats) =
-                run_pipelined_dispatch(pool, a, b, &ds, (m, n), layout, params, isa);
-            totals.emit(params.tile, isa);
-            RegionStats {
-                items_per_thread: gstats.tasks_per_worker.clone(),
-                chunks_per_thread: gstats.tasks_per_worker,
-                elapsed: gstats.elapsed,
-                // No barrier exists in graph mode; the idle analogue is
-                // recorded by the graph run itself (`pool/idle_ns`).
-                fork_join_overhead: Duration::ZERO,
-                barrier_wait_per_thread: Vec::new(),
-            }
+    let mc = params.blocks.mc;
+    let pack_a_total = AtomicU64::new(0);
+    let pack_b_total = AtomicU64::new(0);
+    let micro_total = AtomicU64::new(0);
+    let region = pool.parallel_for(m.div_ceil(mc), Schedule::StaticBlock, |_ctx, chunk| {
+        if chunk.is_empty() {
+            return;
         }
-        SchedMode::Barrier => {
-            let mc = params.blocks.mc;
-            let n_blocks = m.div_ceil(mc);
-            let pack_a_total = AtomicU64::new(0);
-            let pack_b_total = AtomicU64::new(0);
-            let micro_total = AtomicU64::new(0);
-            let region = pool.parallel_for(n_blocks, Schedule::StaticBlock, |_ctx, chunk| {
-                if chunk.is_empty() {
-                    return;
-                }
-                let rows = (chunk.start * mc)..(chunk.end * mc).min(m);
-                let stats = with_thread_arena(|arena| {
-                    gemm_rows(a, b, &ds, (m, n), layout, rows, params, arena)
-                });
-                pack_a_total.fetch_add(stats.pack_a_bytes, Ordering::Relaxed);
-                pack_b_total.fetch_add(stats.pack_b_bytes, Ordering::Relaxed);
-                micro_total.fetch_add(stats.microkernel_calls, Ordering::Relaxed);
-            });
-            let totals = TunedStats {
-                pack_a_bytes: pack_a_total.into_inner(),
-                pack_b_bytes: pack_b_total.into_inner(),
-                microkernel_calls: micro_total.into_inner(),
-            };
-            totals.emit(params.tile, isa);
-            region
-        }
-    }
+        let rows = (chunk.start * mc)..(chunk.end * mc).min(m);
+        let (stats, phases) = with_thread_arena(|arena| {
+            rows_phased(a, b, &ds, (m, n), layout, rows, params, arena, isa, true)
+        });
+        pack_a_total.fetch_add(stats.pack_a_bytes, Ordering::Relaxed);
+        pack_b_total.fetch_add(stats.pack_b_bytes, Ordering::Relaxed);
+        micro_total.fetch_add(stats.microkernel_calls, Ordering::Relaxed);
+        perfport_telemetry::observe("gemm/pack_ns", phases.pack);
+        perfport_telemetry::observe("gemm/compute_ns", phases.compute);
+    });
+    let totals = TunedStats {
+        pack_a_bytes: pack_a_total.into_inner(),
+        pack_b_bytes: pack_b_total.into_inner(),
+        microkernel_calls: micro_total.into_inner(),
+    };
+    totals.emit(params.tile, isa);
+    region
 }
 
 #[cfg(test)]
@@ -1373,13 +1161,12 @@ mod tests {
         }
     }
 
-    /// Serial reference vs an explicit scheduler, bitwise.
-    fn sched_vs_serial<T: Scalar>(m: usize, k: usize, n: usize, jobs: usize, sched: SchedMode) {
+    /// Serial reference vs the parallel driver, bitwise.
+    fn parallel_vs_serial<T: Scalar>(m: usize, k: usize, n: usize, jobs: usize) {
         let pool = ThreadPool::new(jobs);
         let params = TunedParams {
             tile: TileShape { mr: 4, nr: 4 },
-            // Tiny blocks force many row blocks and (jc, p0) panels, so
-            // the double buffers wrap repeatedly.
+            // Tiny blocks force many row blocks and (jc, p0) panels.
             blocks: BlockSizes {
                 mc: 8,
                 kc: 12,
@@ -1391,74 +1178,41 @@ mod tests {
             let b = Matrix::<T>::random(k, n, layout, 8);
             let mut c_serial = Matrix::<T>::zeros(m, n, layout);
             gemm_serial(&a, &b, &mut c_serial, &params, &mut PackArena::new());
-            let mut c_sched = Matrix::<T>::zeros(m, n, layout);
-            gemm_with_sched(&pool, &a, &b, &mut c_sched, &params, sched);
-            assert_eq!(
-                c_serial,
-                c_sched,
-                "{} {layout} jobs={jobs} sched={sched}",
-                T::NAME
-            );
+            let mut c_par = Matrix::<T>::zeros(m, n, layout);
+            gemm(&pool, &a, &b, &mut c_par, &params);
+            assert_eq!(c_serial, c_par, "{} {layout} jobs={jobs}", T::NAME);
         }
     }
 
     #[test]
-    fn both_schedulers_are_bit_identical_to_serial_all_precisions() {
+    fn parallel_is_bit_identical_to_serial_all_precisions() {
         for jobs in [1, 2, 7] {
-            for sched in [SchedMode::Barrier, SchedMode::Graph] {
-                sched_vs_serial::<f64>(83, 57, 43, jobs, sched);
-                sched_vs_serial::<f32>(61, 45, 39, jobs, sched);
-                sched_vs_serial::<F16>(33, 29, 21, jobs, sched);
-            }
+            parallel_vs_serial::<f64>(83, 57, 43, jobs);
+            parallel_vs_serial::<f32>(61, 45, 39, jobs);
+            parallel_vs_serial::<F16>(33, 29, 21, jobs);
         }
+        // One row block: the loop has one item and runs on the caller.
+        parallel_vs_serial::<f64>(5, 57, 43, 3);
     }
 
     #[test]
-    fn double_buffer_reuse_survives_many_panels() {
-        // k and n large relative to kc/nc: 8 k-panels × 4 jc panels = 32
-        // B-panel packs through 2 buffers, while 7 workers race the
-        // pipeline. Any reuse-before-drained bug corrupts C.
-        let pool = ThreadPool::new(7);
-        let params = TunedParams {
-            tile: TileShape { mr: 4, nr: 4 },
-            blocks: BlockSizes {
-                mc: 8,
-                kc: 8,
-                nc: 8,
-            },
-        };
-        let (m, k, n) = (40, 64, 31);
-        let a = Matrix::<f64>::random(m, k, Layout::RowMajor, 11);
-        let b = Matrix::<f64>::random(k, n, Layout::RowMajor, 12);
-        let mut c_serial = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
-        gemm_serial(&a, &b, &mut c_serial, &params, &mut PackArena::new());
-        for _ in 0..16 {
-            let mut c_graph = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
-            gemm_with_sched(&pool, &a, &b, &mut c_graph, &params, SchedMode::Graph);
-            assert_eq!(c_serial, c_graph);
+    fn parallel_gemm_observes_its_pack_and_compute_layers() {
+        if perfport_telemetry::build_mode() != "on" {
+            return;
         }
-    }
-
-    #[test]
-    fn graph_mode_reports_tasks_and_overlap_monotonically() {
-        let pool = ThreadPool::new(4);
-        let params = TunedParams {
-            tile: TileShape { mr: 4, nr: 4 },
-            blocks: BlockSizes {
-                mc: 8,
-                kc: 8,
-                nc: 16,
-            },
-        };
-        let (m, k, n) = (64, 48, 32);
-        let a = Matrix::<f64>::random(m, k, Layout::RowMajor, 13);
-        let b = Matrix::<f64>::random(k, n, Layout::RowMajor, 14);
-        let before = pack_overlap_ns();
-        let mut c = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
-        let region = gemm_with_sched(&pool, &a, &b, &mut c, &params, SchedMode::Graph);
-        // (2 jc × 6 k) panels × 8 row-block compute tasks + 12 packs.
-        assert_eq!(region.items_per_thread.iter().sum::<usize>(), 12 * 8 + 12);
-        assert!(pack_overlap_ns() >= before);
+        let pool = ThreadPool::new(2);
+        let params = TunedParams::for_cache::<f64>(CacheInfo::DEFAULT);
+        let a = Matrix::<f64>::random(40, 30, Layout::RowMajor, 13);
+        let b = Matrix::<f64>::random(30, 20, Layout::RowMajor, 14);
+        let mut c = Matrix::<f64>::zeros(40, 20, Layout::RowMajor);
+        let before = perfport_telemetry::snapshot();
+        gemm(&pool, &a, &b, &mut c, &params);
+        // Other tests share the process-wide registry, so only a lower
+        // bound on the delta is deterministic.
+        let delta = perfport_telemetry::snapshot().delta_since(&before);
+        let count = |name: &str| delta.histograms.get(name).map_or(0, |h| h.count);
+        assert!(count("gemm/pack_ns") >= 1);
+        assert!(count("gemm/compute_ns") >= 1);
     }
 
     #[test]

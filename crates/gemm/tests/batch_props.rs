@@ -3,11 +3,9 @@
 //! proptest-generated shape mixes (degenerate 0/1 extents included)
 //! across all three precisions.
 
-use perfport_gemm::batch::{
-    bucket, enqueue_batch, gemm_batch, gemm_batch_serial, Precision, Problem,
-};
+use perfport_gemm::batch::{bucket, gemm_batch, gemm_batch_serial, Precision, Problem};
 use perfport_gemm::{Layout, Matrix};
-use perfport_pool::{ThreadPool, WorkQueue};
+use perfport_pool::ThreadPool;
 use proptest::prelude::*;
 
 /// One generated problem: precision selector, ragged dims (0 and 1
@@ -125,8 +123,7 @@ proptest! {
 
     /// The tentpole contract: concatenated batch outputs are bitwise
     /// identical to per-problem serial execution in submission order,
-    /// for any bucketing and any worker count — through both the
-    /// pool path and the work-queue path.
+    /// for any bucketing and any worker count.
     #[test]
     fn batch_equals_serial_bitwise(specs in batch_of_specs()) {
         let problems = build(&specs);
@@ -143,16 +140,6 @@ proptest! {
                     &out.to_le_bytes(),
                     &serial[i],
                     "pool path diverged at problem {} with {} jobs", i, jobs
-                );
-            }
-            let queue = WorkQueue::new();
-            let ticket = enqueue_batch(&queue, problems.clone());
-            queue.drain(&pool);
-            for (i, out) in ticket.collect().iter().enumerate() {
-                prop_assert_eq!(
-                    &out.to_le_bytes(),
-                    &serial[i],
-                    "queue path diverged at problem {} with {} jobs", i, jobs
                 );
             }
         }

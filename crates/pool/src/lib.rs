@@ -6,7 +6,12 @@
 //! `guided`, Julia `@threads :static`, Numba `prange`), and an optional
 //! thread-affinity policy (`OMP_PROC_BIND`/`OMP_PLACES`, `JULIA_EXCLUSIVE`;
 //! Numba notably has none). This crate is that substrate, built from
-//! scratch on `crossbeam` channels and `parking_lot` primitives:
+//! scratch on `crossbeam` channels and `parking_lot` primitives.
+//!
+//! Fork-join is the crate's only execution discipline: every parallel
+//! entry point (`parallel_for`, `parallel_map`, `parallel_reduce`) is a
+//! work-sharing loop over one region, and a loop of at most one item runs
+//! on the calling thread instead of forking one. The pieces:
 //!
 //! * [`ThreadPool`] — a persistent worker team with fork-join semantics and
 //!   panic propagation (the "OpenMP runtime").
@@ -20,14 +25,7 @@
 //!   model NUMA locality, which is the effect the paper attributes to
 //!   pinning.
 //! * [`RegionStats`] — per-region instrumentation: items and chunks per
-//!   thread, load imbalance, fork-join overhead.
-//! * [`WorkQueue`] — a submit-from-outside task queue drained by the pool's
-//!   team, for serving workloads where work arrives continuously instead of
-//!   as one up-front index space.
-//! * [`TaskGraph`] — a dependency-driven task executor (message-passing
-//!   readiness, no global barriers) with cycle detection, deterministic
-//!   ordering, and `WorkQueue`-style panic→poison semantics; [`sched`]
-//!   selects between it and the barrier constructs per process.
+//!   thread, load imbalance, fork-join overhead and end-barrier wait.
 //! * [`SenseBarrier`] — a reusable sense-reversing barrier.
 //! * [`DisjointSlice`] — safe disjoint mutable access for row-parallel
 //!   kernels.
@@ -35,24 +33,18 @@
 //!   shared atomics, and cache capacities for cache-aware blocking.
 
 mod barrier;
-mod graph;
 mod pad;
 mod pool;
-mod queue;
 mod reduce;
-pub mod sched;
 mod schedule;
 mod slice;
 mod stats;
 mod topology;
 
 pub use barrier::SenseBarrier;
-pub use graph::{CycleError, GraphStats, TaskGraph, TaskId};
 pub use pad::CachePadded;
 pub use pool::{ForContext, ThreadPool};
-pub use queue::WorkQueue;
-pub use sched::SchedMode;
 pub use schedule::{Chunk, Schedule, StaticChunks};
 pub use slice::DisjointSlice;
-pub use stats::{sched_totals, RegionStats, SchedTotals};
+pub use stats::RegionStats;
 pub use topology::{CacheInfo, CacheSource, CpuTopology, PinPolicy, Placement};

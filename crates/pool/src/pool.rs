@@ -128,6 +128,41 @@ unsafe fn call_body<F: Fn(usize) + Sync>(data: *const (), thread_id: usize) {
     f(thread_id);
 }
 
+/// Runs one team member's share of a region the same way on a worker and
+/// on the calling thread: inside a hardware-counter scope (a no-op unless
+/// profiling is enabled), with a panic caught, counted, logged as a
+/// `task_panic` event and flight-recorded. Returns whether `body`
+/// panicked.
+///
+/// The counter scope is dropped before the caller signals completion, so
+/// the coordinator never observes a half-recorded region. The flight dump
+/// fires before the coordinator learns of the failure, and the dump guard
+/// is first-trigger-wins, so the file on disk ends with this event.
+fn run_job(body: impl FnOnce()) -> bool {
+    let result = {
+        let _hw = perfport_obs::thread_scope();
+        catch_unwind(AssertUnwindSafe(body))
+    };
+    let Err(payload) = result else {
+        return false;
+    };
+    let msg = perfport_telemetry::panic_message(&*payload);
+    perfport_telemetry::counter_add("pool/worker_panics", 1);
+    perfport_telemetry::event("task_panic", msg.clone());
+    perfport_telemetry::flight_dump("task_panic", &msg);
+    true
+}
+
+/// Re-raises a team member's panic on the caller once its region (or
+/// inline call) has finished, after recording the poisoning.
+fn raise_region_panic(region_ns: u64) -> ! {
+    const MSG: &str = "a perfport-pool worker panicked inside a parallel region";
+    perfport_telemetry::counter_add("pool/regions_poisoned", 1);
+    perfport_telemetry::event("region_poison", format!("ns={region_ns}"));
+    perfport_telemetry::flight_dump("region_poison", MSG);
+    panic!("{MSG}");
+}
+
 /// A persistent team of worker threads with OpenMP-style fork-join
 /// parallel regions and work-sharing loops.
 ///
@@ -184,31 +219,10 @@ impl ThreadPool {
                     while let Ok(msg) = rx.recv() {
                         match msg {
                             Msg::Run(job) => {
-                                let result = {
-                                    // Hardware-counter scope around the
-                                    // region body (no-op unless profiling
-                                    // is enabled); dropped before
-                                    // `finish_one` so the coordinator
-                                    // never observes a half-recorded
-                                    // region.
-                                    let _hw = perfport_obs::thread_scope();
-                                    catch_unwind(AssertUnwindSafe(|| {
-                                        // SAFETY: the coordinator keeps the
-                                        // closure alive until `finish_one` has
-                                        // been called by every worker.
-                                        unsafe { (job.call)(job.data, tid) }
-                                    }))
-                                };
-                                if let Err(payload) = &result {
-                                    // Flight-record the poisoning task
-                                    // itself before the coordinator even
-                                    // learns about the failure — the dump
-                                    // guard is first-trigger-wins, so the
-                                    // file on disk ends with this event.
-                                    let msg = perfport_telemetry::panic_message(&**payload);
-                                    perfport_telemetry::counter_add("pool/worker_panics", 1);
-                                    perfport_telemetry::event("task_panic", msg.clone());
-                                    perfport_telemetry::flight_dump("task_panic", &msg);
+                                // SAFETY: the coordinator keeps the closure
+                                // alive until `finish_one` has been called
+                                // by every worker.
+                                if run_job(|| unsafe { (job.call)(job.data, tid) }) {
                                     job.state.panicked.store(true, Ordering::Release);
                                 }
                                 job.state.finish_one();
@@ -276,20 +290,14 @@ impl ThreadPool {
             tx.send(job_msg(job)).expect("worker channel closed");
         }
         state.wait();
-        let region_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let region_ns = region_ns_u64(started.elapsed());
         perfport_telemetry::counter_add("pool/regions", 1);
         perfport_telemetry::observe("pool/region_ns", region_ns);
         self.regions_run.fetch_add(1, Ordering::Relaxed);
         let panicked = state.panicked.load(Ordering::Acquire);
         sp.arg("panicked", panicked);
         if panicked {
-            perfport_telemetry::counter_add("pool/regions_poisoned", 1);
-            perfport_telemetry::event("region_poison", format!("ns={region_ns}"));
-            perfport_telemetry::flight_dump(
-                "region_poison",
-                "a perfport-pool worker panicked inside a parallel region",
-            );
-            panic!("a perfport-pool worker panicked inside a parallel region");
+            raise_region_panic(region_ns);
         }
         perfport_telemetry::event("region_end", format!("ns={region_ns}"));
     }
@@ -297,6 +305,18 @@ impl ThreadPool {
     /// Work-sharing loop over `0..n`: `body(ctx, chunk)` is invoked for
     /// every chunk the schedule assigns, each index reaching exactly one
     /// invocation. Returns the region's instrumentation.
+    ///
+    /// A loop of at most one item has nothing to share, so it forks no
+    /// region: the body runs on the calling thread as `thread_id` 0 of a
+    /// team of one, like an OpenMP region whose `if` clause is false. It
+    /// is wrapped exactly as a worker wraps its share, and a panic in it
+    /// re-raises the same region-panic message. The returned stats keep
+    /// one slot per pool worker, with the item in slot 0 and zero barrier
+    /// wait everywhere.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises (as a panic) if the body panicked on any thread.
     pub fn parallel_for<F>(&self, n: usize, schedule: Schedule, body: F) -> RegionStats
     where
         F: Fn(ForContext, Chunk) + Sync,
@@ -308,25 +328,28 @@ impl ThreadPool {
         let busy = SlotCell::<Duration>::new(team);
         let cursor = DynamicCursor::new(n);
         let placements = &self.placements;
+        let inline = n <= 1;
 
         let started = Instant::now();
-        let task = |tid: usize| {
+        // `share` is the number of threads the schedule divides `0..n`
+        // among: the pool's team, or the caller alone when inline.
+        let work = |tid: usize, share: usize| {
             let t0 = Instant::now();
             let ctx = ForContext {
                 thread_id: tid,
-                num_threads: team,
+                num_threads: share,
                 placement: placements[tid],
             };
             let mut my_items = 0usize;
             let mut my_chunks = 0usize;
             if schedule.is_static() {
-                for c in StaticChunks::new(schedule, n, team, tid) {
+                for c in StaticChunks::new(schedule, n, share, tid) {
                     body(ctx, c);
                     my_items += c.len();
                     my_chunks += 1;
                 }
             } else {
-                while let Some(c) = cursor.grab(schedule, team) {
+                while let Some(c) = cursor.grab(schedule, share) {
                     body(ctx, c);
                     my_items += c.len();
                     my_chunks += 1;
@@ -340,16 +363,24 @@ impl ThreadPool {
                 busy.set(tid, t0.elapsed());
             }
         };
-        self.run_region(&task);
+        if inline {
+            if run_job(|| work(0, 1)) {
+                raise_region_panic(region_ns_u64(started.elapsed()));
+            }
+        } else {
+            self.run_region(&|tid| work(tid, team));
+        }
         let elapsed = started.elapsed();
 
         let busy = busy.into_inner();
         let max_busy = busy.iter().copied().max().unwrap_or(Duration::ZERO);
         // A thread that finished early sat at the implicit end barrier for
-        // the rest of the region; that wait is what the graph scheduler
-        // removes, so it is measured on every run.
-        let barrier_wait_per_thread: Vec<Duration> =
-            busy.iter().map(|&b| elapsed.saturating_sub(b)).collect();
+        // the rest of the region. An inline call has no barrier.
+        let barrier_wait_per_thread: Vec<Duration> = if inline {
+            vec![Duration::ZERO; team]
+        } else {
+            busy.iter().map(|&b| elapsed.saturating_sub(b)).collect()
+        };
         let stats = RegionStats {
             items_per_thread: items.into_inner(),
             chunks_per_thread: chunks.into_inner(),
@@ -361,7 +392,6 @@ impl ThreadPool {
             .total_barrier_wait()
             .as_nanos()
             .min(u128::from(u64::MAX)) as u64;
-        crate::stats::record_barrier_wait(barrier_wait_ns);
         perfport_telemetry::counter_add("pool/barrier_wait_ns", barrier_wait_ns);
         perfport_telemetry::observe("pool/parallel_for_ns", region_ns_u64(elapsed));
         if sp.is_recording() {
@@ -403,10 +433,12 @@ impl ThreadPool {
     /// `schedule` and returns the results **in index order**, regardless
     /// of which worker computed which index or in what interleaving.
     ///
-    /// This is the collection primitive behind the sharded study runner:
-    /// an embarrassingly parallel grid can fan out across the team while
-    /// the ordered return value lets the caller emit output bytes
-    /// identical to a serial run.
+    /// This is the collection primitive behind the sharded study runner
+    /// and `gemm_batch`: an embarrassingly parallel grid can fan out
+    /// across the team while the ordered return value lets the caller
+    /// emit output bytes identical to a serial run. Like
+    /// [`ThreadPool::parallel_for`], a map of at most one item runs on
+    /// the calling thread.
     pub fn parallel_map<T, F>(&self, n: usize, schedule: Schedule, f: F) -> Vec<T>
     where
         T: Send,
@@ -648,6 +680,94 @@ mod tests {
         );
         let empty: Vec<usize> = pool.parallel_map(0, Schedule::StaticBlock, |i| i);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn one_item_loops_run_on_the_caller_without_a_region() {
+        let pool = ThreadPool::new(3);
+        let regions = pool.regions_run();
+        let ran_on = parking_lot::Mutex::new(Vec::new());
+        pool.parallel_for(1, Schedule::StaticBlock, |ctx, chunk| {
+            ran_on
+                .lock()
+                .push((std::thread::current().id(), ctx.thread_id, chunk.range()));
+        });
+        let seen = pool.parallel_map(1, Schedule::Dynamic { chunk: 1 }, |i| {
+            (std::thread::current().id(), i)
+        });
+        let me = std::thread::current().id();
+        assert_eq!(ran_on.into_inner(), vec![(me, 0, 0..1)]);
+        assert_eq!(seen, vec![(me, 0)]);
+        assert_eq!(pool.regions_run(), regions);
+    }
+
+    #[test]
+    fn one_item_stats_stay_team_sized() {
+        let pool = ThreadPool::new(3);
+        for schedule in [
+            Schedule::StaticBlock,
+            Schedule::StaticChunked { chunk: 2 },
+            Schedule::Dynamic { chunk: 1 },
+            Schedule::Guided { min_chunk: 1 },
+        ] {
+            let stats = pool.parallel_for(1, schedule, |ctx, _| {
+                assert_eq!((ctx.thread_id, ctx.num_threads), (0, 1));
+            });
+            assert_eq!(stats.items_per_thread, vec![1, 0, 0], "{schedule:?}");
+            assert_eq!(stats.chunks_per_thread, vec![1, 0, 0], "{schedule:?}");
+            assert_eq!(stats.barrier_wait_per_thread, vec![Duration::ZERO; 3]);
+        }
+        let empty = pool.parallel_for_each(0, Schedule::StaticBlock, |_| {});
+        assert_eq!(empty.items_per_thread, vec![0, 0, 0]);
+        assert_eq!(empty.barrier_wait_per_thread, vec![Duration::ZERO; 3]);
+    }
+
+    #[test]
+    fn one_item_loops_still_observe_the_loop_histogram() {
+        if perfport_telemetry::build_mode() != "on" {
+            return;
+        }
+        let pool = ThreadPool::new(3);
+        let before = perfport_telemetry::snapshot();
+        pool.parallel_for_each(1, Schedule::StaticBlock, |_| {});
+        // Other tests share the process-wide registry, so only a lower
+        // bound on the delta is deterministic.
+        let delta = perfport_telemetry::snapshot().delta_since(&before);
+        let count = |name: &str| delta.histograms.get(name).map_or(0, |h| h.count);
+        assert!(count("pool/parallel_for_ns") >= 1);
+    }
+
+    #[test]
+    fn one_item_panic_raises_the_region_panic_and_the_pool_survives() {
+        let pool = ThreadPool::new(3);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            pool.parallel_for_each(1, Schedule::StaticBlock, |_| panic!("boom inline"));
+        }))
+        .expect_err("panic must propagate");
+        let msg = perfport_telemetry::panic_message(&*payload);
+        assert_eq!(
+            msg,
+            "a perfport-pool worker panicked inside a parallel region"
+        );
+        assert_eq!(
+            pool.parallel_map(5, Schedule::StaticBlock, |i| i + 1),
+            vec![1, 2, 3, 4, 5]
+        );
+        assert_eq!(
+            pool.parallel_map(1, Schedule::StaticBlock, |i| i + 1),
+            vec![1]
+        );
+    }
+
+    #[test]
+    fn one_item_map_matches_for_any_team() {
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            assert_eq!(
+                pool.parallel_map(1, Schedule::Dynamic { chunk: 1 }, |i| (i + 7) * 3),
+                vec![21]
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! imbalance) and how much time the fork-join protocol itself cost. Both
 //! are measured here for every parallel region.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Statistics collected for one `parallel_for` region.
@@ -23,9 +22,10 @@ pub struct RegionStats {
     /// available, else zero.
     pub fork_join_overhead: Duration,
     /// Time each thread spent waiting at the region's implicit end
-    /// barrier (region elapsed minus that thread's busy time) — the cost
-    /// the graph scheduler exists to remove. Empty when the region did
-    /// not measure per-thread busy time.
+    /// barrier: region elapsed minus that thread's busy time. The
+    /// process-wide sum is the `pool/barrier_wait_ns` telemetry counter.
+    /// Zero for every thread when a one-item loop ran on the caller, and
+    /// empty when the region did not measure per-thread busy time.
     pub barrier_wait_per_thread: Vec<Duration>,
 }
 
@@ -69,56 +69,6 @@ impl RegionStats {
     pub fn total_barrier_wait(&self) -> Duration {
         self.barrier_wait_per_thread.iter().sum()
     }
-}
-
-/// Nanoseconds the barrier scheduler spent waiting at implicit region-end
-/// barriers, summed over every region and thread in this process.
-static BARRIER_WAIT_NS: AtomicU64 = AtomicU64::new(0);
-/// Nanoseconds graph-scheduler workers spent parked with no eligible
-/// task, summed over every graph run and worker in this process.
-static IDLE_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide scheduling-overhead totals, for stamping into bench
-/// snapshots (the per-region values flow through [`RegionStats`] and the
-/// `pool/barrier_wait_ns` / `pool/idle_ns` trace counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedTotals {
-    /// Cumulative barrier-wait nanoseconds (fork-join regions).
-    pub barrier_wait_ns: u64,
-    /// Cumulative task-idle nanoseconds (graph runs).
-    pub idle_ns: u64,
-}
-
-impl SchedTotals {
-    /// The overhead accumulated between `earlier` and this snapshot.
-    ///
-    /// The raw counters are process-lifetime monotonic, so a binary
-    /// that runs several measurement phases in one process would
-    /// over-report if it stamped [`sched_totals`] directly; capture an
-    /// epoch at phase start and stamp the delta instead. Saturating,
-    /// so a swapped pair degrades to zeros rather than wrapping.
-    pub fn delta_since(&self, earlier: SchedTotals) -> SchedTotals {
-        SchedTotals {
-            barrier_wait_ns: self.barrier_wait_ns.saturating_sub(earlier.barrier_wait_ns),
-            idle_ns: self.idle_ns.saturating_sub(earlier.idle_ns),
-        }
-    }
-}
-
-/// Snapshot of the cumulative scheduling-overhead counters.
-pub fn sched_totals() -> SchedTotals {
-    SchedTotals {
-        barrier_wait_ns: BARRIER_WAIT_NS.load(Ordering::Relaxed),
-        idle_ns: IDLE_NS.load(Ordering::Relaxed),
-    }
-}
-
-pub(crate) fn record_barrier_wait(ns: u64) {
-    BARRIER_WAIT_NS.fetch_add(ns, Ordering::Relaxed);
-}
-
-pub(crate) fn record_idle(ns: u64) {
-    IDLE_NS.fetch_add(ns, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -176,33 +126,5 @@ mod tests {
         assert_eq!(s.total_barrier_wait(), Duration::ZERO);
         s.barrier_wait_per_thread = vec![Duration::from_micros(3), Duration::from_micros(7)];
         assert_eq!(s.total_barrier_wait(), Duration::from_micros(10));
-    }
-
-    #[test]
-    fn sched_totals_accumulate_monotonically() {
-        let before = sched_totals();
-        record_barrier_wait(11);
-        record_idle(5);
-        let after = sched_totals();
-        assert!(after.barrier_wait_ns >= before.barrier_wait_ns + 11);
-        assert!(after.idle_ns >= before.idle_ns + 5);
-    }
-
-    #[test]
-    fn delta_since_isolates_one_phase() {
-        let totals = SchedTotals {
-            barrier_wait_ns: 100,
-            idle_ns: 40,
-        };
-        let epoch = SchedTotals {
-            barrier_wait_ns: 75,
-            idle_ns: 40,
-        };
-        let delta = totals.delta_since(epoch);
-        assert_eq!(delta.barrier_wait_ns, 25);
-        assert_eq!(delta.idle_ns, 0);
-        // A swapped pair saturates to zero instead of wrapping.
-        let swapped = epoch.delta_since(totals);
-        assert_eq!(swapped, SchedTotals::default());
     }
 }

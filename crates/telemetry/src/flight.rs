@@ -3,14 +3,13 @@
 //!
 //! Every thread that records an event owns a fixed-size [`Ring`]
 //! (capacity [`DEFAULT_RING_CAPACITY`]) holding the newest structured
-//! events — region begin/end, graph task run/skip, queue
-//! submit/drain, scheduler decisions. Recording is a push into a
-//! thread-owned ring behind an uncontended mutex; memory is bounded
-//! no matter how long the process runs. The rings are invisible in
-//! steady state: nothing is ever written to disk until a pool region
-//! poisons or a task panics, at which point [`dump`] merges every
-//! ring in timestamp order, appends the triggering event **last**,
-//! and serializes the lot to `flight-<pid>.json` (in
+//! events — region begin/end, region poisoning, task panics.
+//! Recording is a push into a thread-owned ring behind an uncontended
+//! mutex; memory is bounded no matter how long the process runs. The
+//! rings are invisible in steady state: nothing is ever written to disk
+//! until a pool region poisons or a task panics, at which point [`dump`]
+//! merges every ring in timestamp order, appends the triggering event
+//! **last**, and serializes the lot to `flight-<pid>.json` (in
 //! `PERFPORT_FLIGHT_DIR`, or the working directory) for post-mortem
 //! inspection.
 //!
@@ -40,7 +39,7 @@ pub struct FlightEvent {
     pub ts_ns: u64,
     /// Label of the thread that recorded the event.
     pub worker: String,
-    /// Event kind, e.g. `region_begin`, `task_panic`, `queue_poison`.
+    /// Event kind, e.g. `region_begin`, `task_panic`, `region_poison`.
     pub kind: String,
     /// Free-form detail payload.
     pub detail: String,

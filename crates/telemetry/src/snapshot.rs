@@ -5,8 +5,7 @@
 //! embed as their `telemetry` block, what `telemetry_report` renders
 //! as Prometheus text, and — because counters and histograms are
 //! monotonic — what [`Snapshot::delta_since`] subtracts to isolate one
-//! run from everything else the process has done (same epoch idiom as
-//! `perfport_pool::SchedTotals::delta_since`).
+//! run from everything else the process has done.
 
 use std::collections::BTreeMap;
 
