@@ -140,6 +140,15 @@ pub fn gpu_gemm_tiled_mixed<I: Scalar, O: Scalar>(
     a: &Matrix<I>,
     b: &Matrix<I>,
 ) -> Result<(Matrix<O>, LaunchStats), LaunchError> {
+    launch_tiled(gpu, a, b, LaunchOptions::default())
+}
+
+fn launch_tiled<I: Scalar, O: Scalar>(
+    gpu: &Gpu,
+    a: &Matrix<I>,
+    b: &Matrix<I>,
+    opts: LaunchOptions,
+) -> Result<(Matrix<O>, LaunchStats), LaunchError> {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let (m, n, k) = (a.rows(), b.cols(), a.cols());
     let a_host = a.to_layout(Layout::RowMajor);
@@ -158,13 +167,7 @@ pub fn gpu_gemm_tiled_mixed<I: Scalar, O: Scalar>(
         k,
         steps: k.div_ceil(TILE),
     };
-    let stats = gpu.launch_cooperative(
-        cfg,
-        LaunchOptions::default(),
-        TILE_SMEM_ELEMS,
-        O::zero(),
-        &kernel,
-    )?;
+    let stats = gpu.launch_cooperative(cfg, opts, TILE_SMEM_ELEMS, O::zero(), &kernel)?;
 
     let host = dc.to_host();
     let mut c = Matrix::<O>::zeros(m, n, Layout::RowMajor);
@@ -238,5 +241,32 @@ mod tests {
         let (_, stats) = gpu_gemm_tiled(&gpu, &a, &b).unwrap();
         // k/TILE steps × 2 phases each.
         assert_eq!(stats.phases, (nsize / TILE) as u64 * 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Serial ≡ parallel for cooperative launches: the tiled kernel
+        /// gives the same output and the same counters, `sim_time`
+        /// aside, on one host thread and on three.
+        #[test]
+        fn tiled_host_parallelism_invariance(
+            m in 1usize..50, n in 1usize..50, k in 1usize..40,
+            amd in proptest::bool::ANY, seed in 0u64..1000,
+        ) {
+            let class = if amd { DeviceClass::AmdLike } else { DeviceClass::NvidiaLike };
+            let gpu = Gpu::new(class);
+            let a = Matrix::<f64>::random(m, k, Layout::RowMajor, seed);
+            let b = Matrix::<f64>::random(k, n, Layout::RowMajor, seed + 1);
+            let run = |host_threads| {
+                let opts = LaunchOptions { host_threads, ..Default::default() };
+                let (c, stats): (Matrix<f64>, _) = launch_tiled(&gpu, &a, &b, opts).unwrap();
+                (c, LaunchStats { sim_time: Default::default(), ..stats })
+            };
+            let (serial, serial_stats) = run(1);
+            let (parallel, parallel_stats) = run(3);
+            proptest::prop_assert_eq!(serial.as_slice(), parallel.as_slice());
+            proptest::prop_assert_eq!(serial_stats, parallel_stats);
+        }
     }
 }

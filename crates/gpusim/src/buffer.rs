@@ -323,17 +323,20 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_device_writes_are_visible() {
-        let b = DeviceBuffer::new(0, 0, vec![0u64; 1024]);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let b = &b;
-                s.spawn(move || {
+        let b = std::sync::Arc::new(DeviceBuffer::new(0, 0, vec![0u64; 1024]));
+        let writers: Vec<_> = (0..4u64)
+            .map(|t| {
+                let b = std::sync::Arc::clone(&b);
+                std::thread::spawn(move || {
                     for i in (t as usize..1024).step_by(4) {
                         b.set(i, t + 1);
                     }
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
         let host = b.to_host();
         for (i, v) in host.iter().enumerate() {
             assert_eq!(*v, (i % 4) as u64 + 1);

@@ -37,69 +37,103 @@ pub struct WarpSummary {
 /// Analyses the access streams of one warp's lanes (empty streams are
 /// inactive lanes).
 pub fn analyze_warp(lanes: &[Vec<Access>], line_bytes: u64) -> WarpSummary {
-    assert!(line_bytes > 0, "cache line size must be positive");
-    let mut summary = WarpSummary::default();
-    let max_len = lanes.iter().map(Vec::len).max().unwrap_or(0);
-    if max_len == 0 {
-        return summary;
-    }
-    summary.active = true;
+    Coalescer::default().analyze(lanes, line_bytes)
+}
 
-    // Divergence: any lane with a stream shorter than the longest, or
-    // whose access kinds differ at any ordinal from another lane's.
-    let min_len = lanes.iter().map(Vec::len).min().unwrap_or(0);
-    if min_len != max_len {
-        summary.divergent = true;
-    }
+/// [`analyze_warp`] with its per-ordinal line buffers kept between warps,
+/// so the engines analyse every warp without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct Coalescer {
+    loads: Lines,
+    stores: Lines,
+}
 
-    let mut lines: Vec<u64> = Vec::with_capacity(lanes.len());
-    for ordinal in 0..max_len {
-        // Split the ordinal group by kind; mixed kinds at one ordinal also
-        // indicate divergence.
-        for store in [false, true] {
-            lines.clear();
-            let mut elems = 0u64;
-            let mut bytes = 0u64;
-            for lane in lanes {
-                if let Some(a) = lane.get(ordinal) {
-                    if a.store == store {
-                        lines.push(a.addr / line_bytes);
-                        elems += 1;
-                        bytes += a.bytes as u64;
-                    }
+impl Coalescer {
+    /// One pass per ordinal sorts each lane's access into the load or the
+    /// store lines; each kind is billed its distinct lines.
+    pub(crate) fn analyze(&mut self, lanes: &[Vec<Access>], line_bytes: u64) -> WarpSummary {
+        assert!(line_bytes > 0, "cache line size must be positive");
+        let mut summary = WarpSummary::default();
+        let (min_len, max_len) = lanes.iter().fold((usize::MAX, 0), |(lo, hi), l| {
+            (lo.min(l.len()), hi.max(l.len()))
+        });
+        if max_len == 0 {
+            return summary;
+        }
+        summary.active = true;
+        // Divergence: a lane whose stream is shorter than the longest
+        // (masked off by a guard), or an ordinal where some lanes load
+        // and others store.
+        summary.divergent = min_len != max_len;
+
+        let shift = line_bytes.trailing_zeros();
+        let pow2 = line_bytes.is_power_of_two();
+        for ordinal in 0..max_len {
+            self.loads.clear();
+            self.stores.clear();
+            for a in lanes.iter().filter_map(|lane| lane.get(ordinal)) {
+                let line = if pow2 {
+                    a.addr >> shift
+                } else {
+                    a.addr / line_bytes
+                };
+                if a.store {
+                    self.stores.push(line);
+                    summary.stores += 1;
+                    summary.store_bytes += a.bytes as u64;
+                } else {
+                    self.loads.push(line);
+                    summary.loads += 1;
+                    summary.load_bytes += a.bytes as u64;
                 }
             }
-            if elems == 0 {
-                continue;
+            if !self.loads.is_empty() && !self.stores.is_empty() {
+                summary.divergent = true;
             }
-            lines.sort_unstable();
-            lines.dedup();
-            let transactions = lines.len() as u64;
-            if store {
-                summary.stores += elems;
-                summary.store_bytes += bytes;
-                summary.store_transactions += transactions;
-            } else {
-                summary.loads += elems;
-                summary.load_bytes += bytes;
-                summary.load_transactions += transactions;
-            }
+            summary.load_transactions += self.loads.distinct();
+            summary.store_transactions += self.stores.distinct();
         }
-        // If both kinds appeared at this ordinal the lanes took different
-        // paths.
-        let kinds: (bool, bool) =
-            lanes
-                .iter()
-                .fold((false, false), |acc, lane| match lane.get(ordinal) {
-                    Some(a) if a.store => (acc.0, true),
-                    Some(_) => (true, acc.1),
-                    None => acc,
-                });
-        if kinds.0 && kinds.1 {
-            summary.divergent = true;
-        }
+        summary
     }
-    summary
+}
+
+/// The cache lines one access kind touched at one ordinal, with repeats
+/// of the previous line dropped. Coalesced and broadcast groups arrive in
+/// ascending runs, so they are counted without sorting.
+#[derive(Debug, Default)]
+struct Lines {
+    runs: Vec<u64>,
+    ascending: bool,
+}
+
+impl Lines {
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.ascending = true;
+    }
+
+    #[inline]
+    fn push(&mut self, line: u64) {
+        match self.runs.last() {
+            Some(&last) if last == line => return,
+            Some(&last) if last > line => self.ascending = false,
+            _ => {}
+        }
+        self.runs.push(line);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// Number of distinct lines.
+    fn distinct(&mut self) -> u64 {
+        if !self.ascending {
+            self.runs.sort_unstable();
+            self.runs.dedup();
+        }
+        self.runs.len() as u64
+    }
 }
 
 #[cfg(test)]
@@ -233,5 +267,147 @@ mod tests {
         ];
         let s = analyze_warp(&lanes, 128);
         assert_eq!(s.load_transactions, 2);
+    }
+}
+
+/// The analysis before its single-pass rewrite, kept verbatim as the
+/// oracle the rewrite must match on arbitrary lane streams.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn reference_analyze_warp(lanes: &[Vec<Access>], line_bytes: u64) -> WarpSummary {
+        assert!(line_bytes > 0, "cache line size must be positive");
+        let mut summary = WarpSummary::default();
+        let max_len = lanes.iter().map(Vec::len).max().unwrap_or(0);
+        if max_len == 0 {
+            return summary;
+        }
+        summary.active = true;
+
+        // Divergence: any lane with a stream shorter than the longest, or
+        // whose access kinds differ at any ordinal from another lane's.
+        let min_len = lanes.iter().map(Vec::len).min().unwrap_or(0);
+        if min_len != max_len {
+            summary.divergent = true;
+        }
+
+        let mut lines: Vec<u64> = Vec::with_capacity(lanes.len());
+        for ordinal in 0..max_len {
+            // Split the ordinal group by kind; mixed kinds at one ordinal also
+            // indicate divergence.
+            for store in [false, true] {
+                lines.clear();
+                let mut elems = 0u64;
+                let mut bytes = 0u64;
+                for lane in lanes {
+                    if let Some(a) = lane.get(ordinal) {
+                        if a.store == store {
+                            lines.push(a.addr / line_bytes);
+                            elems += 1;
+                            bytes += a.bytes as u64;
+                        }
+                    }
+                }
+                if elems == 0 {
+                    continue;
+                }
+                lines.sort_unstable();
+                lines.dedup();
+                let transactions = lines.len() as u64;
+                if store {
+                    summary.stores += elems;
+                    summary.store_bytes += bytes;
+                    summary.store_transactions += transactions;
+                } else {
+                    summary.loads += elems;
+                    summary.load_bytes += bytes;
+                    summary.load_transactions += transactions;
+                }
+            }
+            // If both kinds appeared at this ordinal the lanes took different
+            // paths.
+            let kinds: (bool, bool) =
+                lanes
+                    .iter()
+                    .fold((false, false), |acc, lane| match lane.get(ordinal) {
+                        Some(a) if a.store => (acc.0, true),
+                        Some(_) => (true, acc.1),
+                        None => acc,
+                    });
+            if kinds.0 && kinds.1 {
+                summary.divergent = true;
+            }
+        }
+        summary
+    }
+
+    fn access() -> impl Strategy<Value = Access> {
+        (
+            0u64..2048,
+            0u32..4,
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+        )
+            .prop_map(|(addr, log2_bytes, store, atomic)| Access {
+                addr,
+                bytes: 1 << log2_bytes,
+                store,
+                atomic,
+            })
+    }
+
+    /// Up to 32 or 64 lanes of ragged length, empty lanes and loads mixed
+    /// with stores at one ordinal included. `shape` keeps the random
+    /// addresses or rewrites them into coalesced, broadcast or descending
+    /// groups, so both the ascending and the sorting path run.
+    fn warp() -> impl Strategy<Value = Vec<Vec<Access>>> {
+        (
+            proptest::bool::ANY,
+            0usize..=64,
+            proptest::collection::vec(proptest::collection::vec(access(), 0..6), 64usize),
+            0u8..4,
+        )
+            .prop_map(|(wide, count, mut lanes, shape)| {
+                let width = if wide { 64 } else { 32 };
+                lanes.truncate(count.min(width));
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    for (o, a) in lane.iter_mut().enumerate() {
+                        let base = o as u64 * 8192;
+                        let bytes = a.bytes as u64;
+                        match shape {
+                            1 => a.addr = base + l as u64 * bytes,
+                            2 => a.addr = base,
+                            3 => a.addr = base + (width - l) as u64 * bytes,
+                            _ => {}
+                        }
+                    }
+                }
+                lanes
+            })
+    }
+
+    /// The two line sizes of the device classes, and one that is not a
+    /// power of two.
+    fn line_bytes() -> impl Strategy<Value = u64> {
+        (0usize..3).prop_map(|i| [64, 128, 96][i])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn single_pass_matches_the_reference(
+            lanes in warp(),
+            line_bytes in line_bytes(),
+        ) {
+            let expected = reference_analyze_warp(&lanes, line_bytes);
+            prop_assert_eq!(analyze_warp(&lanes, line_bytes), expected);
+            // A reused coalescer carries nothing over between warps.
+            let mut reused = Coalescer::default();
+            reused.analyze(&lanes, line_bytes);
+            prop_assert_eq!(reused.analyze(&lanes, line_bytes), expected);
+        }
     }
 }

@@ -12,28 +12,29 @@
 //! [`LaunchError::BarrierDivergence`].
 
 use crate::buffer::DeviceCopy;
-use crate::coalesce::analyze_warp;
-use crate::ctx::{Access, ThreadCtx};
+use crate::ctx::ThreadCtx;
+use crate::driver::{drive_blocks, host_threads, WarpLanes};
 use crate::launch::{Gpu, LaunchConfig, LaunchError, LaunchOptions};
 use crate::stats::LaunchStats;
-use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Block-local shared memory (`__shared__` / LDS).
 ///
 /// A block's threads run serially within one host worker, so interior
-/// mutability with `RefCell` is sound; accesses are counted for the
-/// statistics.
+/// mutability with `Cell` and `RefCell` is sound; accesses are counted
+/// for the statistics. Each host worker keeps one `SharedMem` and resets
+/// it for every block it runs.
 pub struct SharedMem<T> {
-    data: RefCell<Vec<T>>,
+    data: Vec<Cell<T>>,
     loads: Cell<u64>,
     stores: Cell<u64>,
     /// Lane currently executing (set by the engine) and that lane's
     /// access-ordinal streams, for the bank-conflict analysis.
     lane: Cell<usize>,
     lane_streams: RefCell<Vec<Vec<u32>>>,
+    /// Scratch for [`bank_conflicts`].
+    bank_slots: Vec<u32>,
 }
 
 /// Number of shared-memory banks (NVIDIA and CDNA both use 32).
@@ -42,12 +43,21 @@ pub const SMEM_BANKS: usize = 32;
 impl<T: DeviceCopy> SharedMem<T> {
     fn new(len: usize, init: T, warp: usize) -> Self {
         SharedMem {
-            data: RefCell::new(vec![init; len]),
+            data: vec![Cell::new(init); len],
             loads: Cell::new(0),
             stores: Cell::new(0),
             lane: Cell::new(0),
             lane_streams: RefCell::new(vec![Vec::new(); warp]),
+            bank_slots: Vec::new(),
         }
+    }
+
+    /// Returns the memory to its state at the start of a block.
+    fn reset(&mut self, init: T) {
+        self.data.iter_mut().for_each(|x| *x.get_mut() = init);
+        self.loads.set(0);
+        self.stores.set(0);
+        self.lane_streams.get_mut().iter_mut().for_each(Vec::clear);
     }
 
     fn set_lane(&self, lane: usize) {
@@ -66,43 +76,16 @@ impl<T: DeviceCopy> SharedMem<T> {
     /// Analyses the recorded lane streams for bank conflicts and clears
     /// them. Returns the number of *extra* serialised passes (degree − 1
     /// summed over warp instructions): 0 means conflict-free.
-    fn drain_conflicts(&self) -> u64 {
-        let mut streams = self.lane_streams.borrow_mut();
-        let max_len = streams.iter().map(Vec::len).max().unwrap_or(0);
-        let mut conflicts = 0u64;
-        let mut per_bank: [Vec<u32>; SMEM_BANKS] = std::array::from_fn(|_| Vec::new());
-        for ordinal in 0..max_len {
-            for bank in per_bank.iter_mut() {
-                bank.clear();
-            }
-            for stream in streams.iter() {
-                if let Some(&idx) = stream.get(ordinal) {
-                    per_bank[idx as usize % SMEM_BANKS].push(idx);
-                }
-            }
-            // A bank replays once per *distinct address* it must serve;
-            // lanes reading the same address are a free broadcast. The
-            // instruction's cost is the worst bank's replay count.
-            let worst = per_bank
-                .iter_mut()
-                .map(|bank| {
-                    bank.sort_unstable();
-                    bank.dedup();
-                    bank.len() as u64
-                })
-                .max()
-                .unwrap_or(0);
-            conflicts += worst.saturating_sub(1);
-        }
-        for stream in streams.iter_mut() {
-            stream.clear();
-        }
+    fn drain_conflicts(&mut self) -> u64 {
+        let streams = self.lane_streams.get_mut();
+        let conflicts = bank_conflicts(streams, &mut self.bank_slots);
+        streams.iter_mut().for_each(Vec::clear);
         conflicts
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.data.borrow().len()
+        self.data.len()
     }
 
     /// `true` when no shared memory was requested.
@@ -118,7 +101,7 @@ impl<T: DeviceCopy> SharedMem<T> {
     pub fn read(&self, idx: usize) -> T {
         self.loads.set(self.loads.get() + 1);
         self.record(idx);
-        self.data.borrow()[idx]
+        self.data[idx].get()
     }
 
     /// Writes element `idx`.
@@ -129,8 +112,37 @@ impl<T: DeviceCopy> SharedMem<T> {
     pub fn write(&self, idx: usize, value: T) {
         self.stores.set(self.stores.get() + 1);
         self.record(idx);
-        self.data.borrow_mut()[idx] = value;
+        self.data[idx].set(value);
     }
+}
+
+/// Bank-conflict cost of one warp whose lanes issued `streams` of
+/// shared-memory indices, the n-th entries forming one instruction. A
+/// bank replays once per *distinct address* it must serve; lanes reading
+/// the same address are a free broadcast. An instruction's cost is its
+/// worst bank's replay count minus one. `slots` is scratch holding, per
+/// bank, the distinct addresses seen at the current ordinal.
+fn bank_conflicts(streams: &[Vec<u32>], slots: &mut Vec<u32>) -> u64 {
+    let warp = streams.len();
+    slots.resize(SMEM_BANKS * warp, 0);
+    let max_len = streams.iter().map(Vec::len).max().unwrap_or(0);
+    let mut conflicts = 0u64;
+    for ordinal in 0..max_len {
+        let mut counts = [0usize; SMEM_BANKS];
+        let mut worst = 0;
+        for &idx in streams.iter().filter_map(|s| s.get(ordinal)) {
+            let bank = idx as usize % SMEM_BANKS;
+            let seen = &mut slots[bank * warp..(bank + 1) * warp];
+            let n = &mut counts[bank];
+            if !seen[..*n].contains(&idx) {
+                seen[*n] = idx;
+                *n += 1;
+                worst = worst.max(*n);
+            }
+        }
+        conflicts += (worst as u64).saturating_sub(1);
+    }
+    conflicts
 }
 
 /// A kernel whose execution is split into barrier-separated phases.
@@ -158,9 +170,15 @@ impl Gpu {
     ///
     /// # Errors
     ///
-    /// [`LaunchError::InvalidConfig`] for illegal shapes or shared-memory
-    /// requests over the device limit, [`LaunchError::BarrierDivergence`]
-    /// when a block's threads disagree about continuing.
+    /// [`LaunchError::InvalidConfig`] for illegal shapes, shared-memory
+    /// requests over the device limit, or `opts.detect_races` (plain
+    /// launches only); [`LaunchError::BarrierDivergence`] when a block's
+    /// threads disagree about continuing.
+    ///
+    /// # Panics
+    ///
+    /// Propagates the first kernel panic with its original message (e.g.
+    /// the illegal-address fault), as [`Gpu::launch`] does.
     pub fn launch_cooperative<T, K>(
         &self,
         cfg: LaunchConfig,
@@ -182,118 +200,59 @@ impl Gpu {
             )));
         }
 
+        if opts.detect_races {
+            return Err(LaunchError::InvalidConfig(
+                "race detection covers plain launches only; barriers order a cooperative \
+                 kernel's accesses"
+                    .into(),
+            ));
+        }
+
         let start = Instant::now();
         let class = self.class();
-        let warp = class.warp_size() as u64;
-        let line_bytes = class.transaction_bytes();
-        let threads_per_block = cfg.block.count();
-        let warps_per_block = threads_per_block.div_ceil(warp);
-        let n_blocks = cfg.grid.count();
-
-        let host_threads = {
-            let avail = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            let requested = if opts.host_threads == 0 {
-                avail
-            } else {
-                opts.host_threads
-            };
-            requested.min(n_blocks as usize).max(1)
-        };
-
-        let next_block = AtomicU64::new(0);
-        let totals = Mutex::new(LaunchStats {
-            line_bytes,
-            ..Default::default()
-        });
-        let failure: Mutex<Option<LaunchError>> = Mutex::new(None);
-
-        std::thread::scope(|s| {
-            for _ in 0..host_threads {
-                s.spawn(|| {
-                    let mut local = LaunchStats {
-                        line_bytes,
-                        ..Default::default()
-                    };
-                    'blocks: loop {
-                        if failure.lock().is_some() {
-                            break;
-                        }
-                        let b = next_block.fetch_add(1, Ordering::Relaxed);
-                        if b >= n_blocks {
-                            break;
-                        }
-                        let block_idx = cfg.grid.delinearize(b);
-                        local.blocks += 1;
-                        let shared = SharedMem::new(smem_len, smem_init, warp as usize);
-                        let mut states: Vec<K::State> = (0..threads_per_block)
-                            .map(|_| K::State::default())
-                            .collect();
-
-                        let mut phase = 0usize;
-                        loop {
-                            let mut want_more = None;
-                            for w in 0..warps_per_block {
-                                local.warps += 1;
-                                let lane_count = warp.min(threads_per_block - w * warp);
-                                let mut lanes: Vec<Vec<Access>> =
-                                    Vec::with_capacity(lane_count as usize);
-                                for lane in 0..lane_count {
-                                    let lin = w * warp + lane;
-                                    let thread_idx = cfg.block.delinearize(lin);
-                                    let ctx = ThreadCtx::new(
-                                        class, cfg.grid, cfg.block, block_idx, thread_idx,
-                                    );
-                                    shared.set_lane(lane as usize);
-                                    let more = kernel.phase(
-                                        phase,
-                                        &ctx,
-                                        &mut states[lin as usize],
-                                        &shared,
-                                    );
-                                    match want_more {
-                                        None => want_more = Some(more),
-                                        Some(prev) if prev != more => {
-                                            *failure.lock() =
-                                                Some(LaunchError::BarrierDivergence {
-                                                    block: block_idx,
-                                                    phase,
-                                                });
-                                            continue 'blocks;
-                                        }
-                                        _ => {}
-                                    }
-                                    let (obs, log) = ctx.take_observations();
-                                    local.flops += obs.flops;
-                                    local.atomic_ops += obs.atomics;
-                                    if phase == 0 {
-                                        local.threads += 1;
-                                    }
-                                    lanes.push(log);
-                                }
-                                let summary = analyze_warp(&lanes, line_bytes);
-                                local.absorb_warp(&summary);
-                                local.bank_conflicts += shared.drain_conflicts();
+        let mut stats = drive_blocks(
+            cfg,
+            host_threads(opts.host_threads, cfg.grid.count()),
+            class.transaction_bytes(),
+            || {
+                (
+                    WarpLanes::new(class, cfg),
+                    SharedMem::new(smem_len, smem_init, class.warp_size() as usize),
+                    Vec::new(),
+                )
+            },
+            |(lanes, shared, states): &mut (WarpLanes, _, Vec<K::State>), block_idx, local| {
+                shared.reset(smem_init);
+                states.clear();
+                states.resize_with(cfg.block.count() as usize, K::State::default);
+                let mut phase = 0usize;
+                loop {
+                    let mut want_more = None;
+                    for w in 0..lanes.warps_per_block() {
+                        lanes.run_warp(w, block_idx, local, |lane, lin, ctx| {
+                            shared.set_lane(lane);
+                            let more = kernel.phase(phase, ctx, &mut states[lin as usize], shared);
+                            if *want_more.get_or_insert(more) != more {
+                                return Err(LaunchError::BarrierDivergence {
+                                    block: block_idx,
+                                    phase,
+                                });
                             }
-                            phase += 1;
-                            local.phases = local.phases.max(phase as u64);
-                            if want_more != Some(true) {
-                                break;
-                            }
-                        }
-                        local.shared_loads += shared.loads.get();
-                        local.shared_stores += shared.stores.get();
+                            Ok(())
+                        })?;
+                        local.bank_conflicts += shared.drain_conflicts();
                     }
-                    totals.lock().merge(&local);
-                });
-            }
-        });
-
-        if let Some(err) = failure.into_inner() {
-            return Err(err);
-        }
-        let mut stats = totals.into_inner();
+                    phase += 1;
+                    local.phases = local.phases.max(phase as u64);
+                    if want_more != Some(true) {
+                        break;
+                    }
+                }
+                local.shared_loads += shared.loads.get();
+                local.shared_stores += shared.stores.get();
+                Ok(())
+            },
+        )?;
         stats.sim_time = start.elapsed();
         Ok(stats)
     }
@@ -451,6 +410,77 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, LaunchError::InvalidConfig(_)));
     }
+
+    /// Reads one element past the end of its input in the second phase.
+    struct OutOfBounds<'a> {
+        input: &'a DeviceBuffer<f32>,
+    }
+
+    impl CooperativeKernel<f32> for OutOfBounds<'_> {
+        type State = ();
+
+        fn phase(&self, phase: usize, ctx: &ThreadCtx, _s: &mut (), _sh: &SharedMem<f32>) -> bool {
+            if phase == 1 {
+                // No bounds guard: the last thread of the grid faults.
+                self.input.read(ctx, ctx.global_x() + 1);
+            }
+            phase == 0
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "illegal device address")]
+    fn out_of_bounds_access_faults_cooperatively() {
+        let gpu = Gpu::new(DeviceClass::NvidiaLike);
+        let input = gpu.alloc_filled(256, 0.0f32);
+        let cfg = LaunchConfig::cover1d(256, 64);
+        let opts = LaunchOptions {
+            host_threads: 3,
+            ..Default::default()
+        };
+        let _ = gpu.launch_cooperative(cfg, opts, 0, 0.0f32, &OutOfBounds { input: &input });
+    }
+
+    /// Every thread writes slot 0 of the output: racy in any launch.
+    struct RacyWrite<'a> {
+        output: &'a DeviceBuffer<u32>,
+    }
+
+    impl CooperativeKernel<u32> for RacyWrite<'_> {
+        type State = ();
+
+        fn phase(&self, _p: usize, ctx: &ThreadCtx, _s: &mut (), _sh: &SharedMem<u32>) -> bool {
+            self.output.write(ctx, 0, ctx.global_x() as u32);
+            false
+        }
+    }
+
+    #[test]
+    fn race_detection_is_refused_not_ignored() {
+        let gpu = Gpu::new(DeviceClass::NvidiaLike);
+        let output = gpu.alloc_filled(1, 0u32);
+        let cfg = LaunchConfig::cover1d(64, 32);
+        let kernel = RacyWrite { output: &output };
+        let opts = LaunchOptions {
+            detect_races: true,
+            ..Default::default()
+        };
+        let err = gpu
+            .launch_cooperative(cfg, opts, 0, 0u32, &kernel)
+            .unwrap_err();
+        match err {
+            LaunchError::InvalidConfig(msg) => {
+                assert!(
+                    msg.starts_with("race detection covers plain launches only"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        // Without the detector the same launch runs.
+        gpu.launch_cooperative(cfg, LaunchOptions::default(), 0, 0u32, &kernel)
+            .unwrap();
+    }
 }
 
 #[cfg(test)]
@@ -532,5 +562,89 @@ mod bank_conflict_tests {
             .unwrap();
         assert_eq!(stats.bank_conflicts, 0);
         assert!(stats.shared_stores > 0);
+    }
+}
+
+/// The bank-conflict count before its allocation-free rewrite, kept as
+/// the oracle the rewrite must match. The body is the old
+/// `SharedMem::drain_conflicts` verbatim, taking the lane streams as an
+/// argument instead of borrowing them from `self`.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn reference_drain_conflicts(streams: &mut [Vec<u32>]) -> u64 {
+        let max_len = streams.iter().map(Vec::len).max().unwrap_or(0);
+        let mut conflicts = 0u64;
+        let mut per_bank: [Vec<u32>; SMEM_BANKS] = std::array::from_fn(|_| Vec::new());
+        for ordinal in 0..max_len {
+            for bank in per_bank.iter_mut() {
+                bank.clear();
+            }
+            for stream in streams.iter() {
+                if let Some(&idx) = stream.get(ordinal) {
+                    per_bank[idx as usize % SMEM_BANKS].push(idx);
+                }
+            }
+            // A bank replays once per *distinct address* it must serve;
+            // lanes reading the same address are a free broadcast. The
+            // instruction's cost is the worst bank's replay count.
+            let worst = per_bank
+                .iter_mut()
+                .map(|bank| {
+                    bank.sort_unstable();
+                    bank.dedup();
+                    bank.len() as u64
+                })
+                .max()
+                .unwrap_or(0);
+            conflicts += worst.saturating_sub(1);
+        }
+        for stream in streams.iter_mut() {
+            stream.clear();
+        }
+        conflicts
+    }
+
+    /// Shared indices that often collide on a bank: `bank + 32 * row` for
+    /// a few banks and rows, or else arbitrary indices.
+    fn index() -> impl Strategy<Value = u32> {
+        (proptest::bool::ANY, 0u32..4, 0u32..8, 0u32..2048).prop_map(
+            |(colliding, bank, row, any)| {
+                if colliding {
+                    bank + 32 * row
+                } else {
+                    any
+                }
+            },
+        )
+    }
+
+    /// One stream per lane of a 32- or 64-wide warp, ragged, some empty.
+    fn streams() -> impl Strategy<Value = Vec<Vec<u32>>> {
+        (
+            proptest::bool::ANY,
+            proptest::collection::vec(proptest::collection::vec(index(), 0..8), 64usize),
+        )
+            .prop_map(|(wide, mut streams)| {
+                streams.truncate(if wide { 64 } else { 32 });
+                streams
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn slot_count_matches_the_reference(first in streams(), second in streams()) {
+            // One scratch serves both warps, as it serves every warp of
+            // a host thread.
+            let mut slots = Vec::new();
+            for mut streams in [first, second] {
+                let got = bank_conflicts(&streams, &mut slots);
+                prop_assert_eq!(got, reference_drain_conflicts(&mut streams));
+            }
+        }
     }
 }

@@ -45,13 +45,18 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    pub(crate) fn new(
+    /// A context that records into `log`, cleared first. The engines hand
+    /// each lane's log back in after the warp's analysis, so a log's
+    /// allocation serves every thread that lane runs.
+    pub(crate) fn with_log(
         device: DeviceClass,
         grid_dim: Dim3,
         block_dim: Dim3,
         block_idx: Dim3,
         thread_idx: Dim3,
+        mut log: Vec<Access>,
     ) -> Self {
+        log.clear();
         ThreadCtx {
             block_idx,
             thread_idx,
@@ -60,7 +65,7 @@ impl ThreadCtx {
             device,
             flops: Cell::new(0),
             atomics: Cell::new(0),
-            log: RefCell::new(Vec::new()),
+            log: RefCell::new(log),
         }
     }
 
@@ -152,6 +157,11 @@ impl ThreadCtx {
         });
     }
 
+    /// A copy of the accesses recorded so far.
+    pub(crate) fn log_copy(&self) -> Vec<Access> {
+        self.log.borrow().clone()
+    }
+
     pub(crate) fn take_observations(self) -> (Observations, Vec<Access>) {
         (
             Observations {
@@ -168,12 +178,13 @@ mod tests {
     use super::*;
 
     fn ctx(block_idx: Dim3, thread_idx: Dim3) -> ThreadCtx {
-        ThreadCtx::new(
+        ThreadCtx::with_log(
             DeviceClass::NvidiaLike,
             Dim3::d2(4, 4),
             Dim3::d2(8, 8),
             block_idx,
             thread_idx,
+            Vec::new(),
         )
     }
 
@@ -205,7 +216,7 @@ mod tests {
         let block = Dim3::d2(4, 4);
         for b in grid.iter() {
             for t in block.iter() {
-                let c = ThreadCtx::new(DeviceClass::NvidiaLike, grid, block, b, t);
+                let c = ThreadCtx::with_log(DeviceClass::NvidiaLike, grid, block, b, t, Vec::new());
                 assert!(seen.insert(c.global_linear()));
             }
         }
@@ -237,13 +248,35 @@ mod tests {
     }
 
     #[test]
+    fn recycled_log_starts_empty_and_keeps_its_allocation() {
+        let c = ctx(Dim3::at2(0, 0), Dim3::at2(0, 0));
+        c.record_load(0x100, 8);
+        let (_, log) = c.take_observations();
+        let capacity = log.capacity();
+        let c = ThreadCtx::with_log(
+            DeviceClass::NvidiaLike,
+            Dim3::d1(1),
+            Dim3::d1(32),
+            Dim3::at1(0),
+            Dim3::at1(1),
+            log,
+        );
+        c.record_store(0x200, 4);
+        let (_, log) = c.take_observations();
+        assert_eq!(log.len(), 1);
+        assert!(log[0].store);
+        assert_eq!(log.capacity(), capacity);
+    }
+
+    #[test]
     fn amd_wavefront_width() {
-        let c = ThreadCtx::new(
+        let c = ThreadCtx::with_log(
             DeviceClass::AmdLike,
             Dim3::d1(1),
             Dim3::d1(128),
             Dim3::at1(0),
             Dim3::at1(100),
+            Vec::new(),
         );
         assert_eq!(c.warp_in_block(), 1);
         assert_eq!(c.lane(), 36);

@@ -2,10 +2,10 @@
 //! counter aggregation, and optional data-race detection.
 
 use crate::buffer::{DeviceBuffer, DeviceCopy};
-use crate::coalesce::analyze_warp;
 use crate::ctx::{Access, ThreadCtx};
 use crate::device::DeviceClass;
 use crate::dim::Dim3;
+use crate::driver::{drive_blocks, host_threads, WarpLanes};
 use crate::stats::LaunchStats;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -72,7 +72,10 @@ pub struct LaunchOptions {
     /// Record every thread's accesses and report write-write or
     /// cross-thread read-write sharing. Forces serial simulation; intended
     /// for kernel debugging at small sizes (compare `compute-sanitizer
-    /// --tool racecheck`).
+    /// --tool racecheck`). Plain launches only: barriers order a
+    /// cooperative kernel's accesses, which this detector cannot see, so
+    /// [`Gpu::launch_cooperative`] rejects it with
+    /// [`LaunchError::InvalidConfig`].
     pub detect_races: bool,
 }
 
@@ -217,107 +220,40 @@ impl Gpu {
         let mut sp = perfport_trace::span("gpu", "launch");
         let start = Instant::now();
         let class = self.class;
-        let warp = class.warp_size() as u64;
-        let line_bytes = class.transaction_bytes();
-        let threads_per_block = cfg.block.count();
-        let warps_per_block = threads_per_block.div_ceil(warp);
-        let n_blocks = cfg.grid.count();
-
-        let host_threads = if opts.detect_races {
+        let requested = if opts.detect_races {
             1
         } else {
-            let avail = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            let requested = if opts.host_threads == 0 {
-                avail
-            } else {
-                opts.host_threads
-            };
-            requested.min(n_blocks as usize).max(1)
+            opts.host_threads
         };
-
-        let next_block = AtomicU64::new(0);
-        let totals = Mutex::new(LaunchStats {
-            line_bytes,
-            ..Default::default()
-        });
+        let host_threads = host_threads(requested, cfg.grid.count());
         let race_log: Mutex<Vec<(u64, Vec<Access>)>> = Mutex::new(Vec::new());
-        // First kernel panic, preserved so the caller sees the original
-        // message (e.g. the illegal-address fault) instead of the scope's
-        // generic one.
-        let fault: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
-        std::thread::scope(|s| {
-            for _ in 0..host_threads {
-                s.spawn(|| {
-                    let mut local = LaunchStats {
-                        line_bytes,
-                        ..Default::default()
-                    };
-                    let mut lanes: Vec<Vec<Access>> = Vec::with_capacity(warp as usize);
-                    loop {
-                        if fault.lock().is_some() {
-                            break;
+        let mut stats = drive_blocks(
+            cfg,
+            host_threads,
+            class.transaction_bytes(),
+            || WarpLanes::new(class, cfg),
+            |lanes, block_idx, local| {
+                for w in 0..lanes.warps_per_block() {
+                    lanes.run_warp(w, block_idx, local, |_, _, ctx| {
+                        kernel(ctx);
+                        if opts.detect_races {
+                            race_log.lock().push((ctx.global_linear(), ctx.log_copy()));
                         }
-                        let b = next_block.fetch_add(1, Ordering::Relaxed);
-                        if b >= n_blocks {
-                            break;
-                        }
-                        let block_idx = cfg.grid.delinearize(b);
-                        local.blocks += 1;
-                        for w in 0..warps_per_block {
-                            local.warps += 1;
-                            lanes.clear();
-                            let lane_count = warp.min(threads_per_block - w * warp);
-                            for lane in 0..lane_count {
-                                let lin = w * warp + lane;
-                                let thread_idx = cfg.block.delinearize(lin);
-                                let ctx = ThreadCtx::new(
-                                    class, cfg.grid, cfg.block, block_idx, thread_idx,
-                                );
-                                let global_id = ctx.global_linear();
-                                if let Err(payload) =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        kernel(&ctx)
-                                    }))
-                                {
-                                    let mut slot = fault.lock();
-                                    if slot.is_none() {
-                                        *slot = Some(payload);
-                                    }
-                                    return;
-                                }
-                                let (obs, log) = ctx.take_observations();
-                                local.flops += obs.flops;
-                                local.atomic_ops += obs.atomics;
-                                local.threads += 1;
-                                if opts.detect_races {
-                                    race_log.lock().push((global_id, log.clone()));
-                                }
-                                lanes.push(log);
-                            }
-                            let summary = analyze_warp(&lanes, line_bytes);
-                            local.absorb_warp(&summary);
-                        }
-                    }
-                    totals.lock().merge(&local);
-                });
-            }
-        });
-
-        if let Some(payload) = fault.into_inner() {
-            std::panic::resume_unwind(payload);
-        }
+                        Ok(())
+                    })?;
+                }
+                Ok(())
+            },
+        )?;
 
         if opts.detect_races {
             check_races(&race_log.into_inner())?;
         }
 
-        let mut stats = totals.into_inner();
         stats.sim_time = start.elapsed();
         if sp.is_recording() {
-            let occ = crate::occupancy::occupancy(class, threads_per_block as u32, 0);
+            let occ = crate::occupancy::occupancy(class, cfg.block.count() as u32, 0);
             sp.arg("class", format!("{class:?}"));
             sp.arg("grid", cfg.grid.to_string());
             sp.arg("block", cfg.block.to_string());

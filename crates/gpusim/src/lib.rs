@@ -33,6 +33,7 @@ pub mod cooperative;
 pub mod ctx;
 pub mod device;
 pub mod dim;
+mod driver;
 pub mod kernels;
 pub mod launch;
 pub mod occupancy;
