@@ -1,9 +1,10 @@
-//! Regression sentinel: compares two bench snapshots (`BENCH_gemm.json`,
-//! `BENCH_serve.json`, or `BENCH_gpu.json`) point-by-point with
-//! noise-aware thresholds and exits non-zero when a cell regressed
-//! beyond its tolerance. Both files must record the same workload kind;
-//! comparing, say, a GPU snapshot against a host GEMM one is refused
-//! with exit 2 and a message naming both schemas.
+//! Regression sentinel: compares two bench snapshots (`BENCH_gemm.json`
+//! or `BENCH_gpu.json`) point-by-point with noise-aware thresholds and
+//! exits non-zero when a cell regressed beyond its tolerance. Both files
+//! must record the same workload kind; comparing a GPU snapshot against
+//! a host GEMM one is refused with exit 2 and a message naming both
+//! schemas. Any other schema, such as the retired
+//! `perfport-bench-serve/*`, is a usage error (exit 2).
 //!
 //! The tolerance for each `(n, precision, variant)` cell is derived from
 //! the rep spreads *committed in the snapshots themselves* (see
@@ -105,7 +106,7 @@ fn main() {
         isa_of(&cand)
     );
     // Telemetry never gates: it is context for reading the deltas below
-    // (e.g. barrier-wait blowups behind a latency regression).
+    // (e.g. a pack-time blowup behind a GFLOP/s regression).
     let telemetry_of = |s: &Snapshot| match &s.telemetry {
         Some(t) => format!(
             "{} counters, {} gauges, {} histograms",

@@ -26,7 +26,7 @@
 //! divide their GPU efficiency rows by. The snapshot (`BENCH_gpu.json`,
 //! schema `perfport-bench-gpu/1`) embeds the same `perfport-manifest/1`
 //! provenance, per-variant rep spreads, and telemetry block as the
-//! CPU/serve snapshots.
+//! host GEMM snapshot.
 //!
 //! `--quick` restricts every precision to the smallest size (the CI
 //! smoke configuration; its cells are a subset of the full sweep's).

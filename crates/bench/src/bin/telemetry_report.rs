@@ -2,13 +2,13 @@
 //!
 //! The bench binaries embed their always-on runtime telemetry (sharded
 //! counters, gauges, log₂ streaming histograms) in `BENCH_gemm.json` /
-//! `BENCH_serve.json`. This tool re-renders that block in Prometheus
+//! `BENCH_gpu.json`. This tool re-renders that block in Prometheus
 //! text exposition format — the lingua franca of scrape-based
 //! monitoring — so a run's metrics can be pushed to a gateway, diffed
 //! with `promtool`, or eyeballed without a JSON pretty-printer:
 //!
 //! ```text
-//! cargo run -p perfport-bench --bin telemetry_report -- BENCH_serve.json
+//! cargo run -p perfport-bench --bin telemetry_report -- BENCH_gemm.json
 //! ```
 //!
 //! Counters and gauges become single series; each histogram expands to
@@ -21,7 +21,7 @@
 
 use perfport_bench::diff::parse_snapshot;
 
-const USAGE: &str = "usage: telemetry_report <BENCH_gemm.json | BENCH_serve.json>";
+const USAGE: &str = "usage: telemetry_report <BENCH_gemm.json | BENCH_gpu.json>";
 
 fn fail_usage(msg: &str) -> ! {
     eprintln!("error: {msg}");

@@ -13,15 +13,13 @@ use perfport_trace::json::{self, Json};
 use std::collections::BTreeMap;
 
 /// What kind of workload a snapshot records. Snapshots of different
-/// kinds measure incommensurable things (host GFLOP/s vs. reciprocal
-/// latencies vs. simulator throughput), so `bench_diff` refuses to
-/// compare across kinds instead of silently finding zero shared cells.
+/// kinds measure incommensurable things (host GFLOP/s vs. simulator
+/// throughput), so `bench_diff` refuses to compare across kinds instead
+/// of silently finding zero shared cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotKind {
     /// `perfport-bench-gemm/*` — host GEMM rates (`BENCH_gemm.json`).
     Gemm,
-    /// `perfport-bench-serve/*` — serving latencies (`BENCH_serve.json`).
-    Serve,
     /// `perfport-bench-gpu/*` — simulated GPU kernels (`BENCH_gpu.json`).
     Gpu,
 }
@@ -31,7 +29,6 @@ impl SnapshotKind {
     pub fn describe(self) -> &'static str {
         match self {
             SnapshotKind::Gemm => "host GEMM",
-            SnapshotKind::Serve => "serving latency",
             SnapshotKind::Gpu => "GPU simulator",
         }
     }
@@ -73,7 +70,7 @@ pub struct Snapshot {
     /// since the dispatcher landed); `None` for older files.
     pub simd_isa: Option<String>,
     /// The run's always-on runtime telemetry (schema `gemm/3` and
-    /// `serve/2` snapshots), parsed leniently: telemetry is supporting
+    /// `gpu/1` snapshots), parsed leniently: telemetry is supporting
     /// evidence, never a gated metric, so a missing or malformed block
     /// reads as `None` rather than failing the diff.
     pub telemetry: Option<perfport_telemetry::Snapshot>,
@@ -178,69 +175,11 @@ fn parse_telemetry(doc: &Json) -> Option<perfport_telemetry::Snapshot> {
     Some(snap)
 }
 
-/// Maps a `perfport-bench-serve/*` document onto one synthetic
-/// [`SnapshotPoint`] so the existing higher-is-better diff engine gates
-/// serving runs too: `n` is the request count, the precision label is
-/// `"SERVE"`, and the latency percentiles enter as reciprocals
-/// (`inv_p50_ms` = 1/p50, so a latency regression reads as a metric
-/// drop) alongside `sustained_gflops` and `req_per_s`.
-fn parse_serve(
-    doc: &Json,
-    schema: String,
-    quick: bool,
-    simd_isa: Option<String>,
-    telemetry: Option<perfport_telemetry::Snapshot>,
-) -> Result<Snapshot, String> {
-    let requests = doc
-        .get("workload")
-        .and_then(|w| w.get("requests"))
-        .and_then(Json::as_f64)
-        .ok_or("serve snapshot missing numeric 'workload.requests'")? as u64;
-    let lat = doc
-        .get("latency_ms")
-        .ok_or("serve snapshot missing 'latency_ms'")?;
-    let mut gflops = BTreeMap::new();
-    for (field, metric) in [
-        ("p50", "inv_p50_ms"),
-        ("p95", "inv_p95_ms"),
-        ("p99", "inv_p99_ms"),
-    ] {
-        let v = lat
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("serve snapshot missing numeric 'latency_ms.{field}'"))?;
-        if v > 0.0 {
-            gflops.insert(metric.to_string(), 1.0 / v);
-        }
-    }
-    for field in ["sustained_gflops", "req_per_s"] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("serve snapshot missing numeric '{field}'"))?;
-        gflops.insert(field.to_string(), v);
-    }
-    Ok(Snapshot {
-        schema,
-        kind: SnapshotKind::Serve,
-        quick,
-        simd_isa,
-        telemetry,
-        points: vec![SnapshotPoint {
-            n: requests,
-            precision: "SERVE".to_string(),
-            gflops,
-            spread: BTreeMap::new(),
-        }],
-    })
-}
-
-/// Parses a snapshot: any `perfport-bench-gemm/*` version, a
-/// `perfport-bench-gpu/*` simulator run (same points shape), or a
-/// `perfport-bench-serve/*` serving run (mapped to one synthetic point
-/// whose latencies enter reciprocally, so increases read as drops).
-/// The `telemetry` block carried by `gemm/3` / `serve/2` / `gpu/1`
-/// snapshots is parsed warn-only into [`Snapshot::telemetry`].
+/// Parses a snapshot: any `perfport-bench-gemm/*` version or a
+/// `perfport-bench-gpu/*` simulator run (same points shape). Any other
+/// schema, including the retired `perfport-bench-serve/*`, is an error.
+/// The `telemetry` block carried by `gemm/3` / `gpu/1` snapshots is
+/// parsed warn-only into [`Snapshot::telemetry`].
 pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
     let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let schema = doc
@@ -255,9 +194,6 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
         .and_then(Json::as_str)
         .map(str::to_string);
     let telemetry = parse_telemetry(&doc);
-    if schema.starts_with("perfport-bench-serve/") {
-        return parse_serve(&doc, schema, quick, simd_isa, telemetry);
-    }
     let kind = if schema.starts_with("perfport-bench-gemm/") {
         SnapshotKind::Gemm
     } else if schema.starts_with("perfport-bench-gpu/") {
@@ -456,77 +392,12 @@ mod tests {
         let snap = parse_snapshot(&old_gemm).unwrap();
         assert_eq!(snap.simd_isa.as_deref(), Some("avx2"));
         assert_eq!(snap.points, parse_snapshot(V2).unwrap().points);
-        let old_serve = SERVE.replacen(
-            "\"simd_isa\": \"avx2\"",
-            "\"simd_isa\": \"avx2\", \"sched\": \"barrier\"",
-            1,
-        );
-        assert_eq!(
-            parse_snapshot(&old_serve).unwrap(),
-            parse_snapshot(SERVE).unwrap()
-        );
-    }
-
-    const SERVE: &str = r#"{
-      "schema": "perfport-bench-serve/1",
-      "quick": true,
-      "seed": 42,
-      "manifest": {"schema": "perfport-manifest/1", "simd_isa": "avx2"},
-      "workload": {"requests": 256, "batches": 8, "batch_max": 32, "rate_req_per_s": 2000.0},
-      "latency_ms": {"p50": 2.0, "p95": 5.0, "p99": 10.0, "mean": 2.5, "max": 12.0},
-      "sustained_gflops": 6.25,
-      "req_per_s": 1800.0
-    }"#;
-
-    #[test]
-    fn serve_snapshots_map_to_one_reciprocal_latency_point() {
-        let snap = parse_snapshot(SERVE).unwrap();
-        assert_eq!(snap.schema, "perfport-bench-serve/1");
-        assert!(snap.quick);
-        assert_eq!(snap.simd_isa.as_deref(), Some("avx2"));
-        assert_eq!(snap.points.len(), 1);
-        let p = &snap.points[0];
-        assert_eq!(p.n, 256);
-        assert_eq!(p.precision, "SERVE");
-        assert_eq!(p.gflops["sustained_gflops"], 6.25);
-        assert_eq!(p.gflops["req_per_s"], 1800.0);
-        // Latency enters reciprocally, so "higher is better" holds.
-        assert!((p.gflops["inv_p50_ms"] - 0.5).abs() < 1e-12);
-        assert!((p.gflops["inv_p99_ms"] - 0.1).abs() < 1e-12);
-        assert!(p.spread.is_empty());
-    }
-
-    #[test]
-    fn serve_latency_regressions_are_detected() {
-        let base = parse_snapshot(SERVE).unwrap();
-        // p99 doubles (10 ms -> 20 ms): inv_p99_ms halves, well past the
-        // 5% floor.
-        let cand = parse_snapshot(&SERVE.replacen("\"p99\": 10.0", "\"p99\": 20.0", 1)).unwrap();
-        let entries = diff(&base, &cand, &DiffConfig::default());
-        let p99 = entries.iter().find(|e| e.variant == "inv_p99_ms").unwrap();
-        assert_eq!(p99.verdict, Verdict::Regressed);
-        let p50 = entries.iter().find(|e| e.variant == "inv_p50_ms").unwrap();
-        assert_eq!(p50.verdict, Verdict::Ok);
-    }
-
-    #[test]
-    fn malformed_serve_snapshots_name_the_missing_field() {
-        let no_lat = SERVE.replacen("\"latency_ms\"", "\"latency\"", 1);
-        assert!(parse_snapshot(&no_lat).unwrap_err().contains("latency_ms"));
-        let no_gflops = SERVE.replacen("\"sustained_gflops\"", "\"gflops\"", 1);
-        assert!(parse_snapshot(&no_gflops)
-            .unwrap_err()
-            .contains("sustained_gflops"));
-        let no_req = SERVE.replacen("\"requests\": 256,", "", 1);
-        assert!(parse_snapshot(&no_req)
-            .unwrap_err()
-            .contains("workload.requests"));
     }
 
     const TELEMETRY: &str = r#""telemetry": {
         "counters": {"pool/regions": 12},
         "gauges": {"queue/depth": 3},
-        "histograms": {"serve/latency_ns": {"count": 2, "sum": 3000, "p50": 2047, "p95": 2047, "p99": 2047, "buckets": [[10, 2]]}}
+        "histograms": {"gemm/pack_ns": {"count": 2, "sum": 3000, "p50": 2047, "p95": 2047, "p99": 2047, "buckets": [[10, 2]]}}
       },"#;
 
     fn with_block(block: &str) -> String {
@@ -545,7 +416,7 @@ mod tests {
         let t = snap.telemetry.expect("well-formed telemetry must parse");
         assert_eq!(t.counters["pool/regions"], 12);
         assert_eq!(t.gauges["queue/depth"], 3);
-        let h = &t.histograms["serve/latency_ns"];
+        let h = &t.histograms["gemm/pack_ns"];
         assert_eq!((h.count, h.sum, h.buckets[10]), (2, 3000, 2));
     }
 
@@ -570,6 +441,7 @@ mod tests {
         assert!(parse_snapshot("{}").is_err());
         assert!(parse_snapshot("{\"schema\": \"perfport-trace/1\"}").is_err());
         assert!(parse_snapshot("{\"schema\": \"perfport-bench-gemm/2\"}").is_err());
+        assert!(parse_snapshot("{\"schema\": \"perfport-bench-serve/2\"}").is_err());
         assert!(parse_snapshot("not json").is_err());
     }
 
@@ -722,7 +594,6 @@ mod tests {
         assert!(!p.gflops.contains_key("device_gflops"));
 
         assert_eq!(parse_snapshot(V2).unwrap().kind, SnapshotKind::Gemm);
-        assert_eq!(parse_snapshot(SERVE).unwrap().kind, SnapshotKind::Serve);
     }
 
     #[test]

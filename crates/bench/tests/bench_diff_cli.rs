@@ -157,72 +157,6 @@ fn require_same_isa_refuses_snapshots_without_provenance() {
     assert!(text.contains("no simd_isa manifest"));
 }
 
-/// A serving snapshot as `serve_gemm` emits it (latency percentiles
-/// mapped to reciprocal metrics by the parser).
-const SERVE_BASE: &str = r#"{
-  "schema": "perfport-bench-serve/1",
-  "quick": true,
-  "seed": 42,
-  "manifest": {"schema": "perfport-manifest/1", "simd_isa": "avx2"},
-  "workload": {"requests": 64, "batches": 2, "batch_max": 32, "rate_req_per_s": 2000},
-  "latency_ms": {"p50": 0.050, "p95": 0.120, "p99": 0.200, "mean": 0.060, "max": 0.250},
-  "sustained_gflops": 3.5,
-  "req_per_s": 1900.0
-}"#;
-
-#[test]
-fn serve_snapshot_self_compare_passes() {
-    let base = fixture("serve-a.json", SERVE_BASE);
-    let cand = fixture("serve-b.json", SERVE_BASE);
-    let (code, text) = run(&[base.to_str().unwrap(), cand.to_str().unwrap()]);
-    assert_eq!(code, 0, "identical serve snapshots must pass:\n{text}");
-    assert!(text.contains("0 regressed"), "summary missing:\n{text}");
-    assert!(
-        text.contains("inv_p99_ms"),
-        "latency metrics must appear in the report:\n{text}"
-    );
-}
-
-#[test]
-fn serve_tail_latency_regression_gates_and_warn_only_passes() {
-    // p99 doubles: inv_p99_ms halves, well past the threshold.
-    let worse = SERVE_BASE.replace("\"p99\": 0.200", "\"p99\": 0.400");
-    let base = fixture("serve-c.json", SERVE_BASE);
-    let cand = fixture("serve-d.json", &worse);
-    let (code, text) = run(&[base.to_str().unwrap(), cand.to_str().unwrap()]);
-    assert_eq!(code, 1, "a doubled p99 must fail the gate:\n{text}");
-    assert!(text.contains("REGRESSED"));
-    let (code, text) = run(&[
-        base.to_str().unwrap(),
-        cand.to_str().unwrap(),
-        "--warn-only",
-    ]);
-    assert_eq!(code, 0, "warn-only must report without failing:\n{text}");
-    assert!(text.contains("warn-only"));
-}
-
-#[test]
-fn serve_and_gemm_snapshots_do_not_cross_compare_silently() {
-    // Disjoint workload kinds are refused up front, with both schemas
-    // named — not reported as a hollow no-overlap error after the fact.
-    let base = fixture("serve-e.json", SERVE_BASE);
-    let cand = fixture("gemm-e.json", BASELINE);
-    let (code, text) = run(&[base.to_str().unwrap(), cand.to_str().unwrap()]);
-    assert_eq!(
-        code, 2,
-        "disjoint snapshots must not pass silently:\n{text}"
-    );
-    assert!(text.contains("snapshot kinds differ"), "{text}");
-    assert!(
-        text.contains("perfport-bench-serve/1") && text.contains("perfport-bench-gemm/2"),
-        "the refusal must name both schemas:\n{text}"
-    );
-    assert!(
-        text.contains("serving latency") && text.contains("host GEMM"),
-        "the refusal must describe both kinds:\n{text}"
-    );
-}
-
 /// A GPU-simulator snapshot as `gpu_gemm` emits it (trimmed to the keys
 /// the parser reads; the extra per-point device blocks are ignored).
 const GPU_BASE: &str = r#"{
@@ -259,14 +193,13 @@ fn gpu_and_gemm_snapshots_are_refused_with_named_schemas() {
     assert_eq!(code, 2, "gpu-vs-gemm must be refused:\n{text}");
     assert!(text.contains("snapshot kinds differ"), "{text}");
     assert!(
+        text.contains("perfport-bench-gpu/1") && text.contains("perfport-bench-gemm/2"),
+        "the refusal must name both schemas:\n{text}"
+    );
+    assert!(
         text.contains("GPU simulator") && text.contains("host GEMM"),
         "the refusal must describe both kinds:\n{text}"
     );
-    // And the other disjoint pairing.
-    let serve = fixture("serve-f.json", SERVE_BASE);
-    let (code, text) = run(&[base.to_str().unwrap(), serve.to_str().unwrap()]);
-    assert_eq!(code, 2, "gpu-vs-serve must be refused:\n{text}");
-    assert!(text.contains("serving latency"), "{text}");
 }
 
 #[test]
@@ -306,6 +239,16 @@ fn bad_input_is_a_usage_error_not_a_pass() {
     let bogus = fixture("bogus.json", "{\"schema\": \"perfport-trace/1\"}");
     let (code, _) = run(&[base.to_str().unwrap(), bogus.to_str().unwrap()]);
     assert_eq!(code, 2);
+    // The retired serving schema is no longer a snapshot kind.
+    let serve = fixture(
+        "serve.json",
+        r#"{"schema": "perfport-bench-serve/2", "quick": true,
+            "workload": {"requests": 64},
+            "latency_ms": {"p50": 0.05, "p95": 0.12, "p99": 0.2},
+            "sustained_gflops": 3.5, "req_per_s": 1900.0}"#,
+    );
+    let (code, text) = run(&[serve.to_str().unwrap(), serve.to_str().unwrap()]);
+    assert_eq!(code, 2, "a retired schema must not pass:\n{text}");
     let (code, _) = run(&[base.to_str().unwrap()]);
     assert_eq!(code, 2);
     let (code, _) = run(&["--frobnicate"]);

@@ -23,8 +23,8 @@ pub const NOISE_REL_SIGMA: f64 = 0.02;
 /// Derives an independent, reproducible random stream from an experiment
 /// seed and a sub-component label (FNV-1a over the label, xor'd into the
 /// seed). Every per-entity stream in the workspace — per-grid-point
-/// repetition noise here, per-purpose arrival/shape/service streams in
-/// the serving harness — goes through this one function so labels
+/// repetition noise here, per-purpose shape/operand streams in the
+/// serving benchmark — goes through this one function so labels
 /// decorrelate streams the same way everywhere.
 pub fn stream(seed: u64, label: &str) -> StdRng {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

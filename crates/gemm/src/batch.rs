@@ -28,7 +28,8 @@
 //! [`bucket_params`] function, and the tuned kernel's accumulation order
 //! per `C` element is a fixed function of the `Kc` blocking alone. The
 //! contract is enforced by proptests (`batch_props.rs`) and by the
-//! serving harness's `--verify` mode.
+//! output checks of the `serve-batch` and `serve-single` benchmark
+//! workloads.
 
 use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
@@ -148,12 +149,6 @@ impl Problem {
             n,
             k,
         }
-    }
-
-    /// Floating-point operations in the multiply (`2·m·n·k`).
-    pub fn flops(&self) -> u64 {
-        let (m, n, k) = self.dims();
-        2 * m as u64 * n as u64 * k as u64
     }
 }
 

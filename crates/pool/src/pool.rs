@@ -489,6 +489,16 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
 
+    /// Sends this binary's flight dump to one per-process directory under
+    /// the system temp dir instead of the working directory. Every panicking
+    /// test calls it first, and every call sets the same value.
+    fn flight_dir_in_temp() {
+        let dir =
+            std::env::temp_dir().join(format!("perfport-pool-unit-flight-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("flight dir must be creatable");
+        std::env::set_var("PERFPORT_FLIGHT_DIR", dir);
+    }
+
     #[test]
     fn region_runs_on_every_worker() {
         let pool = ThreadPool::new(6);
@@ -610,6 +620,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_to_caller() {
+        flight_dir_in_temp();
         let pool = ThreadPool::new(4);
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.parallel_for_each(16, Schedule::StaticBlock, |i| {
@@ -739,6 +750,7 @@ mod tests {
 
     #[test]
     fn one_item_panic_raises_the_region_panic_and_the_pool_survives() {
+        flight_dir_in_temp();
         let pool = ThreadPool::new(3);
         let payload = catch_unwind(AssertUnwindSafe(|| {
             pool.parallel_for_each(1, Schedule::StaticBlock, |_| panic!("boom inline"));
@@ -773,6 +785,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker panicked")]
     fn parallel_map_propagates_panics() {
+        flight_dir_in_temp();
         let pool = ThreadPool::new(2);
         let _ = pool.parallel_map(8, Schedule::StaticBlock, |i| {
             assert!(i != 5, "boom");

@@ -14,10 +14,23 @@ use perfport_pool::{Schedule, ThreadPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Sends this binary's flight dump to one per-process directory under
+/// the system temp dir instead of the working directory. Every panicking
+/// test calls it first, and every call sets the same value.
+fn flight_dir_in_temp() {
+    let dir = std::env::temp_dir().join(format!(
+        "perfport-panic-stress-flight-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("flight dir must be creatable");
+    std::env::set_var("PERFPORT_FLIGHT_DIR", dir);
+}
+
 /// Alternates panicking and clean regions on one pool many times; the
 /// pool must recover after every panic.
 #[test]
 fn pool_survives_repeated_worker_panics() {
+    flight_dir_in_temp();
     let pool = ThreadPool::new(4);
     let completed = AtomicUsize::new(0);
     for round in 0..50 {
@@ -42,6 +55,7 @@ fn pool_survives_repeated_worker_panics() {
 /// propagated panic, and the join still completes.
 #[test]
 fn simultaneous_panics_join_cleanly() {
+    flight_dir_in_temp();
     let pool = ThreadPool::new(8);
     for _ in 0..20 {
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -61,6 +75,7 @@ fn simultaneous_panics_join_cleanly() {
 /// regions (`regions_run` keeps counting, stats stay exact).
 #[test]
 fn accounting_is_exact_across_panics() {
+    flight_dir_in_temp();
     let pool = ThreadPool::new(3);
     let before = pool.regions_run();
     let _ = catch_unwind(AssertUnwindSafe(|| {
@@ -81,6 +96,7 @@ fn accounting_is_exact_across_panics() {
 /// deadlock (regression stress for the join protocol's panic path).
 #[test]
 fn many_pools_panicking_concurrently() {
+    flight_dir_in_temp();
     std::thread::scope(|s| {
         for p in 0..4 {
             s.spawn(move || {

@@ -3,18 +3,17 @@
 //! A [`Histogram`] folds a stream of `u64` samples (latencies and
 //! durations in nanoseconds, sizes in bytes) into 64 power-of-two
 //! buckets plus an **exact** total count and sum. Memory is O(1) no
-//! matter how many samples arrive — this is what lets the serving path
-//! report tail percentiles for millions of requests without holding a
-//! sorted `Vec<u64>` — and recording is one relaxed atomic increment
+//! matter how many samples arrive — this is what lets a run report tail
+//! percentiles for millions of samples without holding a sorted
+//! `Vec<u64>` — and recording is one relaxed atomic increment
 //! per sample, so the metric shards can share them
 //! without locks on the hot path.
 //!
 //! The price is resolution: a quantile read back from the buckets is
 //! exact only up to its bucket, i.e. within one factor of two of the
 //! true nearest-rank value (see [`HistogramSnapshot::quantile`] for
-//! the precise bound). The serving harness keeps nearest-rank over the
-//! raw latencies as the reference and cross-checks the histogram
-//! against it in tests.
+//! the precise bound). The `quantile_brackets_nearest_rank` test pins
+//! that bound against exact nearest-rank over the raw samples.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
