@@ -9,10 +9,10 @@
 //! `std::arch` microkernels that issue genuine FMA vector instructions:
 //!
 //! * **x86-64 AVX2+FMA** — 256-bit lanes, `f64`/`f32` ([`x86`]);
-//! * **x86-64 AVX-512F** — 512-bit lanes for `f64` (the `f32` path keeps
-//!   256-bit kernels: none of the supported [`crate::tuned::TileShape`]s reaches the 16
-//!   lanes a 512-bit `f32` vector needs, and 256-bit operation also avoids
-//!   the classic AVX-512 frequency-license penalty on many parts);
+//! * **x86-64 AVX-512F** — 512-bit lanes for `f64` and `f32`, on the
+//!   `8×16` [`crate::tuned::TileShape`] that holds one `f32` or two `f64`
+//!   zmm accumulators per row (tiles narrower than one zmm register take
+//!   the 256-bit kernels);
 //! * **aarch64 NEON** — 128-bit lanes, `f64`/`f32`, compiled only on
 //!   aarch64 (the `neon` submodule);
 //! * **portable** — the original autovectorized scalar tile, always
@@ -30,11 +30,13 @@
 //!
 //! A SIMD kernel is used only when the register tile qualifies: the tile
 //! width `NR` must be a multiple of the vector lane count for the element
-//! type (e.g. 4 lanes for `f64` on AVX2). Non-qualifying tiles — including
-//! everything the ablation sweeps beyond the default — fall back to the
-//! portable tile via [`select`]. Ragged edge tiles need no special case at
-//! this level: the packing routines zero-pad micropanels to full `MR`/`NR`
-//! extent, so a microkernel always computes a full tile.
+//! type (e.g. 4 lanes for `f64` on AVX2), and one accumulator row must fit
+//! the kernel's register budget of at most `MAX_VECS` vectors (2 on x86,
+//! 4 on NEON; `f64` `8×16` on AVX2 would need 4). Non-qualifying tiles
+//! fall back to the portable tile via [`select`]. Ragged edge tiles need
+//! no special case at this level: the packing routines zero-pad
+//! micropanels to full `MR`/`NR` extent, so a microkernel always computes
+//! a full tile.
 //!
 //! # FMA-contraction caveat
 //!
@@ -94,7 +96,7 @@ use std::sync::OnceLock;
 /// [`available`]: Isa::available
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isa {
-    /// x86-64 AVX-512F: 512-bit lanes for `f64`, 256-bit for `f32`.
+    /// x86-64 AVX-512F: 512-bit lanes for `f64` and `f32`.
     Avx512,
     /// x86-64 AVX2 + FMA: 256-bit lanes.
     Avx2,
@@ -302,38 +304,48 @@ unsafe fn cast_kernel<T: Scalar, U: Scalar, const MR: usize, const NR: usize>(
 
 /// The native microkernel `isa` provides for element type `T` and tile
 /// `MR×NR`, or `None` when the combination has no native implementation
-/// (foreign ISA, unsupported lane multiple, or the software-half type,
-/// which the tuned driver widens to `f32` before it ever reaches a
-/// microkernel).
+/// (foreign ISA, unsupported lane multiple, a row wider than the kernel's
+/// `MAX_VECS` register budget, or the software-half type, which the tuned
+/// driver widens to `f32` before it ever reaches a microkernel).
 fn native<T: Scalar, const MR: usize, const NR: usize>(isa: Isa) -> Option<Microkernel<T, MR, NR>> {
     let is_f64 = TypeId::of::<T>() == TypeId::of::<f64>();
     let is_f32 = TypeId::of::<T>() == TypeId::of::<f32>();
     #[cfg(target_arch = "x86_64")]
     {
+        // The kernels index `acc[r][..NR / lanes]` of a `MAX_VECS`-wide row.
+        let fits = |lanes: usize| NR.is_multiple_of(lanes) && NR / lanes <= x86::MAX_VECS;
+        let avx = matches!(isa, Isa::Avx512 | Isa::Avx2);
         if is_f64 {
-            if isa == Isa::Avx512 && NR.is_multiple_of(8) {
+            if isa == Isa::Avx512 && fits(8) {
                 // SAFETY: T == f64.
                 return Some(unsafe { cast_kernel(x86::f64_avx512::<MR, NR>) });
             }
-            if matches!(isa, Isa::Avx512 | Isa::Avx2) && NR.is_multiple_of(4) {
+            if avx && fits(4) {
                 // SAFETY: T == f64. (AVX-512F implies AVX2+FMA, so the
                 // 256-bit kernel is legal under either verdict.)
                 return Some(unsafe { cast_kernel(x86::f64_avx2::<MR, NR>) });
             }
         }
-        if is_f32 && matches!(isa, Isa::Avx512 | Isa::Avx2) && NR.is_multiple_of(8) {
-            // SAFETY: T == f32.
-            return Some(unsafe { cast_kernel(x86::f32_avx2::<MR, NR>) });
+        if is_f32 {
+            if isa == Isa::Avx512 && fits(16) {
+                // SAFETY: T == f32.
+                return Some(unsafe { cast_kernel(x86::f32_avx512::<MR, NR>) });
+            }
+            if avx && fits(8) {
+                // SAFETY: T == f32.
+                return Some(unsafe { cast_kernel(x86::f32_avx2::<MR, NR>) });
+            }
         }
     }
     #[cfg(target_arch = "aarch64")]
     {
+        let fits = |lanes: usize| NR.is_multiple_of(lanes) && NR / lanes <= neon::MAX_VECS;
         if isa == Isa::Neon {
-            if is_f64 && NR.is_multiple_of(2) {
+            if is_f64 && fits(2) {
                 // SAFETY: T == f64.
                 return Some(unsafe { cast_kernel(neon::f64_neon::<MR, NR>) });
             }
-            if is_f32 && NR.is_multiple_of(4) {
+            if is_f32 && fits(4) {
                 // SAFETY: T == f32.
                 return Some(unsafe { cast_kernel(neon::f32_neon::<MR, NR>) });
             }
@@ -455,17 +467,24 @@ mod tests {
                 // The software-half type never gets a native kernel (the
                 // tuned driver widens it to f32 first).
                 assert!(!is_native::<perfport_half::F16, 4, 8>(Isa::Avx2));
+                // Four ymm vectors per f64 row exceed the register budget.
+                assert!(!is_native::<f64, 8, 16>(Isa::Avx2));
+                assert!(is_native::<f32, 8, 16>(Isa::Avx2));
             }
             if Isa::Avx512.available() {
                 assert!(is_native::<f64, 8, 8>(Isa::Avx512));
                 assert!(is_native::<f64, 4, 4>(Isa::Avx512));
                 assert!(is_native::<f32, 8, 8>(Isa::Avx512));
+                assert!(is_native::<f64, 8, 16>(Isa::Avx512));
+                assert!(is_native::<f32, 8, 16>(Isa::Avx512));
             }
         }
         #[cfg(target_arch = "aarch64")]
         if Isa::Neon.available() {
             assert!(is_native::<f64, 4, 4>(Isa::Neon));
             assert!(is_native::<f32, 4, 8>(Isa::Neon));
+            assert!(!is_native::<f64, 8, 16>(Isa::Neon));
+            assert!(is_native::<f32, 8, 16>(Isa::Neon));
         }
     }
 

@@ -3,15 +3,18 @@
 //! Structure mirrors [`crate::simd::x86`]: const-generic register tiles,
 //! one fused multiply-add per accumulator register per `p` step, with the
 //! `A` value broadcast via the `*_n_*` lane forms. `f64` uses 2-lane
-//! vectors (`NR % 2 == 0`), `f32` 4-lane (`NR % 4 == 0`), so every
-//! supported [`crate::TileShape`] qualifies on this architecture. The
+//! vectors (`NR % 2 == 0`), `f32` 4-lane (`NR % 4 == 0`); every
+//! supported [`crate::TileShape`] qualifies on this architecture except
+//! `f64` `8×16`, whose eight vectors per row exceed `MAX_VECS` and which
+//! therefore runs the portable kernel. The
 //! same FMA-contraction caveat as on x86 applies: results differ from the
 //! portable kernel by at most one rounding per multiply-accumulate.
 
 use std::arch::aarch64::*;
 
-/// Largest `NR/W` the supported tile set produces (`NR ≤ 8`, `W ≥ 2`).
-const MAX_VECS: usize = 4;
+/// Largest `NR/W` the dispatcher hands to a NEON kernel; wider rows are
+/// routed to the portable kernel by [`crate::simd::select`].
+pub(crate) const MAX_VECS: usize = 4;
 
 /// `f64` tile on 2-lane NEON vectors; `NR` must be even.
 ///

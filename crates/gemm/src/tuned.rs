@@ -70,11 +70,12 @@ pub struct TileShape {
 impl TileShape {
     /// The shapes the ablation sweeps (every combination the dispatch
     /// supports).
-    pub const ALL: [TileShape; 4] = [
+    pub const ALL: [TileShape; 5] = [
         TileShape { mr: 4, nr: 4 },
         TileShape { mr: 8, nr: 4 },
         TileShape { mr: 4, nr: 8 },
         TileShape { mr: 8, nr: 8 },
+        TileShape { mr: 8, nr: 16 },
     ];
 
     /// Default tile for an element width: wide elements get the small
@@ -95,8 +96,11 @@ impl TileShape {
     /// x86-64's 16 xmm registers). Native kernels hold one accumulator
     /// row in `NR·BYTES/width` registers, so they afford taller tiles:
     /// 256-bit ISAs (AVX2, and NEON with four 128-bit accumulators per
-    /// row) take `8×4` for 8-byte elements and `8×8` for narrower ones;
-    /// AVX-512 takes `8×8` so an `f64` row is exactly one zmm register.
+    /// row) take `8×4` for 8-byte elements and `8×8` for narrower ones.
+    /// AVX-512 takes `8×16` for every width: an `f32` row is one zmm
+    /// register and an `f64` row two. An `f64` `p` step then issues ten
+    /// loads (two `B` vectors, eight `A` broadcasts) for 16 FMAs, where
+    /// `8×8` issued nine for eight and was bound by the load ports.
     ///
     /// [`default_for`]: TileShape::default_for
     pub fn for_isa(isa: Isa, elem_bytes: usize) -> TileShape {
@@ -109,7 +113,7 @@ impl TileShape {
                     TileShape { mr: 8, nr: 8 }
                 }
             }
-            Isa::Avx512 => TileShape { mr: 8, nr: 8 },
+            Isa::Avx512 => TileShape { mr: 8, nr: 16 },
         }
     }
 
@@ -957,6 +961,7 @@ fn rows_phased<T: Scalar>(
             (8, 4) => run_blocked::<WidenedF16Ops, 8, 4>,
             (4, 8) => run_blocked::<WidenedF16Ops, 4, 8>,
             (8, 8) => run_blocked::<WidenedF16Ops, 8, 8>,
+            (8, 16) => run_blocked::<WidenedF16Ops, 8, 16>,
             _ => panic!("unsupported tile shape {}", params.tile),
         };
         return run(
@@ -978,6 +983,7 @@ fn rows_phased<T: Scalar>(
         (8, 4) => run_blocked::<PlainOps<T>, 8, 4>,
         (4, 8) => run_blocked::<PlainOps<T>, 4, 8>,
         (8, 8) => run_blocked::<PlainOps<T>, 8, 8>,
+        (8, 16) => run_blocked::<PlainOps<T>, 8, 16>,
         _ => panic!("unsupported tile shape {}", params.tile),
     };
     let (a_buf, b_buf) = PlainOps::<T>::bufs(arena);
@@ -1294,6 +1300,14 @@ mod tests {
         assert_eq!(TileShape::default_for(4), TileShape { mr: 4, nr: 8 });
         assert_eq!(TileShape::default_for(2), TileShape { mr: 4, nr: 8 });
         assert_eq!(TileShape { mr: 4, nr: 8 }.name(), "4x8");
+    }
+
+    #[test]
+    fn avx512_takes_one_8x16_tile_for_every_width() {
+        let zmm = TileShape { mr: 8, nr: 16 };
+        assert_eq!(TileShape::for_isa(Isa::Avx512, 8), zmm);
+        assert_eq!(TileShape::for_isa(Isa::Avx512, 4), zmm);
+        assert!(TileShape::ALL.contains(&zmm));
     }
 
     #[test]

@@ -357,6 +357,7 @@ fn simd_vs_portable_f64(isa: Isa, tile: TileShape, kb: usize, seed: u64) {
         TileShape { mr: 8, nr: 4 } => panels_f64::<8, 4>(kb, seed),
         TileShape { mr: 4, nr: 8 } => panels_f64::<4, 8>(kb, seed),
         TileShape { mr: 8, nr: 8 } => panels_f64::<8, 8>(kb, seed),
+        TileShape { mr: 8, nr: 16 } => panels_f64::<8, 16>(kb, seed),
         _ => unreachable!(),
     };
     let tol = (kb as f64).max(1.0) * f64::EPSILON * 8.0;
@@ -379,6 +380,7 @@ fn simd_vs_portable_f64(isa: Isa, tile: TileShape, kb: usize, seed: u64) {
         TileShape { mr: 8, nr: 4 } => check!(8, 4),
         TileShape { mr: 4, nr: 8 } => check!(4, 8),
         TileShape { mr: 8, nr: 8 } => check!(8, 8),
+        TileShape { mr: 8, nr: 16 } => check!(8, 16),
         _ => unreachable!(),
     }
 }
@@ -390,6 +392,7 @@ fn simd_vs_portable_f32(isa: Isa, tile: TileShape, kb: usize, seed: u64) {
         TileShape { mr: 8, nr: 4 } => panels_f64::<8, 4>(kb, seed),
         TileShape { mr: 4, nr: 8 } => panels_f64::<4, 8>(kb, seed),
         TileShape { mr: 8, nr: 8 } => panels_f64::<8, 8>(kb, seed),
+        TileShape { mr: 8, nr: 16 } => panels_f64::<8, 16>(kb, seed),
         _ => unreachable!(),
     };
     let ap: Vec<f32> = ap64.iter().map(|&x| x as f32).collect();
@@ -414,6 +417,7 @@ fn simd_vs_portable_f32(isa: Isa, tile: TileShape, kb: usize, seed: u64) {
         TileShape { mr: 8, nr: 4 } => check!(8, 4),
         TileShape { mr: 4, nr: 8 } => check!(4, 8),
         TileShape { mr: 8, nr: 8 } => check!(8, 8),
+        TileShape { mr: 8, nr: 16 } => check!(8, 16),
         _ => unreachable!(),
     }
 }
