@@ -197,6 +197,25 @@ fn bench_tuned(c: &mut Criterion) {
             })
         });
     }
+    // FP16 on the dispatched tile: the widened path, whose f16 ↔ f32
+    // conversions follow the same ISA verdict as the microkernel.
+    let a16 = Matrix::<F16>::random(n, n, Layout::RowMajor, 1);
+    let b16 = Matrix::<F16>::random(n, n, Layout::RowMajor, 2);
+    let params16 = TunedParams::host::<F16>();
+    let mut arena16 = PackArena::new();
+    group.bench_function("serial_f16_auto_tile", |bench| {
+        bench.iter(|| {
+            let mut cm = Matrix::<F16>::zeros(n, n, Layout::RowMajor);
+            tuned::gemm_serial(
+                black_box(&a16),
+                black_box(&b16),
+                &mut cm,
+                &params16,
+                &mut arena16,
+            );
+            black_box(cm)
+        })
+    });
     // Parallel tuned vs the fastest naive variant, same pool.
     let threads = std::thread::available_parallelism().map_or(2, |p| p.get().min(8));
     let pool = ThreadPool::new(threads);

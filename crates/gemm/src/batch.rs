@@ -47,7 +47,9 @@ pub enum Precision {
     F64,
     /// IEEE 754 binary32.
     F32,
-    /// Software IEEE 754 binary16 ([`perfport_half::F16`]).
+    /// IEEE 754 binary16 ([`perfport_half::F16`]), run by the tuned
+    /// kernel's widened path: f32 arithmetic, with conversions in
+    /// hardware where the ISA verdict has them.
     F16,
 }
 

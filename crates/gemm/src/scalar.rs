@@ -30,7 +30,7 @@ pub trait Scalar:
     /// Bytes per element (drives the bandwidth side of the roofline).
     const BYTES: usize;
     /// Bytes per element *inside packed GEMM panels*. Equal to
-    /// [`Scalar::BYTES`] for hardware floats; the software [`F16`] packs
+    /// [`Scalar::BYTES`] for hardware floats; [`F16`] packs
     /// widened to `f32` (4 bytes) so the contraction runs a native
     /// microkernel — see `perfport_gemm::tuned` for the scheme.
     const PACK_BYTES: usize = Self::BYTES;

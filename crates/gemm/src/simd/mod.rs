@@ -18,6 +18,16 @@
 //! * **portable** — the original autovectorized scalar tile, always
 //!   available and always the reference ([`portable`]).
 //!
+//! The same verdict picks the binary16 ↔ `f32` conversions of the tuned
+//! kernel's widened F16 path ([`select_half`], [`HalfConv`]): AVX-512F
+//! `vcvtph2ps` / `vcvtps2ph` on 16 lanes under `avx512`, F16C on 8 lanes
+//! under `avx2` (only if the CPU also reports `f16c`), and
+//! `perfport-half`'s software routines under `portable`, on NEON and on
+//! every other target. Narrowing rounds to nearest-even by an explicit
+//! immediate, never by `MXCSR`. Unlike the FMA microkernels, the forms
+//! agree bit for bit on every input that is not a NaN, so the choice never
+//! changes a result. NEON's own conversion instructions are not used.
+//!
 //! # Dispatch contract
 //!
 //! The ISA is chosen **once per process** — [`active`] probes the CPU via
@@ -84,6 +94,7 @@ pub mod neon;
 pub mod x86;
 
 use crate::scalar::Scalar;
+use perfport_half::F16;
 use std::any::TypeId;
 use std::sync::OnceLock;
 
@@ -132,8 +143,12 @@ impl Isa {
     pub fn available(self) -> bool {
         match self {
             Isa::Portable => true,
+            // `native` runs the 256-bit `avx2,fma` kernels under this
+            // verdict for tiles narrower than a zmm register, and a
+            // hypervisor can mask features one at a time, so AVX-512F
+            // alone does not qualify.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f") && Isa::Avx2.available(),
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => {
                 std::arch::is_x86_feature_detected!("avx2")
@@ -321,8 +336,8 @@ fn native<T: Scalar, const MR: usize, const NR: usize>(isa: Isa) -> Option<Micro
                 return Some(unsafe { cast_kernel(x86::f64_avx512::<MR, NR>) });
             }
             if avx && fits(4) {
-                // SAFETY: T == f64. (AVX-512F implies AVX2+FMA, so the
-                // 256-bit kernel is legal under either verdict.)
+                // SAFETY: T == f64. (The AVX-512 verdict also requires
+                // AVX2+FMA, so the 256-bit kernel is legal under either.)
                 return Some(unsafe { cast_kernel(x86::f64_avx2::<MR, NR>) });
             }
         }
@@ -374,6 +389,64 @@ pub fn is_native<T: Scalar, const MR: usize, const NR: usize>(isa: Isa) -> bool 
     native::<T, MR, NR>(isa).is_some()
 }
 
+/// The binary16 ↔ `f32` slice conversions of the tuned kernel's widened
+/// F16 path, as one ISA verdict provides them ([`select_half`]).
+///
+/// Every form computes the same bits for every input that is not a NaN,
+/// so the choice never changes a GEMM result; only the time differs.
+#[derive(Debug, Clone, Copy)]
+pub struct HalfConv {
+    /// `dst[i] = widen(src[i])`, exact. Panics if the lengths differ.
+    pub widen: fn(&[F16], &mut [f32]),
+    /// `c[i] = narrow(widen(c[i]) + v[i])`: one `f32` add, then one
+    /// round-to-nearest-even narrowing. Panics if the lengths differ.
+    pub accumulate: fn(&mut [F16], &[f32]),
+}
+
+impl HalfConv {
+    /// The software routines of `perfport-half`: the reference, and the
+    /// conversion of every verdict without a hardware form.
+    pub const SOFTWARE: HalfConv = HalfConv {
+        widen: F16::widen_slice,
+        accumulate: accumulate_software,
+    };
+}
+
+/// [`HalfConv::accumulate`] in software.
+fn accumulate_software(c: &mut [F16], v: &[f32]) {
+    assert_eq!(c.len(), v.len(), "accumulate length mismatch");
+    for (c, &v) in c.iter_mut().zip(v) {
+        *c = F16::from_f32(c.to_f32() + v);
+    }
+}
+
+/// Selects the half-precision conversions for the verdict `isa`:
+/// AVX-512F `vcvtph2ps` / `vcvtps2ph` on 16 lanes under `avx512`, F16C on
+/// 8 lanes under `avx2` when the CPU also reports `f16c` (AVX2 does not
+/// imply it), and [`HalfConv::SOFTWARE`] otherwise — under `portable`,
+/// on NEON, and on every other target. An unavailable `isa` also gets
+/// the software routines, so the returned functions are always safe to
+/// run.
+pub fn select_half(isa: Isa) -> HalfConv {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if isa == Isa::Avx512 && isa.available() {
+            return HalfConv {
+                widen: x86::f16_widen_avx512,
+                accumulate: x86::f16_accumulate_avx512,
+            };
+        }
+        if isa == Isa::Avx2 && isa.available() && std::arch::is_x86_feature_detected!("f16c") {
+            return HalfConv {
+                widen: x86::f16_widen_f16c,
+                accumulate: x86::f16_accumulate_f16c,
+            };
+        }
+    }
+    let _ = isa;
+    HalfConv::SOFTWARE
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,6 +470,17 @@ mod tests {
         // Foreign-architecture ISAs are never available.
         #[cfg(target_arch = "x86_64")]
         assert!(!Isa::Neon.available());
+        // The AVX-512 verdict runs the AVX2+FMA kernels on narrow tiles,
+        // so it must never be available without them, even where a
+        // hypervisor masks them while exposing AVX-512F.
+        assert!(!Isa::Avx512.available() || Isa::Avx2.available());
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            Isa::Avx512.available(),
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        );
         #[cfg(target_arch = "aarch64")]
         {
             assert!(!Isa::Avx2.available());
@@ -512,5 +596,179 @@ mod tests {
     #[should_panic(expected = "panel too short")]
     fn short_panels_panic() {
         let _ = portable::<f64, 4, 4>(3, &[0.0; 4], &[0.0; 16]);
+    }
+
+    fn available() -> impl Iterator<Item = Isa> {
+        Isa::ALL.into_iter().filter(|isa| isa.available())
+    }
+
+    fn half_bits(c: &[F16]) -> Vec<u16> {
+        c.iter().map(|h| h.to_bits()).collect()
+    }
+
+    #[test]
+    fn hardware_widen_matches_software_on_every_pattern() {
+        let src: Vec<F16> = (0..=u16::MAX).map(F16::from_bits).collect();
+        let mut want = vec![0.0f32; src.len()];
+        (HalfConv::SOFTWARE.widen)(&src, &mut want);
+        for isa in available() {
+            let mut got = vec![0.0f32; src.len()];
+            (select_half(isa).widen)(&src, &mut got);
+            for (h, (g, w)) in src.iter().zip(got.iter().zip(&want)) {
+                assert_eq!(g.to_bits(), w.to_bits(), "{isa} {:#06x}", h.to_bits());
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random halves and floats for the slice tests.
+    fn operands(seed: u64, len: usize) -> (Vec<F16>, Vec<f32>) {
+        let mut x = seed;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as u32
+        };
+        let c = (0..len)
+            .map(|_| F16::from_f32((next() % 20_000) as f32 / 64.0 - 150.0))
+            .collect();
+        let v = (0..len)
+            .map(|_| (next() % 1_000_000) as f32 / 4096.0 - 120.0)
+            .collect();
+        (c, v)
+    }
+
+    #[test]
+    fn hardware_conversions_handle_every_length_to_sixteen() {
+        // Each length runs inside a wider buffer: elements past the slice
+        // must come out untouched, as must every element of a length the
+        // vector width does not divide.
+        const SENTINEL: F16 = F16::from_bits(0x5a5a);
+        for isa in available() {
+            let conv = select_half(isa);
+            for len in 0..=16 {
+                let (c0, v) = operands(len as u64 + 1, len);
+                let mut want = c0.clone();
+                (HalfConv::SOFTWARE.accumulate)(&mut want, &v);
+                let mut buf = c0.clone();
+                buf.resize(len + 16, SENTINEL);
+                (conv.accumulate)(&mut buf[..len], &v);
+                assert_eq!(half_bits(&buf[..len]), half_bits(&want), "{isa} n={len}");
+                assert!(buf[len..].iter().all(|h| h.to_bits() == SENTINEL.to_bits()));
+
+                let mut wide = vec![-1.0f32; len + 16];
+                (conv.widen)(&c0, &mut wide[..len]);
+                let exact: Vec<f32> = c0.iter().map(|h| h.to_f32()).collect();
+                assert_eq!(wide[..len], exact[..], "{isa} widen n={len}");
+                assert!(wide[len..].iter().all(|&x| x == -1.0));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+        /// `accumulate` into `+0` narrows `v` alone (`+0 + v == v` for
+        /// every `v` but `-0`, which both forms turn into `+0`). Each
+        /// element is drawn from one of five classes: any bit pattern,
+        /// ties (and their neighbours) between two halves, the half
+        /// subnormal range, the 65 504 / 65 520 overflow boundary, and
+        /// NaNs with arbitrary payloads.
+        #[test]
+        fn hardware_narrowing_matches_software(
+            draws in proptest::collection::vec((0u8..5, 0u32..=u32::MAX), 1..48)
+        ) {
+            let v: Vec<f32> = draws.iter().map(|&(class, raw)| narrowing_case(class, raw)).collect();
+            let mut want = vec![F16::ZERO; v.len()];
+            (HalfConv::SOFTWARE.accumulate)(&mut want, &v);
+            for isa in available() {
+                let mut got = vec![F16::ZERO; v.len()];
+                (select_half(isa).accumulate)(&mut got, &v);
+                proptest::prop_assert_eq!(half_bits(&got), half_bits(&want), "{} {:?}", isa, v);
+            }
+        }
+    }
+
+    /// One `f32` of the narrowing class `class` built from the bits `raw`.
+    fn narrowing_case(class: u8, raw: u32) -> f32 {
+        let sign = raw & 0x8000_0000;
+        let bits = match class {
+            0 => raw,
+            1 => {
+                // A normal half, then half its ulp (f32 bit 12) above it,
+                // nudged by -1, 0 or +1 f32 ulps around the tie.
+                let h = raw as u16 % 0x7800 + 0x0400;
+                let tie = F16::from_bits(h).to_f32().to_bits() | 0x1000;
+                sign | (tie + (raw >> 16) % 3 - 1)
+            }
+            // Exponents 2^-26 ..= 2^-15: below, through and at the top of
+            // the half subnormals.
+            2 => sign | ((101 + (raw >> 8) % 12) << 23) | (raw & 0x007f_ffff),
+            3 => sign | (65504.0f32.to_bits() - 0x100 + raw % 0x2200),
+            _ => sign | 0x7f80_0000 | (raw & 0x007f_ffff).max(1),
+        };
+        f32::from_bits(bits)
+    }
+
+    /// Runs `f` with `MXCSR.RC` set to round toward zero, then restores
+    /// the caller's control word.
+    #[cfg(target_arch = "x86_64")]
+    fn toward_zero<R>(f: impl FnOnce() -> R) -> R {
+        use std::arch::asm;
+        let mut saved = 0u32;
+        // SAFETY: `stmxcsr` stores the four-byte control word into a
+        // local the pointer names.
+        unsafe { asm!("stmxcsr [{}]", in(reg) &mut saved, options(nostack)) };
+        let rz = saved | 0x6000;
+        // SAFETY: only the rounding-control bits change. `f` performs no
+        // float operation whose result depends on them apart from the
+        // narrowing under test (its additions are `+0 + v`, exact in
+        // every mode), and the saved word is restored before returning.
+        unsafe { asm!("ldmxcsr [{}]", in(reg) &rz, options(nostack, readonly)) };
+        let r = f();
+        // SAFETY: restores the word stored above.
+        unsafe { asm!("ldmxcsr [{}]", in(reg) &saved, options(nostack, readonly)) };
+        r
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn hardware_narrowing_rounds_to_nearest_whatever_mxcsr_says() {
+        // Three quarters of an ulp above each half, and exact ties above
+        // odd halves: nearest-even rounds every one up, toward-zero down.
+        let v: Vec<f32> = (0..37u16)
+            .flat_map(|i| {
+                let h = F16::from_bits(0x3c01 + 2 * i * 97).to_f32().to_bits();
+                [f32::from_bits(h + 0x1800), f32::from_bits(h + 0x1000)]
+            })
+            .collect();
+        let mut want = vec![F16::ZERO; v.len()];
+        (HalfConv::SOFTWARE.accumulate)(&mut want, &v);
+        for isa in available() {
+            let accumulate = select_half(isa).accumulate;
+            let mut got = vec![F16::ZERO; v.len()];
+            toward_zero(|| accumulate(std::hint::black_box(&mut got), &v));
+            assert_eq!(half_bits(&got), half_bits(&want), "{isa}");
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn select_half_takes_the_hardware_form_the_verdict_detected() {
+        type Widen = fn(&[F16], &mut [f32]);
+        let widen = |isa| select_half(isa).widen;
+        let avx512: Widen = x86::f16_widen_avx512;
+        let f16c: Widen = x86::f16_widen_f16c;
+        assert_eq!(
+            std::ptr::fn_addr_eq(widen(Isa::Avx512), avx512),
+            Isa::Avx512.available()
+        );
+        assert_eq!(
+            std::ptr::fn_addr_eq(widen(Isa::Avx2), f16c),
+            Isa::Avx2.available() && std::arch::is_x86_feature_detected!("f16c")
+        );
+        for isa in [Isa::Portable, Isa::Neon] {
+            assert!(!std::ptr::fn_addr_eq(widen(isa), avx512));
+            assert!(!std::ptr::fn_addr_eq(widen(isa), f16c));
+        }
     }
 }

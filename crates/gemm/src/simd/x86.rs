@@ -16,7 +16,12 @@
 //! `#[target_feature]` function. Their safety rests on the dispatch
 //! contract in [`crate::simd`]: `select` hands these entries out only
 //! after the matching CPU feature was detected at runtime.
+//!
+//! The binary16 ↔ `f32` slice conversions of the widened F16 path
+//! (F16C and AVX-512F `vcvtph2ps` / `vcvtps2ph`) share the `x86_half!`
+//! macro the same way, and `select_half` guards them likewise.
 
+use perfport_half::F16;
 use std::arch::x86_64::*;
 
 /// Largest `NR/W` the dispatcher hands to an x86 kernel, sizing the fixed
@@ -139,6 +144,113 @@ x86_kernel! {
     pub fn f32_avx512 => kernel_f32_avx512(
         f32, 16 lanes, "avx512f",
         _mm512_setzero_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_fmadd_ps, _mm512_storeu_ps,
+    );
+}
+
+/// Defines one ISA's binary16 ↔ `f32` slice conversions for
+/// [`crate::simd::HalfConv`]: `W`-lane bodies built from the intrinsics
+/// that load, convert, add and store a vector, plus the safe
+/// length-checked entries. A ragged tail (fewer than `W` elements) is
+/// staged through zero-padded stack buffers, so callers pass any length.
+macro_rules! x86_half {
+    (
+        $(#[$doc:meta])*
+        pub(crate) fn $widen:ident, $accumulate:ident => $widen_k:ident, $acc_k:ident(
+            $w:literal lanes, $feature:literal, round = $round:expr,
+            $loadh:ident, $storeh:ident, $cvtph:ident, $cvtps:ident,
+            $loadf:ident, $storef:ident, $addf:ident $(,)?
+        );
+    ) => {
+        /// The `target_feature` body behind the widen entry of this ISA.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support the enabled features at runtime, and `dst`
+        /// must be as long as `src`.
+        #[target_feature(enable = $feature)]
+        unsafe fn $widen_k(src: &[F16], dst: &mut [f32]) {
+            const W: usize = $w;
+            let full = src.len() - src.len() % W;
+            for i in (0..full).step_by(W) {
+                $storef(dst.as_mut_ptr().add(i), $cvtph($loadh(src.as_ptr().add(i).cast())));
+            }
+            let live = src.len() - full;
+            if live > 0 {
+                let mut h = [F16::ZERO; W];
+                let mut f = [0.0f32; W];
+                h[..live].copy_from_slice(&src[full..]);
+                $storef(f.as_mut_ptr(), $cvtph($loadh(h.as_ptr().cast())));
+                dst[full..].copy_from_slice(&f[..live]);
+            }
+        }
+
+        /// The `target_feature` body behind the accumulate entry of this
+        /// ISA.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support the enabled features at runtime, and `v`
+        /// must be as long as `c`.
+        #[target_feature(enable = $feature)]
+        unsafe fn $acc_k(c: &mut [F16], v: &[f32]) {
+            const W: usize = $w;
+            let full = c.len() - c.len() % W;
+            for i in (0..full).step_by(W) {
+                let ci = c.as_mut_ptr().add(i);
+                let sum = $addf($cvtph($loadh(ci.cast_const().cast())), $loadf(v.as_ptr().add(i)));
+                $storeh(ci.cast(), $cvtps::<{ $round }>(sum));
+            }
+            let live = c.len() - full;
+            if live > 0 {
+                let mut h = [F16::ZERO; W];
+                let mut f = [0.0f32; W];
+                h[..live].copy_from_slice(&c[full..]);
+                f[..live].copy_from_slice(&v[full..]);
+                let sum = $addf($cvtph($loadh(h.as_ptr().cast())), $loadf(f.as_ptr()));
+                $storeh(h.as_mut_ptr().cast(), $cvtps::<{ $round }>(sum));
+                c[full..].copy_from_slice(&h[..live]);
+            }
+        }
+
+        $(#[$doc])*
+        pub(crate) fn $widen(src: &[F16], dst: &mut [f32]) {
+            assert_eq!(src.len(), dst.len(), "widen length mismatch");
+            // SAFETY: only reachable through `simd::select_half`, which
+            // returns this entry only after detecting the features; the
+            // lengths were just asserted equal.
+            unsafe { $widen_k(src, dst) }
+        }
+
+        $(#[$doc])*
+        pub(crate) fn $accumulate(c: &mut [F16], v: &[f32]) {
+            assert_eq!(c.len(), v.len(), "accumulate length mismatch");
+            // SAFETY: as for the widen entry above.
+            unsafe { $acc_k(c, v) }
+        }
+    };
+}
+
+x86_half! {
+    /// F16C conversion, 8 lanes, for the AVX2 verdict on CPUs that also
+    /// report `f16c` (AVX2 does not imply it). The F16C immediate has
+    /// three bits and no exception-suppression flag, so the explicit
+    /// `_MM_FROUND_TO_NEAREST_INT` (bit 2 clear: ignore `MXCSR.RC`) is
+    /// the whole rounding control.
+    pub(crate) fn f16_widen_f16c, f16_accumulate_f16c => widen_f16c, accumulate_f16c(
+        8 lanes, "avx,f16c", round = _MM_FROUND_TO_NEAREST_INT,
+        _mm_loadu_si128, _mm_storeu_si128, _mm256_cvtph_ps, _mm256_cvtps_ph,
+        _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps,
+    );
+}
+
+x86_half! {
+    /// AVX-512F conversion, 16 lanes: one row of the `8×16` tile is one
+    /// instruction each way. Narrowing rounds to nearest-even by its
+    /// immediate, whatever `MXCSR.RC` holds.
+    pub(crate) fn f16_widen_avx512, f16_accumulate_avx512 => widen_avx512, accumulate_avx512(
+        16 lanes, "avx512f", round = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC,
+        _mm256_loadu_si256, _mm256_storeu_si256, _mm512_cvtph_ps, _mm512_cvtps_ph,
+        _mm512_loadu_ps, _mm512_storeu_ps, _mm512_add_ps,
     );
 }
 

@@ -35,18 +35,20 @@
 //!
 //! The result is generic over [`Scalar`]; `f32`/`f64` get their fast
 //! paths through monomorphisation (the accumulator tile and panel loads
-//! vectorise per element width), while the software [`F16`] packs
-//! *widened*: the pack routines convert `f16 → f32` once per panel and
-//! the contraction runs the native `f32` microkernel, so the O(n³) inner
-//! loop never executes a software-half operation (each `C` element is
-//! re-rounded to `f16` once per `Kc` panel). Accumulation order per
-//! element of `C` is a fixed function of the `Kc` blocking alone, so
-//! serial and parallel execution are bit-identical per dispatched
-//! kernel.
+//! vectorise per element width), while [`F16`] packs *widened*: the pack
+//! routines convert `f16 → f32` once per panel and the contraction runs
+//! the native `f32` microkernel, so the O(n³) inner loop never executes a
+//! half-precision operation (each `C` element is re-rounded to `f16` once
+//! per `Kc` panel). The conversions follow the same ISA verdict as the
+//! microkernel ([`simd::select_half`]): AVX-512F or F16C instructions
+//! where the CPU has them, `perfport-half`'s software routines otherwise,
+//! with identical bits either way. Accumulation order per element of `C`
+//! is a fixed function of the `Kc` blocking alone, so serial and parallel
+//! execution are bit-identical per dispatched kernel.
 
 use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
-use crate::simd::{self, Isa};
+use crate::simd::{self, HalfConv, Isa};
 use perfport_half::F16;
 use perfport_pool::{CacheInfo, DisjointSlice, RegionStats, Schedule, ThreadPool};
 use std::any::{Any, TypeId};
@@ -470,101 +472,85 @@ fn pack_b<T: Scalar>(
     (panels * kb * nr * std::mem::size_of::<T>()) as u64
 }
 
-/// Packs the `A` block like [`pack_a`] but *widened*: source elements
-/// are `f16`, the packed micropanels hold their exact `f32` values
-/// ([`F16::widen_slice`] for the contiguous column-major case). Reported
-/// bytes are the widened bytes actually copied.
-fn pack_a_f16(
-    a: &Matrix<F16>,
-    i0: usize,
-    mb: usize,
+/// Packs `count` lines of a half-precision matrix, starting at line `l0`,
+/// into `w`-wide widened micropanels: line `l0 + ip*w + l` at depth
+/// `p0 + p` — source element `line * line_stride + depth * k_stride` —
+/// lands at `ip*kb*w + p*w + l` as its exact `f32` value, zero-padded past
+/// the last line. Lines are the rows of an `A` block ([`pack_a`]) or the
+/// columns of a `B` panel ([`pack_b`]). Every conversion goes through
+/// `widen` on a contiguous run: across lines when they are adjacent,
+/// otherwise along each line's depth run, interleaved into the panel.
+/// Reported bytes are the widened bytes written.
+#[allow(clippy::too_many_arguments)]
+fn pack_widened(
+    src: &[F16],
+    (line_stride, k_stride): (usize, usize),
+    l0: usize,
+    count: usize,
     p0: usize,
     kb: usize,
-    mr: usize,
+    w: usize,
     buf: &mut AlignedBuf<f32>,
+    widen: fn(&[F16], &mut [f32]),
 ) -> u64 {
-    let panels = mb.div_ceil(mr);
-    let dst = buf.slice_for(panels * kb * mr);
-    let (rs, cs) = strides(a);
-    let ad = a.as_slice();
-    let mut off = 0;
-    for ir in 0..panels {
-        let base_row = i0 + ir * mr;
-        let live = mr.min(i0 + mb - base_row);
-        for p in 0..kb {
-            let col_off = (p0 + p) * cs;
-            if rs == 1 {
-                let src = &ad[base_row + col_off..base_row + col_off + live];
-                F16::widen_slice(src, &mut dst[off..off + live]);
-            } else {
-                for r in 0..live {
-                    dst[off + r] = ad[(base_row + r) * rs + col_off].to_f32();
+    /// Depth steps widened per call on the interleaving branch.
+    const RUN: usize = 64;
+    let panels = count.div_ceil(w);
+    let dst = buf.slice_for(panels * kb * w);
+    for ip in 0..panels {
+        let base = l0 + ip * w;
+        let live = w.min(l0 + count - base);
+        let panel = &mut dst[ip * kb * w..(ip + 1) * kb * w];
+        if line_stride == 1 {
+            for (p, group) in panel.chunks_exact_mut(w).enumerate() {
+                let s = base + (p0 + p) * k_stride;
+                widen(&src[s..s + live], &mut group[..live]);
+                group[live..].fill(0.0);
+            }
+        } else {
+            debug_assert_eq!(k_stride, 1, "one of the two strides is 1");
+            let mut run = [0.0f32; RUN];
+            for l in 0..w {
+                if l >= live {
+                    panel.iter_mut().skip(l).step_by(w).for_each(|x| *x = 0.0);
+                    continue;
+                }
+                let s = (base + l) * line_stride + p0;
+                for (q, part) in src[s..s + kb].chunks(RUN).enumerate() {
+                    let run = &mut run[..part.len()];
+                    widen(part, run);
+                    for (x, &v) in panel[q * RUN * w + l..]
+                        .iter_mut()
+                        .step_by(w)
+                        .zip(run.iter())
+                    {
+                        *x = v;
+                    }
                 }
             }
-            for r in live..mr {
-                dst[off + r] = 0.0;
-            }
-            off += mr;
         }
     }
-    (panels * kb * mr * std::mem::size_of::<f32>()) as u64
-}
-
-/// Packs the `B` panel like [`pack_b`] but widened to `f32` (see
-/// [`pack_a_f16`]).
-fn pack_b_f16(
-    b: &Matrix<F16>,
-    p0: usize,
-    kb: usize,
-    j0: usize,
-    nb: usize,
-    nr: usize,
-    buf: &mut AlignedBuf<f32>,
-) -> u64 {
-    let panels = nb.div_ceil(nr);
-    let dst = buf.slice_for(panels * kb * nr);
-    let (rs, cs) = strides(b);
-    let bd = b.as_slice();
-    let mut off = 0;
-    for jr in 0..panels {
-        let base_col = j0 + jr * nr;
-        let live = nr.min(j0 + nb - base_col);
-        for p in 0..kb {
-            let row_off = (p0 + p) * rs;
-            if cs == 1 {
-                let src = &bd[row_off + base_col..row_off + base_col + live];
-                F16::widen_slice(src, &mut dst[off..off + live]);
-            } else {
-                for c in 0..live {
-                    dst[off + c] = bd[row_off + (base_col + c) * cs].to_f32();
-                }
-            }
-            for c in live..nr {
-                dst[off + c] = 0.0;
-            }
-            off += nr;
-        }
-    }
-    (panels * kb * nr * std::mem::size_of::<f32>()) as u64
+    (panels * kb * w * std::mem::size_of::<f32>()) as u64
 }
 
 // ------------------------------------------------------------- driver --
 
 /// The scalar-flavour hooks of the blocked loop nest: how `A`/`B` panels
-/// are packed (possibly widened), how an accumulator value lands in `C`,
+/// are packed (possibly widened), how accumulator values land in `C`,
 /// and which arena buffers the packs use. The loop nest itself is
 /// written exactly once ([`run_blocked`], [`compute_block`]) and
-/// parameterized over an implementation:
+/// parameterized over an implementation. Every hook receives the
+/// half-precision conversions [`run_blocked`] selected for its verdict:
 ///
 /// * [`PlainOps`] — `f64`/`f32` (and any hardware float): packs copy,
-///   the accumulator adds in place.
-/// * [`WidenedF16Ops`] — the software-half path: packs convert
-///   `f16 → f32`, the contraction runs the native `f32` microkernel, and
-///   each `C` element is re-rounded to `f16` once per `Kc` panel. One
-///   rounding per panel (instead of one per multiply-accumulate) makes
-///   this path *more* accurate than the naive software-half kernels, and
-///   the rounding points are a fixed function of the `Kc` blocking, so
-///   serial ≡ parallel still holds bitwise per dispatched kernel.
+///   the accumulator adds in place, and the conversions go unused.
+/// * [`WidenedF16Ops`] — the `F16` path: packs convert `f16 → f32`, the
+///   contraction runs the native `f32` microkernel, and each `C` element
+///   is re-rounded to `f16` once per `Kc` panel. One rounding per panel
+///   (instead of one per multiply-accumulate) makes this path *more*
+///   accurate than the naive software-half kernels, and the rounding
+///   points are a fixed function of the `Kc` blocking, so serial ≡
+///   parallel still holds bitwise per dispatched kernel.
 trait PackOps {
     /// Element type of `A`, `B`, and `C`.
     type Src: Scalar;
@@ -572,6 +558,7 @@ trait PackOps {
     type Pack: Scalar;
 
     /// Packs one `A` block (see [`pack_a`]); returns bytes copied.
+    #[allow(clippy::too_many_arguments)]
     fn pack_a(
         a: &Matrix<Self::Src>,
         i0: usize,
@@ -580,9 +567,11 @@ trait PackOps {
         kb: usize,
         mr: usize,
         buf: &mut AlignedBuf<Self::Pack>,
+        half: HalfConv,
     ) -> u64;
 
     /// Packs one `B` panel (see [`pack_b`]); returns bytes copied.
+    #[allow(clippy::too_many_arguments)]
     fn pack_b(
         b: &Matrix<Self::Src>,
         p0: usize,
@@ -591,10 +580,12 @@ trait PackOps {
         nb: usize,
         nr: usize,
         buf: &mut AlignedBuf<Self::Pack>,
+        half: HalfConv,
     ) -> u64;
 
-    /// Accumulates one microkernel output element into `C`.
-    fn accumulate(c: &mut Self::Src, v: Self::Pack);
+    /// Accumulates microkernel outputs `v` into the equally long run `c`
+    /// of `C`.
+    fn accumulate(half: HalfConv, c: &mut [Self::Src], v: &[Self::Pack]);
 
     /// The arena buffers (`A`, `B`) this flavour packs into.
     fn bufs(
@@ -617,6 +608,7 @@ impl<T: Scalar> PackOps for PlainOps<T> {
         kb: usize,
         mr: usize,
         buf: &mut AlignedBuf<T>,
+        _: HalfConv,
     ) -> u64 {
         pack_a(a, i0, mb, p0, kb, mr, buf)
     }
@@ -629,13 +621,16 @@ impl<T: Scalar> PackOps for PlainOps<T> {
         nb: usize,
         nr: usize,
         buf: &mut AlignedBuf<T>,
+        _: HalfConv,
     ) -> u64 {
         pack_b(b, p0, kb, j0, nb, nr, buf)
     }
 
     #[inline(always)]
-    fn accumulate(c: &mut T, v: T) {
-        *c += v;
+    fn accumulate(_: HalfConv, c: &mut [T], v: &[T]) {
+        for (c, &v) in c.iter_mut().zip(v) {
+            *c += v;
+        }
     }
 
     fn bufs(arena: &mut PackArena<T>) -> (&mut AlignedBuf<T>, &mut AlignedBuf<T>) {
@@ -643,8 +638,8 @@ impl<T: Scalar> PackOps for PlainOps<T> {
     }
 }
 
-/// [`PackOps`] for the widened software-half path (`F16` source, `f32`
-/// panels and microkernel).
+/// [`PackOps`] for the widened half-precision path (`F16` source, `f32`
+/// panels and microkernel), converting through the selected [`HalfConv`].
 struct WidenedF16Ops;
 
 impl PackOps for WidenedF16Ops {
@@ -659,8 +654,19 @@ impl PackOps for WidenedF16Ops {
         kb: usize,
         mr: usize,
         buf: &mut AlignedBuf<f32>,
+        half: HalfConv,
     ) -> u64 {
-        pack_a_f16(a, i0, mb, p0, kb, mr, buf)
+        pack_widened(
+            a.as_slice(),
+            strides(a),
+            i0,
+            mb,
+            p0,
+            kb,
+            mr,
+            buf,
+            half.widen,
+        )
     }
 
     fn pack_b(
@@ -671,13 +677,15 @@ impl PackOps for WidenedF16Ops {
         nb: usize,
         nr: usize,
         buf: &mut AlignedBuf<f32>,
+        half: HalfConv,
     ) -> u64 {
-        pack_b_f16(b, p0, kb, j0, nb, nr, buf)
+        let (rs, cs) = strides(b);
+        pack_widened(b.as_slice(), (cs, rs), j0, nb, p0, kb, nr, buf, half.widen)
     }
 
     #[inline(always)]
-    fn accumulate(c: &mut F16, v: f32) {
-        *c = F16::from_f32(c.to_f32() + v);
+    fn accumulate(half: HalfConv, c: &mut [F16], v: &[f32]) {
+        (half.accumulate)(c, v);
     }
 
     fn bufs(arena: &mut PackArena<F16>) -> (&mut AlignedBuf<f32>, &mut AlignedBuf<f32>) {
@@ -730,11 +738,12 @@ fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
     bp_all: &[P::Pack],
     a_buf: &mut AlignedBuf<P::Pack>,
     microkernel: simd::Microkernel<P::Pack, MR, NR>,
+    half: HalfConv,
 ) -> TunedStats {
     let (m, n) = c_shape;
     let Panel { jc, nb, p0, kb } = panel;
     let mut stats = TunedStats {
-        pack_a_bytes: P::pack_a(a, i0, mb, p0, kb, MR, a_buf),
+        pack_a_bytes: P::pack_a(a, i0, mb, p0, kb, MR, a_buf, half),
         ..TunedStats::default()
     };
     let ap_all = a_buf.as_slice(mb.div_ceil(MR) * kb * MR);
@@ -753,9 +762,7 @@ fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
                     for (r, acc_row) in acc.iter().enumerate().take(ilim) {
                         // SAFETY: row ownership (see above).
                         let crow = unsafe { c.row(i_base + r, n) };
-                        for (cj, &v) in crow[j_base..j_base + jlim].iter_mut().zip(acc_row) {
-                            P::accumulate(cj, v);
-                        }
+                        P::accumulate(half, &mut crow[j_base..j_base + jlim], &acc_row[..jlim]);
                     }
                 }
                 Layout::ColMajor => {
@@ -764,9 +771,8 @@ fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
                             let idx = c_layout.index(m, n, i_base + r, j_base + cix);
                             // SAFETY: row ownership (see above); each
                             // element belongs to exactly one owned row.
-                            unsafe {
-                                P::accumulate(c.at(idx), v);
-                            }
+                            let cij = unsafe { c.at(idx) };
+                            P::accumulate(half, std::slice::from_mut(cij), &[v]);
                         }
                     }
                 }
@@ -822,12 +828,13 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
     let k = a.cols();
     let mc = blocks.mc;
     let microkernel = simd::select::<P::Pack, MR, NR>(isa);
+    let half = simd::select_half(isa);
     let mut stats = TunedStats::default();
     let mut phases = PhaseNs::default();
     let mut clock = timed.then(Instant::now);
 
     for panel in panels(n, k, blocks) {
-        stats.pack_b_bytes += P::pack_b(b, panel.p0, panel.kb, panel.jc, panel.nb, NR, b_buf);
+        stats.pack_b_bytes += P::pack_b(b, panel.p0, panel.kb, panel.jc, panel.nb, NR, b_buf, half);
         phases.pack += lap(&mut clock);
         let bp_len = panel.nb.div_ceil(NR) * panel.kb * NR;
         for i0 in (rows.start..rows.end).step_by(mc) {
@@ -843,6 +850,7 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
                 b_buf.as_slice(bp_len),
                 a_buf,
                 microkernel,
+                half,
             );
             stats.pack_a_bytes += s.pack_a_bytes;
             stats.microkernel_calls += s.microkernel_calls;
@@ -1199,6 +1207,61 @@ mod tests {
         }
         // One row block: the loop has one item and runs on the caller.
         parallel_vs_serial::<f64>(5, 57, 43, 3);
+    }
+
+    #[test]
+    fn widened_f16_matches_software_conversion_under_every_verdict() {
+        // Reference with no hardware conversion anywhere: the verdict's own
+        // microkernel and tile run each Kc chunk on software-widened `f32`
+        // operands from a zero `C`, and each chunk's sums are added into
+        // the `f16` `C` in software — the widened path's arithmetic. A Kc
+        // of 150 takes row-major `A` rows through more than one widened run.
+        let bits = |c: &Matrix<F16>| c.as_slice().iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+        let cases = [
+            (12, [(19, 40, 12), (5, 37, 29), (33, 12, 4), (8, 25, 40)]),
+            (150, [(9, 310, 20), (4, 150, 4), (17, 151, 13), (3, 64, 36)]),
+        ];
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
+            for (kc, shapes) in cases {
+                let blocks = BlockSizes { mc: 16, kc, nc: 32 };
+                let params = TunedParams {
+                    tile: TileShape::for_isa(isa, F16::PACK_BYTES),
+                    blocks,
+                };
+                for (m, k, n) in shapes {
+                    for layout in [Layout::RowMajor, Layout::ColMajor] {
+                        let a = Matrix::<F16>::random(m, k, layout, 41);
+                        let b = Matrix::<F16>::random(k, n, layout, 42);
+                        let mut c = Matrix::<F16>::from_fn(m, n, layout, |i, j| {
+                            F16::from_f32((i as f32 - j as f32) / 8.0)
+                        });
+                        let mut want = c.clone();
+                        gemm_serial_with_isa(&a, &b, &mut c, &params, &mut PackArena::new(), isa);
+                        for p0 in (0..k).step_by(blocks.kc) {
+                            let kb = blocks.kc.min(k - p0);
+                            let ap = Matrix::from_fn(m, kb, layout, |i, p| a[(i, p0 + p)].to_f32());
+                            let bp = Matrix::from_fn(kb, n, layout, |p, j| b[(p0 + p, j)].to_f32());
+                            let mut sums = Matrix::<f32>::zeros(m, n, layout);
+                            gemm_serial_with_isa(
+                                &ap,
+                                &bp,
+                                &mut sums,
+                                &params,
+                                &mut PackArena::new(),
+                                isa,
+                            );
+                            for i in 0..m {
+                                for j in 0..n {
+                                    want[(i, j)] =
+                                        F16::from_f32(want[(i, j)].to_f32() + sums[(i, j)]);
+                                }
+                            }
+                        }
+                        assert_eq!(bits(&c), bits(&want), "{isa} {m}x{k}x{n} {layout}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,8 @@ const F32_EXP_BIAS: i32 = 127;
 pub(crate) const INF_BITS: u16 = 0x7c00;
 /// Canonical quiet NaN in binary16.
 pub(crate) const NAN_BITS: u16 = 0x7e00;
+/// Quiet bit of a binary32 NaN (the top mantissa bit).
+const F32_QUIET_BIT: u32 = 1 << (F32_MAN_BITS - 1);
 
 /// Converts a binary32 value to binary16 bits with round-to-nearest-even.
 ///
@@ -90,7 +92,9 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
 /// Converts binary16 bits to the exactly representable binary32 value.
 ///
 /// Every finite binary16 value is exactly representable in binary32, so
-/// this direction is lossless.
+/// this direction is lossless. A NaN keeps its sign and payload and comes
+/// out quiet, signalling ones included, which makes this routine
+/// bit-identical to the hardware conversion on all 65 536 inputs.
 pub fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = ((h >> MAN_BITS) & 0x1f) as u32;
@@ -113,9 +117,10 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
             if man == 0 {
                 sign | 0x7f80_0000
             } else {
-                // Preserve the payload in the top mantissa bits, quiet bit
-                // carried along from bit 9.
-                sign | 0x7f80_0000 | (man << (F32_MAN_BITS - MAN_BITS))
+                // Keep the payload in the top mantissa bits and set the f32
+                // quiet bit: IEEE 754 format conversion quiets a signalling
+                // NaN, exactly as F16C / AVX-512 `vcvtph2ps` do.
+                sign | 0x7f80_0000 | F32_QUIET_BIT | (man << (F32_MAN_BITS - MAN_BITS))
             }
         }
         _ => {
@@ -208,6 +213,23 @@ mod tests {
         let h = f32_to_f16_bits(snan);
         assert_ne!(h & 0x03ff, 0);
         assert!(f16_bits_to_f32(h).is_nan());
+    }
+
+    #[test]
+    fn every_nan_widens_quiet_with_its_sign_and_payload() {
+        let mut signalling = 0;
+        for h in (0..=u16::MAX).filter(|h| h & 0x7c00 == 0x7c00 && h & 0x03ff != 0) {
+            let bits = f16_bits_to_f32(h).to_bits();
+            let payload = u32::from(h & 0x03ff) << (F32_MAN_BITS - MAN_BITS);
+            let sign = u32::from(h & 0x8000) << 16;
+            assert_eq!(
+                bits,
+                sign | 0x7f80_0000 | F32_QUIET_BIT | payload,
+                "{h:#06x}"
+            );
+            signalling += usize::from(h & 0x0200 == 0);
+        }
+        assert_eq!(signalling, 1022, "every signalling pattern was checked");
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //!
 //! The paper studies FP16 support across programming models (Julia on AMD
 //! GPUs, Numba's missing `float16` random generation, Julia's maturing
-//! native FP16 on CPUs). None of the machines this reproduction runs on are
-//! guaranteed to have hardware half-precision, and stable Rust has no `f16`
-//! primitive, so this crate provides a bit-exact software implementation:
+//! native FP16 on CPUs). Stable Rust has no `f16` primitive and not every
+//! machine this reproduction runs on converts half precision in hardware,
+//! so this crate provides a bit-exact software implementation. Where the
+//! CPU has F16C or AVX-512F, `perfport-gemm`'s `simd` module converts the
+//! tuned kernel's panels with `vcvtph2ps` / `vcvtps2ph` instead; these
+//! routines are the reference its tests hold that hardware to, bit for bit,
+//! and the conversion every other target runs:
 //!
 //! * conversions to/from `f32`/`f64` with round-to-nearest-even,
 //! * subnormal, infinity, and NaN handling,
