@@ -9,7 +9,6 @@ use perfport_pool::ThreadPool;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    args.start_profiling();
     let trace = args.start_trace();
 
     // Functional pass on the host first (every kernel verified). The

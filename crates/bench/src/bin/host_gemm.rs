@@ -12,14 +12,11 @@
 //!
 //! The snapshot uses schema `perfport-bench-gemm/3`: it carries the run's
 //! provenance manifest (git SHA, rustc, CPU model, cache hierarchy and
-//! its source, hardware-counter availability), the relative rep spread
-//! per cell (what `bench_diff` derives its noise-aware thresholds from),
-//! a `telemetry` block (the always-on runtime counters and streaming
-//! histograms recorded during the measured sweep, stamped as deltas from
-//! a pre-measurement epoch so warm-up does not inflate them), and —
-//! under `--profile`, when counters are available — per-variant IPC and
-//! cache-miss rates from `perf_event_open` groups read around the pool
-//! regions.
+//! its source), the relative rep spread per cell (what `bench_diff`
+//! derives its noise-aware thresholds from), and a `telemetry` block
+//! (the always-on runtime counters and streaming histograms recorded
+//! during the measured sweep, stamped as deltas from a pre-measurement
+//! epoch so warm-up does not inflate them).
 //!
 //! `--quick` restricts the sweep to the headline 1024² size; the
 //! tuned-over-best-naive ratio is printed either way.
@@ -28,33 +25,26 @@ use perfport_bench::{HarnessArgs, Manifest};
 use perfport_gemm::serial::gemm_loop_order;
 use perfport_gemm::{gemm_flops, par_gemm, tuned, CpuVariant, Layout, LoopOrder, Matrix, Scalar};
 use perfport_half::F16;
-use perfport_obs::{self as obs, HwCounter};
 use perfport_pool::{Schedule, ThreadPool};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// One timed kernel: mean rate, rep noise, and (when profiling) the
-/// hardware-counter delta attributed to the timed reps.
+/// One timed kernel: mean rate and rep noise.
 struct Measured {
     gflops: f64,
     /// Relative half-range of the per-rep rates, `(max-min)/(2·mean)` —
     /// the committed noise evidence `bench_diff` thresholds on.
     spread: f64,
-    /// Counter totals accumulated during the timed reps (warm-up
-    /// excluded), when profiling is on and counters work.
-    hw: Option<obs::Totals>,
 }
 
 fn measure(reps: usize, flops: u64, mut run: impl FnMut()) -> Measured {
     run(); // warm-up, excluded (the paper's protocol)
-    let hw_before = obs::totals();
     let mut rates = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t0 = Instant::now();
         run();
         rates.push(flops as f64 / t0.elapsed().as_secs_f64() / 1e9);
     }
-    let hw = obs::enabled().then(|| obs::totals().delta(&hw_before));
     let mean = rates.iter().sum::<f64>() / reps as f64;
     let (min, max) = rates
         .iter()
@@ -68,7 +58,6 @@ fn measure(reps: usize, flops: u64, mut run: impl FnMut()) -> Measured {
         } else {
             0.0
         },
-        hw,
     }
 }
 
@@ -151,7 +140,7 @@ fn measure_point<T: Scalar>(pool: &ThreadPool, reps: usize, n: usize) -> SizePoi
     }
 }
 
-fn print_points(points: &[SizePoint], csv: bool, profiling: bool) {
+fn print_points(points: &[SizePoint], csv: bool) {
     println!(
         "  {:>6} {:>5}  {:>9} {:>9} {:>9} {:>9} {:>9}  {:>10} {:>12}",
         "n", "prec", "c-openmp", "kokkos", "julia", "numba", "vendor", "best-naive", "vendor/naive"
@@ -168,36 +157,6 @@ fn print_points(points: &[SizePoint], csv: bool, profiling: bool) {
             bn_name,
             p.vendor.gflops / bn
         );
-    }
-    let have_hw = points.iter().any(|p| p.all().any(|(_, m)| m.hw.is_some()));
-    if profiling && !have_hw {
-        println!("\n  (--profile requested but counters are unavailable; timing-only)");
-    }
-    if have_hw {
-        println!("\n  hardware counters per variant (timed reps only):");
-        println!(
-            "  {:>6} {:>5} {:>10} {:>7} {:>10} {:>10} {:>10}",
-            "n", "prec", "variant", "IPC", "L1d/ki", "LLC/ki", "branch/ki"
-        );
-        for p in points {
-            for (name, m) in p.all() {
-                let Some(hw) = &m.hw else { continue };
-                let fmt = |v: Option<f64>| match v {
-                    Some(v) => format!("{v:.2}"),
-                    None => "-".to_string(),
-                };
-                println!(
-                    "  {:>6} {:>5} {:>10} {:>7} {:>10} {:>10} {:>10}",
-                    p.n,
-                    p.precision,
-                    name,
-                    fmt(hw.ipc()),
-                    fmt(hw.per_kilo_instruction(HwCounter::L1dMisses)),
-                    fmt(hw.per_kilo_instruction(HwCounter::LlcMisses)),
-                    fmt(hw.per_kilo_instruction(HwCounter::BranchMisses)),
-                );
-            }
-        }
     }
     if csv {
         println!("-- csv --");
@@ -256,27 +215,6 @@ fn json_snapshot(
         };
         let _ = writeln!(out, "     \"gflops\": {},", fields(&|m| m.gflops));
         let _ = writeln!(out, "     \"spread\": {},", fields(&|m| m.spread));
-        if p.all().any(|(_, m)| m.hw.is_some()) {
-            out.push_str("     \"profile\": {");
-            let mut first = true;
-            for (name, m) in p.all() {
-                let Some(hw) = &m.hw else { continue };
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                let num =
-                    |v: Option<f64>| v.map_or_else(|| "null".to_string(), |v| format!("{v:.4}"));
-                let _ = write!(
-                    out,
-                    "\"{name}\": {{\"ipc\": {}, \"llc_mpki\": {}, \"l1d_mpki\": {}}}",
-                    num(hw.ipc()),
-                    num(hw.per_kilo_instruction(HwCounter::LlcMisses)),
-                    num(hw.per_kilo_instruction(HwCounter::L1dMisses)),
-                );
-            }
-            out.push_str("},\n");
-        }
         let _ = write!(
             out,
             "     \"best_naive\": \"{bn_name}\", \"vendor_over_naive\": {:.4}}}",
@@ -290,19 +228,17 @@ fn json_snapshot(
 
 fn main() {
     let args = HarnessArgs::from_env();
-    args.start_profiling();
     let trace = args.start_trace();
     let reps = if args.quick { 3 } else { 5 };
     let workers = args.thread_count();
     let pool = ThreadPool::new(workers);
     let manifest = Manifest::collect(workers);
     println!(
-        "host: {workers} workers; caches L1d={}K L2={}K L3={}K ({}); {reps} reps after warm-up; counters {}; tuned microkernel ISA: {}\n",
+        "host: {workers} workers; caches L1d={}K L2={}K L3={}K ({}); {reps} reps after warm-up; tuned microkernel ISA: {}\n",
         manifest.cache.l1d_bytes / 1024,
         manifest.cache.l2_bytes / 1024,
         manifest.cache.l3_bytes / 1024,
         manifest.cache.source,
-        manifest.counters,
         manifest.simd_isa
     );
     // Telemetry epoch: everything stamped into the snapshot is a delta
@@ -337,7 +273,7 @@ fn main() {
         points.push(measure_point::<f64>(&pool, reps, n));
     }
     points.push(measure_point::<f32>(&pool, reps, 1024));
-    print_points(&points, args.csv, args.profile);
+    print_points(&points, args.csv);
 
     let headline = points
         .iter()

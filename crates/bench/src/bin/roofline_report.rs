@@ -3,27 +3,22 @@
 //! kernel snippets (§V discussion).
 //!
 //! `--measured` adds a host section that places the real kernels on the
-//! roofline from *measured* data: analytic FLOP counts (exact, from the
-//! loop nest) divided by counter-derived DRAM traffic (LLC misses × line
-//! size, read around the pool regions by `perfport-obs`). Cache blocking
-//! is then visible as measured arithmetic intensity, not just asserted:
-//! the tuned kernel's AI should sit well above the naive variants'.
-//! Without usable counters (containers, `perf_event_paranoid`) the
-//! section degrades to timing plus analytic AI and says so.
+//! roofline: measured GFLOP/s of every CPU variant and the tuned kernel
+//! on this host, at the analytic arithmetic intensity of the GEMM
+//! (exact FLOPs over compulsory traffic).
 
-use perfport_bench::{HarnessArgs, Manifest};
+use perfport_bench::HarnessArgs;
 use perfport_gemm::{
     gemm_arithmetic_intensity, gemm_flops, par_gemm, tuned, CpuVariant, Layout, Matrix,
 };
 use perfport_machines::{Precision, Roofline};
 use perfport_metrics::productivity;
 use perfport_models::Arch;
-use perfport_obs::{self as obs};
 use perfport_pool::Schedule;
 use std::time::Instant;
 
 const USAGE: &str =
-    "usage: roofline_report [--measured] [--quick] [--csv] [--threads <n>] [--trace <path>] [--profile]";
+    "usage: roofline_report [--measured] [--quick] [--csv] [--threads <n>] [--trace <path>]";
 
 fn main() {
     let mut measured = false;
@@ -49,7 +44,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    args.start_profiling();
     let trace = args.start_trace();
 
     println!("== R1: rooflines ==");
@@ -107,100 +101,66 @@ fn main() {
     }
 }
 
-/// One measured placement: mean rate plus the counter delta of the
-/// timed reps.
-fn measure(reps: usize, n: usize, run: &dyn Fn()) -> (f64, obs::Totals) {
+/// Mean measured rate of `run` over `reps` timed repetitions.
+fn measure(reps: usize, n: usize, run: &dyn Fn()) -> f64 {
     run(); // warm-up excluded, as everywhere in this harness
-    let before = obs::totals();
     let t0 = Instant::now();
     for _ in 0..reps {
         run();
     }
     let per_rep = t0.elapsed().as_secs_f64() / reps as f64;
-    let hw = obs::totals().delta(&before);
-    (gemm_flops(n, n, n) as f64 / per_rep / 1e9, hw)
+    gemm_flops(n, n, n) as f64 / per_rep / 1e9
 }
 
 fn measured_roofline(args: &HarnessArgs) {
-    let avail = obs::try_enable();
     let n = if args.quick { 512 } else { 1024 };
     let reps = if args.quick { 2 } else { 3 };
     let pool = args.make_pool();
-    let manifest = Manifest::collect(pool.num_threads());
-    let flops = gemm_flops(n, n, n);
-    let ai_analytic = gemm_arithmetic_intensity(n, n, n, std::mem::size_of::<f64>());
+    let ai = gemm_arithmetic_intensity(n, n, n, std::mem::size_of::<f64>());
 
     println!();
     println!(
         "== measured roofline placement (FP64, n={n}, {} workers, host) ==",
         pool.num_threads()
     );
-    println!("  hardware counters: {}", manifest.counters);
-    println!("  analytic AI floor (compulsory traffic only): {ai_analytic:.1} flops/byte");
+    println!("  analytic AI (compulsory traffic only): {ai:.1} flops/byte");
     println!(
-        "  {:<10} {:>10} {:>12} {:>12} {:>7}",
-        "variant", "GFLOP/s", "analytic AI", "measured AI", "IPC"
+        "  {:<10} {:>10} {:>12}",
+        "variant", "GFLOP/s", "analytic AI"
     );
 
-    let mut rows: Vec<(&'static str, f64, Option<f64>, Option<f64>)> = Vec::new();
+    let mut rows: Vec<(&'static str, f64)> = Vec::new();
     for &v in CpuVariant::ALL.iter() {
         let layout = v.layout();
         let a = Matrix::<f64>::random(n, n, layout, 3);
         let b = Matrix::<f64>::random(n, n, layout, 4);
-        let (gflops, hw) = measure(reps, n, &|| {
+        let gflops = measure(reps, n, &|| {
             let mut c = Matrix::<f64>::zeros(n, n, layout);
             par_gemm(&pool, v, &a, &b, &mut c, Schedule::StaticBlock);
             std::hint::black_box(&c);
         });
-        rows.push((v.name(), gflops, measured_ai(flops, reps, &hw), hw.ipc()));
+        rows.push((v.name(), gflops));
     }
     let a = Matrix::<f64>::random(n, n, Layout::RowMajor, 3);
     let b = Matrix::<f64>::random(n, n, Layout::RowMajor, 4);
     let params = tuned::TunedParams::host::<f64>();
-    let (gflops, hw) = measure(reps, n, &|| {
+    let gflops = measure(reps, n, &|| {
         let mut c = Matrix::<f64>::zeros(n, n, Layout::RowMajor);
         tuned::gemm(&pool, &a, &b, &mut c, &params);
         std::hint::black_box(&c);
     });
-    rows.push(("tuned", gflops, measured_ai(flops, reps, &hw), hw.ipc()));
+    rows.push(("tuned", gflops));
 
-    let fmt = |v: Option<f64>| match v {
-        Some(v) => format!("{v:.2}"),
-        None => "-".to_string(),
-    };
-    for (name, gflops, ai, ipc) in &rows {
-        println!(
-            "  {name:<10} {gflops:>10.3} {ai_analytic:>12.1} {:>12} {:>7}",
-            fmt(*ai),
-            fmt(*ipc)
-        );
-    }
-    if avail.is_available() {
-        println!(
-            "  (measured AI = analytic flops / (LLC misses × 64B); blocking that\n   \
-             keeps the working set in cache raises it above the compulsory floor)"
-        );
-    } else {
-        println!("  (counters unavailable on this host — timing-only, measured AI omitted)");
+    for (name, gflops) in &rows {
+        println!("  {name:<10} {gflops:>10.3} {ai:>12.1}");
     }
     if args.csv {
         println!("-- measured csv --");
-        println!("variant,gflops,analytic_ai,measured_ai,ipc");
-        for (name, gflops, ai, ipc) in &rows {
-            println!(
-                "{name},{gflops:.4},{ai_analytic:.2},{},{}",
-                fmt(*ai),
-                fmt(*ipc)
-            );
+        println!("variant,gflops,analytic_ai");
+        for (name, gflops) in &rows {
+            println!("{name},{gflops:.4},{ai:.2}");
         }
     }
-}
-
-/// Measured arithmetic intensity: exact FLOPs over counter-estimated
-/// DRAM traffic. `None` when the run recorded no usable counts.
-fn measured_ai(flops_per_run: u64, reps: usize, hw: &obs::Totals) -> Option<f64> {
-    let bytes = hw.est_dram_bytes();
-    (bytes > 0).then(|| (flops_per_run * reps as u64) as f64 / bytes as f64)
 }
 
 fn roofline_for(arch: Arch, p: Precision) -> (&'static str, Roofline) {

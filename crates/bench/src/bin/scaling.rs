@@ -9,7 +9,6 @@ use perfport_models::{Arch, ProgModel};
 
 fn main() {
     let args = HarnessArgs::from_env();
-    args.start_profiling();
     let trace = args.start_trace();
     let n = if args.quick { 1024 } else { 4096 };
     for arch in [Arch::Epyc7A53, Arch::AmpereAltra] {

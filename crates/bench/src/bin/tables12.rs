@@ -9,7 +9,6 @@ use perfport_models::{cpu_profile, gpu_profile, support, Arch, ProgModel};
 
 fn main() {
     let args = HarnessArgs::from_env();
-    args.start_profiling();
     let trace = args.start_trace();
     println!("Table I: CPU experiment specs");
     println!(

@@ -3,10 +3,8 @@
 //! Every binary accepts `--quick` (reduced sweep for smoke testing),
 //! `--csv` (machine-readable output next to the human-readable table),
 //! `--threads <n>` (worker-team size, default: all available cores),
-//! `--trace <path>` (write a Chrome `trace_event` file capturing region,
-//! kernel-launch, and size-point spans for the run), and `--profile`
-//! (read hardware counters around pool regions via `perfport-obs`;
-//! degrades to timing-only with a note when counters are unavailable).
+//! and `--trace <path>` (write a Chrome `trace_event` file capturing
+//! region, kernel-launch, and size-point spans for the run).
 //! Unknown flags are an error: the binary prints the usage line and
 //! exits with status 2. Binaries with extra flags (`host_gemm`,
 //! `roofline_report`) extend the same parser via
@@ -34,11 +32,11 @@ use perfport_core::{
 use std::path::PathBuf;
 
 /// The usage line shared by every regeneration binary.
-pub const USAGE: &str = "usage: [--quick] [--csv] [--threads <n>] [--trace <path>] [--profile]";
+pub const USAGE: &str = "usage: [--quick] [--csv] [--threads <n>] [--trace <path>]";
 
 /// The usage line for the figure binaries, which also shard and select
 /// the vendor baseline for the GPU efficiency rows.
-pub const STUDY_USAGE: &str = "usage: [--quick] [--csv] [--threads <n>] [--trace <path>] [--profile] [--shard <i/n>] [--jobs <n>] [--baseline measured|modelled]";
+pub const STUDY_USAGE: &str = "usage: [--quick] [--csv] [--threads <n>] [--trace <path>] [--shard <i/n>] [--jobs <n>] [--baseline measured|modelled]";
 
 /// Command-line options shared by the regeneration binaries.
 #[derive(Debug, Clone, Default)]
@@ -51,8 +49,6 @@ pub struct HarnessArgs {
     pub threads: Option<usize>,
     /// Write a Chrome trace of the run here.
     pub trace: Option<PathBuf>,
-    /// Read hardware counters around pool regions and kernel sweeps.
-    pub profile: bool,
     /// `--help`/`-h` was given; [`HarnessArgs::parse`] prints usage and
     /// exits before a binary ever observes this set.
     pub help: bool,
@@ -90,7 +86,6 @@ impl HarnessArgs {
             match a.as_str() {
                 "--quick" => out.quick = true,
                 "--csv" => out.csv = true,
-                "--profile" => out.profile = true,
                 "--help" | "-h" => out.help = true,
                 "--threads" => match it.next() {
                     Some(n) => out.threads = Some(parse_thread_count(&n)?),
@@ -145,18 +140,6 @@ impl HarnessArgs {
     /// Parses from the process arguments.
     pub fn from_env() -> Self {
         Self::parse(std::env::args().skip(1))
-    }
-
-    /// Enables hardware-counter profiling when `--profile` was given,
-    /// printing a one-line notice either way (to stderr, so tables stay
-    /// clean). Returns whether counters are actually recording.
-    pub fn start_profiling(&self) -> bool {
-        if !self.profile {
-            return false;
-        }
-        let avail = perfport_obs::try_enable();
-        eprintln!("hardware counters: {}", avail.manifest_str());
-        avail.is_available()
     }
 
     /// The worker-team size to run with: the `--threads` override, or
@@ -411,7 +394,6 @@ pub fn print_study(ids: &[&str], args: &HarnessArgs, study: &ShardArgs) {
     if !study.is_sharded() {
         return print_panels_with(ids, args, study.baseline());
     }
-    args.start_profiling();
     let shard = study.shard();
     let jobs = study.jobs();
     let trace = args.start_trace_with(|m| {
@@ -447,7 +429,6 @@ pub fn print_panels(ids: &[&str], args: &HarnessArgs) {
 /// gpusim simulator, `BENCH_gpu.json`) — or by the naive modelled
 /// reference alone under `--baseline modelled`, labeled as such.
 pub fn print_panels_with(ids: &[&str], args: &HarnessArgs, baseline: HostBaseline) {
-    args.start_profiling();
     let trace = args.start_trace_with(|m| {
         m.baseline = Some(baseline.label().to_string());
     });
@@ -541,15 +522,6 @@ mod tests {
         assert!(b.quick);
         // A dangling --trace is now a hard error, like any malformed flag.
         assert!(parse_err(&["--trace"]).contains("path"));
-    }
-
-    #[test]
-    fn profile_flag_parses_everywhere() {
-        assert!(parse_ok(&["--profile"]).profile);
-        assert!(!parse_ok(&[]).profile);
-        let a = parse_ok(&["--quick", "--profile", "--threads", "2"]);
-        assert!(a.profile && a.quick);
-        assert!(USAGE.contains("--profile"));
     }
 
     #[test]

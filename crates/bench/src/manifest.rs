@@ -7,8 +7,8 @@
 //! module captures the same disclosure for *our* measured artifacts:
 //! every `BENCH_gemm.json` snapshot, roofline report, and trace carries
 //! the git revision, rustc, CPU model, detected cache hierarchy (and
-//! whether it was detected or defaulted), worker count, and hardware-
-//! counter availability of the run that produced it.
+//! whether it was detected or defaulted), worker count, and telemetry
+//! build mode of the run that produced it.
 
 use perfport_pool::CacheInfo;
 use std::fmt::Write as _;
@@ -55,16 +55,10 @@ pub struct Manifest {
     /// Detected cache hierarchy (carries its own provenance in
     /// [`CacheInfo::source`]).
     pub cache: CacheInfo,
-    /// Hardware-counter availability: `"available"` or
-    /// `"unavailable (reason)"`, from the `perfport-obs` probe.
-    pub counters: String,
     /// Telemetry build mode of the binary that produced the run:
     /// `"on"` (always-on sharded metrics + flight recorder) or `"stub"`
     /// (compile-time no-op build used by the overhead gate).
     pub telemetry: String,
-    /// Whether hardware profiling was actually enabled for the run
-    /// (requested via `--profile` *and* available).
-    pub profiling: bool,
 }
 
 fn command_line(cmd: &str, args: &[&str]) -> Option<String> {
@@ -131,9 +125,7 @@ impl Manifest {
             jobs: None,
             baseline: None,
             cache: CacheInfo::host(),
-            counters: perfport_obs::probe().manifest_str(),
             telemetry: perfport_telemetry::build_mode().to_string(),
-            profiling: perfport_obs::enabled(),
         }
     }
 
@@ -187,9 +179,7 @@ impl Manifest {
             "{pad}  \"cache\": {{\"l1d_bytes\": {}, \"l2_bytes\": {}, \"l3_bytes\": {}, \"source\": \"{}\"}},",
             self.cache.l1d_bytes, self.cache.l2_bytes, self.cache.l3_bytes, self.cache.source
         );
-        let _ = writeln!(out, "{pad}  \"counters\": \"{}\",", esc(&self.counters));
-        let _ = writeln!(out, "{pad}  \"telemetry\": \"{}\",", esc(&self.telemetry));
-        let _ = writeln!(out, "{pad}  \"profiling\": {}", self.profiling);
+        let _ = writeln!(out, "{pad}  \"telemetry\": \"{}\"", esc(&self.telemetry));
         let _ = write!(out, "{pad}}}");
         out
     }
@@ -214,9 +204,7 @@ impl Manifest {
                 "cache_source".to_string(),
                 Value::Str(self.cache.source.to_string()),
             ),
-            ("counters".to_string(), Value::Str(self.counters.clone())),
             ("telemetry".to_string(), Value::Str(self.telemetry.clone())),
-            ("profiling".to_string(), Value::from(self.profiling)),
         ];
         if let Some(isa) = &self.simd_rejected {
             args.push(("simd_rejected".to_string(), Value::Str(isa.clone())));
@@ -246,7 +234,6 @@ mod tests {
         assert!(!m.rustc.is_empty());
         assert!(!m.cpu_model.is_empty());
         assert!(!m.os.is_empty() && !m.arch.is_empty());
-        assert!(m.counters == "available" || m.counters.starts_with("unavailable"));
     }
 
     #[test]
@@ -264,9 +251,7 @@ mod tests {
             jobs: None,
             baseline: None,
             cache: CacheInfo::DEFAULT,
-            counters: "unavailable (perf_event_paranoid=3)".to_string(),
             telemetry: "on".to_string(),
-            profiling: false,
         };
         let text = m.to_json(2);
         let doc = perfport_trace::json::parse(&text).expect("manifest must be valid JSON");
@@ -288,14 +273,7 @@ mod tests {
             doc.get("cache").unwrap().get("source").unwrap().as_str(),
             Some("defaults")
         );
-        assert!(doc
-            .get("counters")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .starts_with("unavailable"));
         assert_eq!(doc.get("telemetry").unwrap().as_str(), Some("on"));
-        assert_eq!(doc.get("profiling").unwrap().as_bool(), Some(false));
     }
 
     #[test]
@@ -339,7 +317,6 @@ mod tests {
             "git_sha",
             "rustc",
             "cpu_model",
-            "counters",
             "telemetry",
             "threads",
             "simd_isa",

@@ -36,7 +36,9 @@ use crate::scalar::Scalar;
 use crate::tuned::{gemm_serial, with_thread_arena, TunedParams};
 use perfport_half::F16;
 use perfport_pool::{Schedule, ThreadPool};
-use std::collections::BTreeMap;
+use perfport_telemetry::{Counter, Histogram};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Element precision of one batched problem, in canonical bucket order
@@ -252,6 +254,14 @@ fn solve<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, params: &TunedParams) -> Matri
     c
 }
 
+static PROBLEMS: Counter = Counter::new("batch/problems");
+
+thread_local! {
+    /// This thread's handles of the per-bucket `batch/service_ns/<key>`
+    /// histograms, so each bucket's name is built once per thread.
+    static SERVICE_NS: RefCell<HashMap<BucketKey, Histogram>> = RefCell::new(HashMap::new());
+}
+
 fn run_problem(problem: &Problem, params: &TunedParams) -> Output {
     let t0 = std::time::Instant::now();
     let output = match problem {
@@ -263,8 +273,14 @@ fn run_problem(problem: &Problem, params: &TunedParams) -> Output {
     // number of problems in O(1) memory, keyed so a serving mix's
     // buckets stay separable in the merged snapshot.
     let service_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    perfport_telemetry::counter_add("batch/problems", 1);
-    perfport_telemetry::observe(&format!("batch/service_ns/{}", problem.key()), service_ns);
+    PROBLEMS.add(1);
+    SERVICE_NS.with(|handles| {
+        handles
+            .borrow_mut()
+            .entry(problem.key())
+            .or_insert_with_key(|key| Histogram::named(&format!("batch/service_ns/{key}")))
+            .observe(service_ns);
+    });
     output
 }
 

@@ -95,7 +95,7 @@ unsafe fn kernel_f32_neon<const MR: usize, const NR: usize>(
 
 /// Safe entry for the NEON `f64` kernel (handed out by
 /// [`crate::simd::select`] only under a NEON verdict).
-pub fn f64_neon<const MR: usize, const NR: usize>(
+pub(crate) fn f64_neon<const MR: usize, const NR: usize>(
     kb: usize,
     ap: &[f64],
     bp: &[f64],
@@ -110,7 +110,7 @@ pub fn f64_neon<const MR: usize, const NR: usize>(
 }
 
 /// Safe entry for the NEON `f32` kernel.
-pub fn f32_neon<const MR: usize, const NR: usize>(
+pub(crate) fn f32_neon<const MR: usize, const NR: usize>(
     kb: usize,
     ap: &[f32],
     bp: &[f32],

@@ -11,11 +11,17 @@
 //! All four kernels (`f64`/`f32` × AVX2/AVX-512) share one body, the
 //! `x86_kernel!` macro: they differ only in element type, lane count and
 //! the five intrinsics that zero, load, broadcast, fuse and store a
-//! vector. The safe entries it generates are the only public surface;
-//! they bound-check the panels and confine the `unsafe` needed to call a
-//! `#[target_feature]` function. Their safety rests on the dispatch
-//! contract in [`crate::simd`]: `select` hands these entries out only
-//! after the matching CPU feature was detected at runtime.
+//! vector. The safe entries it generates bound-check the panels and
+//! confine the `unsafe` needed to call a `#[target_feature]` function.
+//! Their safety rests on the dispatch contract in [`crate::simd`]:
+//! `select` hands these entries out only after the matching CPU feature
+//! was detected at runtime. So the entries are crate-private, and code
+//! outside this crate reaches a kernel only through that check:
+//!
+//! ```compile_fail,E0603
+//! let panel = [0.0f64; 64];
+//! let _ = perfport_gemm::simd::x86::f64_avx512::<8, 8>(1, &panel, &panel);
+//! ```
 //!
 //! The binary16 ↔ `f32` slice conversions of the widened F16 path
 //! (F16C and AVX-512F `vcvtph2ps` / `vcvtps2ph`) share the `x86_half!`
@@ -32,17 +38,17 @@ pub(crate) const MAX_VECS: usize = 2;
 
 /// Defines one x86 microkernel: a `#[target_feature]` body over `W`-lane
 /// vectors of `T`, built from the five intrinsics that differ between
-/// ISAs and precisions, plus the safe bounds-checked entry that is the
-/// module's public surface.
+/// ISAs and precisions, plus its safe bounds-checked, crate-private
+/// entry.
 macro_rules! x86_kernel {
     (
         $(#[$doc:meta])*
-        pub fn $entry:ident => $kernel:ident(
+        pub(crate) fn $entry:ident => $kernel:ident(
             $t:ty, $w:literal lanes, $feature:literal,
             $setzero:ident, $loadu:ident, $set1:ident, $fmadd:ident, $storeu:ident $(,)?
         );
     ) => {
-        /// The `target_feature` body behind the public entry of the same
+        /// The `target_feature` body behind the entry of the same
         /// ISA and precision.
         ///
         /// # Safety
@@ -85,7 +91,7 @@ macro_rules! x86_kernel {
         }
 
         $(#[$doc])*
-        pub fn $entry<const MR: usize, const NR: usize>(
+        pub(crate) fn $entry<const MR: usize, const NR: usize>(
             kb: usize,
             ap: &[$t],
             bp: &[$t],
@@ -106,7 +112,7 @@ x86_kernel! {
     /// `f64` tile on 256-bit AVX2 lanes with FMA accumulation; `NR` must
     /// be a multiple of 4. Also the `f64` kernel under an AVX-512 verdict
     /// for tiles narrower than one zmm register.
-    pub fn f64_avx2 => kernel_f64_avx2(
+    pub(crate) fn f64_avx2 => kernel_f64_avx2(
         f64, 4 lanes, "avx2,fma",
         _mm256_setzero_pd, _mm256_loadu_pd, _mm256_set1_pd, _mm256_fmadd_pd, _mm256_storeu_pd,
     );
@@ -121,7 +127,7 @@ x86_kernel! {
     /// the `8×16` tile against 54.6 with this kernel on `8×8`, so any
     /// AVX-512 frequency penalty there is outweighed by the doubled
     /// vector width.
-    pub fn f32_avx2 => kernel_f32_avx2(
+    pub(crate) fn f32_avx2 => kernel_f32_avx2(
         f32, 8 lanes, "avx2,fma",
         _mm256_setzero_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_fmadd_ps, _mm256_storeu_ps,
     );
@@ -131,7 +137,7 @@ x86_kernel! {
     /// `f64` tile on 512-bit AVX-512F lanes; `NR` must be a multiple of
     /// 8, so each accumulator row of the `8×16` AVX-512 default tile is
     /// two zmm registers (16 accumulators of the 32).
-    pub fn f64_avx512 => kernel_f64_avx512(
+    pub(crate) fn f64_avx512 => kernel_f64_avx512(
         f64, 8 lanes, "avx512f",
         _mm512_setzero_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_fmadd_pd, _mm512_storeu_pd,
     );
@@ -141,7 +147,7 @@ x86_kernel! {
     /// `f32` tile on 512-bit AVX-512F lanes; `NR` must be a multiple of
     /// 16, so each accumulator row of the `8×16` AVX-512 default tile is
     /// exactly one zmm register.
-    pub fn f32_avx512 => kernel_f32_avx512(
+    pub(crate) fn f32_avx512 => kernel_f32_avx512(
         f32, 16 lanes, "avx512f",
         _mm512_setzero_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_fmadd_ps, _mm512_storeu_ps,
     );

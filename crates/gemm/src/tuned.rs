@@ -51,6 +51,7 @@ use crate::scalar::Scalar;
 use crate::simd::{self, HalfConv, Isa};
 use perfport_half::F16;
 use perfport_pool::{CacheInfo, DisjointSlice, RegionStats, Schedule, ThreadPool};
+use perfport_telemetry::{Counter, Histogram};
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -353,8 +354,16 @@ pub fn with_thread_arena<T: Scalar, R>(f: impl FnOnce(&mut PackArena<T>) -> R) -
 
 // ---------------------------------------------------------- counters --
 
-/// Instrumentation of one tuned-GEMM invocation, exported through
-/// `perfport-trace` by the public entry points.
+static INVOCATIONS: Counter = Counter::new("gemm/invocations");
+static PACK_A_BYTES: Counter = Counter::new("gemm/pack_a_bytes");
+static PACK_B_BYTES: Counter = Counter::new("gemm/pack_b_bytes");
+static MICROKERNEL_CALLS: Counter = Counter::new("gemm/microkernel_calls");
+static PACK_NS: Histogram = Histogram::new("gemm/pack_ns");
+static COMPUTE_NS: Histogram = Histogram::new("gemm/compute_ns");
+
+/// Instrumentation of one tuned-GEMM invocation, recorded into
+/// telemetry by the public entry points (and carried on the
+/// `gemm:tuned` trace span by [`gemm`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TunedStats {
     /// Bytes copied into packed `A` blocks.
@@ -366,29 +375,11 @@ pub struct TunedStats {
 }
 
 impl TunedStats {
-    fn emit(&self, tile: TileShape, isa: Isa) {
-        perfport_telemetry::counter_add("gemm/invocations", 1);
-        perfport_telemetry::counter_add("gemm/pack_a_bytes", self.pack_a_bytes);
-        perfport_telemetry::counter_add("gemm/pack_b_bytes", self.pack_b_bytes);
-        perfport_telemetry::counter_add("gemm/microkernel_calls", self.microkernel_calls);
-        if perfport_trace::enabled() {
-            perfport_trace::counter("gemm", "tuned_pack_a_bytes", self.pack_a_bytes as f64);
-            perfport_trace::counter("gemm", "tuned_pack_b_bytes", self.pack_b_bytes as f64);
-            perfport_trace::counter(
-                "gemm",
-                "tuned_microkernel_calls",
-                self.microkernel_calls as f64,
-            );
-            perfport_trace::instant(
-                "gemm",
-                "tuned_tile",
-                vec![
-                    ("mr".to_string(), (tile.mr as u64).into()),
-                    ("nr".to_string(), (tile.nr as u64).into()),
-                    ("isa".to_string(), isa.name().into()),
-                ],
-            );
-        }
+    fn emit(&self) {
+        INVOCATIONS.add(1);
+        PACK_A_BYTES.add(self.pack_a_bytes);
+        PACK_B_BYTES.add(self.pack_b_bytes);
+        MICROKERNEL_CALLS.add(self.microkernel_calls);
     }
 }
 
@@ -1037,7 +1028,7 @@ pub fn gemm_serial_with_isa<T: Scalar>(
     let rows = 0..shape.0;
     let ds = DisjointSlice::new(c.as_mut_slice());
     let stats = gemm_rows_with_isa(a, b, &ds, shape, layout, rows, params, arena, isa);
-    stats.emit(params.tile, isa);
+    stats.emit();
     stats
 }
 
@@ -1045,9 +1036,10 @@ pub fn gemm_serial_with_isa<T: Scalar>(
 /// index space of one `parallel_for` (static block schedule), and every
 /// worker packs through its thread-local arena. Returns the region
 /// instrumentation; the packing/microkernel counters go to telemetry and
-/// `perfport-trace`, and each worker's pack and compute wall time to the
-/// `gemm/pack_ns` and `gemm/compute_ns` histograms. Results are
-/// bitwise-identical to [`gemm_serial`] for every team size.
+/// to the `gemm:tuned` trace span's arguments, and each worker's pack
+/// and compute wall time to the `gemm/pack_ns` and `gemm/compute_ns`
+/// histograms. Results are bitwise-identical to [`gemm_serial`] for
+/// every team size.
 pub fn gemm<T: Scalar>(
     pool: &ThreadPool,
     a: &Matrix<T>,
@@ -1068,9 +1060,9 @@ pub fn gemm<T: Scalar>(
         sp.arg("mc", params.blocks.mc);
         sp.arg("kc", params.blocks.kc);
         sp.arg("nc", params.blocks.nc);
-        // FLOP/byte annotation: pairs the analytic work and compulsory
-        // traffic with whatever hardware counters the run records, so a
-        // trace alone is enough to place this kernel on a roofline.
+        // FLOP/byte annotation: the analytic work and compulsory
+        // traffic, so a trace alone is enough to place this kernel on a
+        // roofline.
         sp.arg("flops", crate::serial::gemm_flops(m, n, a.cols()));
         sp.arg(
             "min_bytes",
@@ -1094,15 +1086,18 @@ pub fn gemm<T: Scalar>(
         pack_a_total.fetch_add(stats.pack_a_bytes, Ordering::Relaxed);
         pack_b_total.fetch_add(stats.pack_b_bytes, Ordering::Relaxed);
         micro_total.fetch_add(stats.microkernel_calls, Ordering::Relaxed);
-        perfport_telemetry::observe("gemm/pack_ns", phases.pack);
-        perfport_telemetry::observe("gemm/compute_ns", phases.compute);
+        PACK_NS.observe(phases.pack);
+        COMPUTE_NS.observe(phases.compute);
     });
     let totals = TunedStats {
         pack_a_bytes: pack_a_total.into_inner(),
         pack_b_bytes: pack_b_total.into_inner(),
         microkernel_calls: micro_total.into_inner(),
     };
-    totals.emit(params.tile, isa);
+    totals.emit();
+    sp.arg("pack_a_bytes", totals.pack_a_bytes);
+    sp.arg("pack_b_bytes", totals.pack_b_bytes);
+    sp.arg("microkernel_calls", totals.microkernel_calls);
     region
 }
 

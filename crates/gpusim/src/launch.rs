@@ -271,7 +271,6 @@ impl Gpu {
                 "coalescing_efficiency",
                 stats.coalescing_efficiency(),
             );
-            perfport_trace::counter("gpu", "occupancy", occ.fraction);
         }
         Ok(stats)
     }

@@ -13,6 +13,7 @@ use crate::stats::RegionStats;
 use crate::topology::{place, CpuTopology, PinPolicy, Placement};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
+use perfport_telemetry::{Counter, Detail, Histogram};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -128,37 +129,38 @@ unsafe fn call_body<F: Fn(usize) + Sync>(data: *const (), thread_id: usize) {
     f(thread_id);
 }
 
+static REGIONS: Counter = Counter::new("pool/regions");
+static REGION_NS: Histogram = Histogram::new("pool/region_ns");
+static PARALLEL_FOR_NS: Histogram = Histogram::new("pool/parallel_for_ns");
+static BARRIER_WAIT_NS: Counter = Counter::new("pool/barrier_wait_ns");
+static WORKER_PANICS: Counter = Counter::new("pool/worker_panics");
+static REGIONS_POISONED: Counter = Counter::new("pool/regions_poisoned");
+
 /// Runs one team member's share of a region the same way on a worker and
-/// on the calling thread: inside a hardware-counter scope (a no-op unless
-/// profiling is enabled), with a panic caught, counted, logged as a
+/// on the calling thread: with a panic caught, counted, logged as a
 /// `task_panic` event and flight-recorded. Returns whether `body`
 /// panicked.
 ///
-/// The counter scope is dropped before the caller signals completion, so
-/// the coordinator never observes a half-recorded region. The flight dump
-/// fires before the coordinator learns of the failure, and the dump guard
-/// is first-trigger-wins, so the file on disk ends with this event.
+/// The flight dump fires before the coordinator learns of the failure,
+/// and the dump guard is first-trigger-wins, so the file on disk ends
+/// with this event.
 fn run_job(body: impl FnOnce()) -> bool {
-    let result = {
-        let _hw = perfport_obs::thread_scope();
-        catch_unwind(AssertUnwindSafe(body))
-    };
-    let Err(payload) = result else {
+    let Err(payload) = catch_unwind(AssertUnwindSafe(body)) else {
         return false;
     };
     let msg = perfport_telemetry::panic_message(&*payload);
-    perfport_telemetry::counter_add("pool/worker_panics", 1);
-    perfport_telemetry::event("task_panic", msg.clone());
+    WORKER_PANICS.add(1);
+    perfport_telemetry::event("task_panic", Detail::Text(msg.clone()));
     perfport_telemetry::flight_dump("task_panic", &msg);
     true
 }
 
 /// Re-raises a team member's panic on the caller once its region (or
 /// inline call) has finished, after recording the poisoning.
-fn raise_region_panic(region_ns: u64) -> ! {
+fn raise_region_panic(region: Duration) -> ! {
     const MSG: &str = "a perfport-pool worker panicked inside a parallel region";
-    perfport_telemetry::counter_add("pool/regions_poisoned", 1);
-    perfport_telemetry::event("region_poison", format!("ns={region_ns}"));
+    REGIONS_POISONED.add(1);
+    perfport_telemetry::event("region_poison", Detail::Num("ns", nanos(region)));
     perfport_telemetry::flight_dump("region_poison", MSG);
     panic!("{MSG}");
 }
@@ -276,11 +278,11 @@ impl ThreadPool {
     ///
     /// Re-raises (as a panic) if any worker's body panicked.
     pub fn run_region<F: Fn(usize) + Sync>(&self, body: &F) {
-        let mut sp = perfport_trace::span("pool", "region");
-        sp.arg("team", self.senders.len());
-        perfport_telemetry::event("region_begin", format!("team={}", self.senders.len()));
-        let started = Instant::now();
-        let state = RegionState::new(self.senders.len());
+        let team = self.senders.len();
+        perfport_telemetry::event("region_begin", Detail::Num("team", team as u64));
+        let mut sp = REGION_NS.span("pool", "region");
+        sp.arg("team", team);
+        let state = RegionState::new(team);
         for tx in &self.senders {
             let job = Job {
                 data: body as *const F as *const (),
@@ -290,16 +292,15 @@ impl ThreadPool {
             tx.send(job_msg(job)).expect("worker channel closed");
         }
         state.wait();
-        let region_ns = region_ns_u64(started.elapsed());
-        perfport_telemetry::counter_add("pool/regions", 1);
-        perfport_telemetry::observe("pool/region_ns", region_ns);
+        let region = sp.stop();
+        REGIONS.add(1);
         self.regions_run.fetch_add(1, Ordering::Relaxed);
         let panicked = state.panicked.load(Ordering::Acquire);
         sp.arg("panicked", panicked);
         if panicked {
-            raise_region_panic(region_ns);
+            raise_region_panic(region);
         }
-        perfport_telemetry::event("region_end", format!("ns={region_ns}"));
+        perfport_telemetry::event("region_end", Detail::Num("ns", nanos(region)));
     }
 
     /// Work-sharing loop over `0..n`: `body(ctx, chunk)` is invoked for
@@ -322,7 +323,6 @@ impl ThreadPool {
         F: Fn(ForContext, Chunk) + Sync,
     {
         let team = self.num_threads();
-        let mut sp = perfport_trace::span("pool", "parallel_for");
         let items = SlotCell::<usize>::new(team);
         let chunks = SlotCell::<usize>::new(team);
         let busy = SlotCell::<Duration>::new(team);
@@ -330,7 +330,7 @@ impl ThreadPool {
         let placements = &self.placements;
         let inline = n <= 1;
 
-        let started = Instant::now();
+        let mut sp = PARALLEL_FOR_NS.span("pool", "parallel_for");
         // `share` is the number of threads the schedule divides `0..n`
         // among: the pool's team, or the caller alone when inline.
         let work = |tid: usize, share: usize| {
@@ -365,12 +365,12 @@ impl ThreadPool {
         };
         if inline {
             if run_job(|| work(0, 1)) {
-                raise_region_panic(region_ns_u64(started.elapsed()));
+                raise_region_panic(sp.stop());
             }
         } else {
             self.run_region(&|tid| work(tid, team));
         }
-        let elapsed = started.elapsed();
+        let elapsed = sp.stop();
 
         let busy = busy.into_inner();
         let max_busy = busy.iter().copied().max().unwrap_or(Duration::ZERO);
@@ -388,14 +388,8 @@ impl ThreadPool {
             fork_join_overhead: elapsed.saturating_sub(max_busy),
             barrier_wait_per_thread,
         };
-        let barrier_wait_ns = stats
-            .total_barrier_wait()
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64;
-        perfport_telemetry::counter_add("pool/barrier_wait_ns", barrier_wait_ns);
-        perfport_telemetry::observe("pool/parallel_for_ns", region_ns_u64(elapsed));
-        if sp.is_recording() {
-            perfport_trace::counter("pool", "barrier_wait_ns", barrier_wait_ns as f64);
+        BARRIER_WAIT_NS.add(nanos(stats.total_barrier_wait()));
+        if sp.is_traced() {
             sp.arg("n", n);
             sp.arg("schedule", format!("{schedule:?}"));
             sp.arg("team", team);
@@ -408,11 +402,7 @@ impl ThreadPool {
                 stats.items_per_thread.iter().copied().max().unwrap_or(0),
             );
             sp.arg("imbalance", stats.imbalance());
-            sp.arg(
-                "fork_join_overhead_ns",
-                stats.fork_join_overhead.as_nanos() as u64,
-            );
-            perfport_trace::counter("pool", "imbalance", stats.imbalance());
+            sp.arg("fork_join_overhead_ns", nanos(stats.fork_join_overhead));
         }
         stats
     }
@@ -466,8 +456,8 @@ fn job_msg(job: Job) -> Msg {
     Msg::Run(job)
 }
 
-/// `Duration` → saturating nanoseconds, for telemetry histograms.
-fn region_ns_u64(d: Duration) -> u64 {
+/// `Duration` → saturating nanoseconds, for telemetry and flight events.
+fn nanos(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 

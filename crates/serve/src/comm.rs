@@ -39,9 +39,13 @@
 //! ```
 
 use crate::frame::{DecodeStep, Frame, FrameError};
+use perfport_telemetry::Counter;
 use std::fmt;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
+
+static FRAMES_TX: Counter = Counter::new("serve/frames_tx");
+static FRAMES_RX: Counter = Counter::new("serve/frames_rx");
 
 /// A transport-level failure while sending or receiving frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,14 +154,14 @@ impl Loopback {
 
 impl Communicator for Loopback {
     fn send(&mut self, frame: &Frame) -> Result<(), CommError> {
-        perfport_telemetry::counter_add("serve/frames_tx", 1);
+        FRAMES_TX.add(1);
         self.tx.send(frame.encode()).map_err(|_| CommError::Closed)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Frame>, CommError> {
         match self.rx.recv_timeout(timeout) {
             Ok(bytes) => {
-                perfport_telemetry::counter_add("serve/frames_rx", 1);
+                FRAMES_RX.add(1);
                 Ok(Some(Frame::decode_exact(&bytes)?))
             }
             Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
@@ -248,7 +252,7 @@ pub mod tcp_v1 {
 
     impl Communicator for TcpCommunicator {
         fn send(&mut self, frame: &Frame) -> Result<(), CommError> {
-            perfport_telemetry::counter_add("serve/frames_tx", 1);
+            FRAMES_TX.add(1);
             self.stream.write_all(&frame.encode()).map_err(|e| {
                 if closed_kind(e.kind()) {
                     CommError::Closed
@@ -264,7 +268,7 @@ pub mod tcp_v1 {
                 match Frame::decode_step(&self.buf)? {
                     DecodeStep::Ready { frame, consumed } => {
                         self.buf.drain(..consumed);
-                        perfport_telemetry::counter_add("serve/frames_rx", 1);
+                        FRAMES_RX.add(1);
                         return Ok(Some(frame));
                     }
                     DecodeStep::Incomplete { .. } => {}

@@ -58,11 +58,19 @@ use crate::comm::{CommError, Communicator};
 use crate::frame::{Frame, Role, PROTOCOL_VERSION};
 use crate::ServeError;
 use perfport_core::{figure_specs, study_grid, StudyConfig, STUDY_CSV_HEADER};
+use perfport_telemetry::{Counter, Gauge};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+static WORKERS_CONNECTED: Gauge = Gauge::new("serve/workers_connected");
+static LEASES_GRANTED: Counter = Counter::new("serve/leases_granted");
+static LEASES_EXPIRED: Counter = Counter::new("serve/leases_expired");
+static LEASES_COMPLETED: Counter = Counter::new("serve/leases_completed");
+static HEARTBEATS: Counter = Counter::new("serve/heartbeats");
+static POINTS_DONE: Counter = Counter::new("serve/points_done");
 
 /// Everything the coordinator needs to run one distributed study.
 #[derive(Debug, Clone)]
@@ -529,7 +537,7 @@ fn serve(
 
     loop {
         let live = conns.iter().filter(|c| c.alive()).count();
-        perfport_telemetry::gauge_set("serve/workers_connected", live as u64);
+        WORKERS_CONNECTED.set(live as u64);
         // A worker adopted but not yet introduced may still be on its
         // way in: finishing now would drop it mid-handshake.
         if chunks.iter().all(|c| matches!(c.state, ChunkState::Done))
@@ -555,7 +563,7 @@ fn serve(
             } = chunk.state
             {
                 if now >= deadline {
-                    perfport_telemetry::counter_add("serve/leases_expired", 1);
+                    LEASES_EXPIRED.add(1);
                     progress(&format!(
                         "lease over points {}..{} missed its heartbeat window; re-leasing",
                         chunk.range.start, chunk.range.end
@@ -595,7 +603,7 @@ fn serve(
                 conn.kill();
                 continue;
             }
-            perfport_telemetry::counter_add("serve/leases_granted", 1);
+            LEASES_GRANTED.add(1);
             progress(&format!(
                 "leased points {}..{} to worker {} (lease {next_lease_id}, attempt {attempt})",
                 chunks[idx].range.start,
@@ -703,7 +711,7 @@ fn serve(
             // A worker speaks first; anything else before its Hello is
             // a protocol violation like any unexpected frame below.
             Frame::Heartbeat { lease_id, .. } if conn.ident.is_some() => {
-                perfport_telemetry::counter_add("serve/heartbeats", 1);
+                HEARTBEATS.add(1);
                 conn.suspect = false;
                 let now = Instant::now();
                 for chunk in chunks.iter_mut() {
@@ -734,11 +742,8 @@ fn serve(
                     Ok(fresh_points) => {
                         if fresh_points > 0 {
                             points_done += fresh_points;
-                            perfport_telemetry::counter_add("serve/leases_completed", 1);
-                            perfport_telemetry::counter_add(
-                                "serve/points_done",
-                                fresh_points as u64,
-                            );
+                            LEASES_COMPLETED.add(1);
+                            POINTS_DONE.add(fresh_points as u64);
                             if let Some(ident) = &conn.ident {
                                 let entry =
                                     manifests.entry(ident.clone()).or_insert(WorkerProvenance {
@@ -856,7 +861,7 @@ fn release_conn_lease(
     for chunk in chunks.iter_mut() {
         if let ChunkState::Leased { conn, attempt, .. } = chunk.state {
             if conn == i {
-                perfport_telemetry::counter_add("serve/leases_expired", 1);
+                LEASES_EXPIRED.add(1);
                 expire_chunk(chunk, attempt, cfg)?;
             }
         }

@@ -15,7 +15,10 @@ use crate::coordinator::{parse_spec, validate_ids};
 use crate::frame::{Frame, Role};
 use crate::ServeError;
 use perfport_core::{render_study_csv, shard::run_grid_point, study_grid, StudyConfig};
+use perfport_telemetry::Counter;
 use std::sync::OnceLock;
+
+static WORKER_POINTS: Counter = Counter::new("serve/worker_points");
 
 /// Options for one worker session.
 #[derive(Debug, Clone)]
@@ -158,7 +161,7 @@ pub fn run(comm: &mut dyn Communicator, cfg: &WorkerConfig) -> Result<WorkerSumm
                     }
                     results.push(run_grid_point(&grid[idx], &study_cfg));
                     summary.points += 1;
-                    perfport_telemetry::counter_add("serve/worker_points", 1);
+                    WORKER_POINTS.add(1);
                     comm.send(&Frame::Heartbeat {
                         lease_id,
                         done: (done + 1) as u64,

@@ -4,20 +4,23 @@
 //! Every thread that records an event owns a fixed-size [`Ring`]
 //! (capacity [`DEFAULT_RING_CAPACITY`]) holding the newest structured
 //! events — region begin/end, region poisoning, task panics.
-//! Recording is a push into a thread-owned ring behind an uncontended
-//! mutex; memory is bounded no matter how long the process runs. The
-//! rings are invisible in steady state: nothing is ever written to disk
-//! until a pool region poisons or a task panics, at which point [`dump`]
-//! merges every ring in timestamp order, appends the triggering event
-//! **last**, and serializes the lot to `flight-<pid>.json` (in
-//! `PERFPORT_FLIGHT_DIR`, or the working directory) for post-mortem
-//! inspection.
+//! Recording pushes a static kind, the time and a [`Detail`] (a named
+//! number on every hot path) into a thread-owned ring behind an
+//! uncontended mutex; the thread's label is kept once per ring, so
+//! nothing is formatted or allocated until a dump. Memory is bounded no
+//! matter how long the process runs. The rings are invisible in steady
+//! state: nothing is ever written to disk until a pool region poisons
+//! or a task panics, at which point [`dump`] merges every ring in
+//! timestamp order, appends the triggering event **last**, and
+//! serializes the lot to `flight-<pid>.json` (in `PERFPORT_FLIGHT_DIR`,
+//! or the working directory) for post-mortem inspection.
 //!
 //! Only the first trigger in a process dumps; later poisons see the
 //! guard already taken and skip, so the file on disk always describes
 //! the *first* failure.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -31,7 +34,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 256;
 /// Schema tag stamped into every dump.
 pub const FLIGHT_SCHEMA: &str = "perfport-flight/1";
 
-/// One structured runtime event.
+/// One structured runtime event, as a dump writes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Nanoseconds since the process-wide telemetry epoch (the first
@@ -57,18 +60,56 @@ impl FlightEvent {
     }
 }
 
+/// What an event says beyond its kind. Recording stores it as is; it
+/// becomes text only when a dump is written.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Detail {
+    /// A named number, written `key=value` (`team=2`, `ns=1530`).
+    Num(&'static str, u64),
+    /// Free text, for cold paths such as a panic message.
+    Text(String),
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Detail::Num(key, value) => write!(f, "{key}={value}"),
+            Detail::Text(text) => f.write_str(text),
+        }
+    }
+}
+
+/// An event as a thread's ring holds it: nothing is formatted and, for
+/// numeric details, nothing is allocated.
+struct Record {
+    ts_ns: u64,
+    kind: &'static str,
+    detail: Detail,
+}
+
+impl Record {
+    fn to_event(&self, worker: &str) -> FlightEvent {
+        FlightEvent {
+            ts_ns: self.ts_ns,
+            worker: worker.to_string(),
+            kind: self.kind.to_string(),
+            detail: self.detail.to_string(),
+        }
+    }
+}
+
 /// A fixed-capacity event ring: pushing beyond capacity evicts the
 /// oldest entry, so the ring always holds the newest `capacity`
 /// events in recording order.
 #[derive(Debug)]
-pub struct Ring {
+pub struct Ring<T = FlightEvent> {
     capacity: usize,
-    events: VecDeque<FlightEvent>,
+    events: VecDeque<T>,
 }
 
-impl Ring {
+impl<T> Ring<T> {
     /// An empty ring holding at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> Ring {
+    pub fn new(capacity: usize) -> Ring<T> {
         Ring {
             capacity: capacity.max(1),
             events: VecDeque::new(),
@@ -76,7 +117,7 @@ impl Ring {
     }
 
     /// Appends `event`, evicting the oldest entry when full.
-    pub fn push(&mut self, event: FlightEvent) {
+    pub fn push(&mut self, event: T) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
         }
@@ -84,7 +125,7 @@ impl Ring {
     }
 
     /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
+    pub fn events(&self) -> impl Iterator<Item = &T> {
         self.events.iter()
     }
 
@@ -111,53 +152,51 @@ fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// All per-thread rings; locked only at thread registration and dump.
-static RINGS: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
-
-fn rings() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
+/// One thread's ring with the thread's label, which every event of the
+/// ring shares.
+struct ThreadRing {
+    worker: Arc<str>,
+    ring: Mutex<Ring<Record>>,
 }
+
+/// All per-thread rings; locked only at thread registration and dump.
+static RINGS: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
 
 /// Monotonic label source for unnamed threads.
 static WORKER_SEQ: AtomicU64 = AtomicU64::new(0);
 
-struct LocalRing {
-    worker: String,
-    ring: Arc<Mutex<Ring>>,
-}
-
-impl LocalRing {
-    fn register() -> LocalRing {
-        let worker = std::thread::current()
-            .name()
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("thread-{}", WORKER_SEQ.fetch_add(1, Ordering::Relaxed)));
-        let ring = Arc::new(Mutex::new(Ring::new(DEFAULT_RING_CAPACITY)));
-        rings()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&ring));
-        LocalRing { worker, ring }
-    }
+fn register() -> Arc<ThreadRing> {
+    let worker = match std::thread::current().name() {
+        Some(name) => name.into(),
+        None => format!("thread-{}", WORKER_SEQ.fetch_add(1, Ordering::Relaxed)).into(),
+    };
+    let ring = Arc::new(ThreadRing {
+        worker,
+        ring: Mutex::new(Ring::new(DEFAULT_RING_CAPACITY)),
+    });
+    RINGS
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .push(Arc::clone(&ring));
+    ring
 }
 
 thread_local! {
-    static LOCAL_RING: LocalRing = LocalRing::register();
+    static LOCAL_RING: Arc<ThreadRing> = register();
 }
 
 /// Records one event into the calling thread's ring.
 #[inline]
-pub fn event(kind: &str, detail: impl Into<String>) {
+pub fn event(kind: &'static str, detail: Detail) {
     let ts_ns = now_ns();
     LOCAL_RING.with(|l| {
         l.ring
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(FlightEvent {
+            .push(Record {
                 ts_ns,
-                worker: l.worker.clone(),
-                kind: kind.to_string(),
-                detail: detail.into(),
+                kind,
+                detail,
             });
     });
 }
@@ -191,21 +230,17 @@ pub fn dump(trigger_kind: &str, trigger_detail: &str) -> Option<PathBuf> {
     }
     let trigger = FlightEvent {
         ts_ns: now_ns(),
-        worker: LOCAL_RING.with(|l| l.worker.clone()),
+        worker: LOCAL_RING.with(|l| l.worker.to_string()),
         kind: trigger_kind.to_string(),
         detail: trigger_detail.to_string(),
     };
 
     let mut merged: Vec<FlightEvent> = Vec::new();
     {
-        let rings = rings().lock().unwrap_or_else(|e| e.into_inner());
+        let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
         for ring in rings.iter() {
-            merged.extend(
-                ring.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .events()
-                    .cloned(),
-            );
+            let records = ring.ring.lock().unwrap_or_else(|e| e.into_inner());
+            merged.extend(records.events().map(|r| r.to_event(&ring.worker)));
         }
     }
     merged.sort_by_key(|e| e.ts_ns);
@@ -279,6 +314,23 @@ mod tests {
         }
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.capacity(), 8);
+    }
+
+    #[test]
+    fn details_become_text_only_when_written() {
+        assert_eq!(Detail::Num("team", 2).to_string(), "team=2");
+        assert_eq!(Detail::Text("boom".into()).to_string(), "boom");
+        let record = Record {
+            ts_ns: 7,
+            kind: "region_end",
+            detail: Detail::Num("ns", 1530),
+        };
+        let ev = record.to_event("perfport-worker-0");
+        assert_eq!(ev.worker, "perfport-worker-0");
+        assert_eq!(
+            (ev.kind.as_str(), ev.detail.as_str()),
+            ("region_end", "ns=1530")
+        );
     }
 
     #[test]

@@ -1,14 +1,23 @@
-//! Per-thread metric shards merged on demand.
+//! Static metric handles over per-thread shards merged on demand.
 //!
-//! Every thread that records a metric owns a **shard**: a private set
-//! of counters, gauges, and histograms registered once in a global
-//! list. The hot path — [`counter_add`], [`gauge_set`], [`observe`] —
-//! is a thread-local handle-cache lookup plus one relaxed atomic
-//! update; no lock is taken and no other thread's cache line is
-//! written, which is what makes it safe to leave enabled inside the
-//! pool's region and task paths. Locks exist only on the cold edges:
-//! the first time a thread touches a given metric name (shard map
-//! insert) and whenever [`snapshot`] merges all shards into one
+//! A metric is a `static` handle declared where it is recorded:
+//!
+//! ```
+//! use perfport_telemetry::Counter;
+//!
+//! static REGIONS: Counter = Counter::new("pool/regions");
+//! REGIONS.add(1);
+//! ```
+//!
+//! The first use of a handle in the process resolves its name to a
+//! small id (one lock, once per handle); handles of one kind and name
+//! share an id. Every thread that records owns a **shard**: per kind, a
+//! list of slots indexed by that id. Recording is a thread-local index
+//! plus one relaxed atomic update — no string hash, no allocation, no
+//! lock and no write to another thread's cache line — which is what
+//! makes it safe to leave on in the pool's region path. Locks are taken
+//! only on cold edges: resolving an id, a thread's first touch of a
+//! metric, and [`snapshot`], which merges all shards into one
 //! [`Snapshot`].
 //!
 //! A thread that exits folds its shard into the registry's retired
@@ -16,173 +25,444 @@
 //! shards however many short-lived threads come and go. Folding keeps
 //! every merge rule: counters and histograms stay monotonic (snapshot
 //! deltas remain meaningful) and gauges keep their max-merge.
+//!
+//! With the crate's `stub` feature every recording method is an empty
+//! inline function and [`snapshot`] is always empty; a [`Span`] still
+//! times its interval, because callers use the length, and still
+//! reaches the trace collector.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::AtomicUsize;
+use std::time::{Duration, Instant};
 
-use crate::histogram::Histogram;
 use crate::snapshot::Snapshot;
 
-/// One thread's private slice of the metric space.
-#[derive(Default)]
-struct Shard {
-    counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<HashMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<HashMap<String, Arc<Histogram>>>,
+/// Marks a handle whose name has not been resolved to an id yet.
+const UNRESOLVED: usize = usize::MAX;
+
+/// A metric's name and, once resolved, its id within its kind.
+#[derive(Debug)]
+#[cfg_attr(feature = "stub", allow(dead_code))]
+struct Id {
+    name: &'static str,
+    id: AtomicUsize,
 }
 
-impl Shard {
-    /// Merges this shard into `snap`: counters sum, gauges take the
-    /// maximum, histograms add bucket-wise.
-    fn fold_into(&self, snap: &mut Snapshot) {
-        for (name, counter) in self
-            .counters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-        {
-            *snap.counters.entry(name.clone()).or_insert(0) += counter.load(Ordering::Relaxed);
-        }
-        for (name, gauge) in self.gauges.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            let value = gauge.load(Ordering::Relaxed);
-            let slot = snap.gauges.entry(name.clone()).or_insert(0);
-            *slot = (*slot).max(value);
-        }
-        for (name, hist) in self
-            .histograms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-        {
-            snap.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge_from(&hist.snapshot());
+impl Id {
+    const fn new(name: &'static str) -> Id {
+        Id {
+            name,
+            id: AtomicUsize::new(UNRESOLVED),
         }
     }
 }
 
-/// The shards of live threads, plus the folded totals of every shard
-/// whose thread has exited.
-#[derive(Default)]
-struct Registry {
-    live: Vec<Arc<Shard>>,
-    retired: Snapshot,
+/// A monotonic counter, summed across threads.
+#[derive(Debug)]
+pub struct Counter(Id);
+
+impl Counter {
+    /// A handle for the counter `name`.
+    pub const fn new(name: &'static str) -> Counter {
+        Counter(Id::new(name))
+    }
+
+    /// Adds `delta` to the calling thread's shard of this counter.
+    #[inline]
+    pub fn add(&self, delta: u64) {
+        shards::counter(&self.0, delta);
+    }
 }
 
-/// Guarded by a mutex that is only taken at thread registration, thread
-/// exit and snapshot time.
-static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+/// A point-in-time reading, kept per thread and merged by maximum
+/// (the useful aggregate for depth-style gauges).
+#[derive(Debug)]
+pub struct Gauge(Id);
 
-fn registry() -> MutexGuard<'static, Registry> {
-    REGISTRY
-        .get_or_init(|| Mutex::new(Registry::default()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+impl Gauge {
+    /// A handle for the gauge `name`.
+    pub const fn new(name: &'static str) -> Gauge {
+        Gauge(Id::new(name))
+    }
+
+    /// Sets the calling thread's shard of this gauge to `value`.
+    #[inline]
+    pub fn set(&self, value: u64) {
+        shards::gauge(&self.0, value);
+    }
 }
 
-/// Thread-local handle caches: once a thread has resolved a metric
-/// name to its `Arc`, later updates touch no map but this one.
-struct Local {
-    shard: Arc<Shard>,
-    counters: RefCell<HashMap<String, Arc<AtomicU64>>>,
-    gauges: RefCell<HashMap<String, Arc<AtomicU64>>>,
-    histograms: RefCell<HashMap<String, Arc<Histogram>>>,
-}
+/// A log₂-bucketed streaming histogram of `u64` samples (see
+/// [`crate::histogram`]), summed bucket-wise across threads.
+#[derive(Debug)]
+pub struct Histogram(Id);
 
-impl Local {
-    fn register() -> Local {
-        let shard = Arc::new(Shard::default());
-        registry().live.push(Arc::clone(&shard));
-        Local {
-            shard,
-            counters: RefCell::new(HashMap::new()),
-            gauges: RefCell::new(HashMap::new()),
-            histograms: RefCell::new(HashMap::new()),
+impl Histogram {
+    /// A handle for the histogram `name`.
+    pub const fn new(name: &'static str) -> Histogram {
+        Histogram(Id::new(name))
+    }
+
+    /// A handle for a name built at run time, such as one member of a
+    /// per-key family. The name is interned once per process; keep the
+    /// handle (in a thread-local map, say) so the hot path never builds
+    /// the name again.
+    pub fn named(name: &str) -> Histogram {
+        shards::named(name)
+    }
+
+    /// Records `value` into the calling thread's shard of this
+    /// histogram.
+    #[inline]
+    pub fn observe(&self, value: u64) {
+        shards::observe(&self.0, value);
+    }
+
+    /// Starts timing one interval into this histogram. While a
+    /// `perfport-trace` collector is installed the interval is also a
+    /// trace span `cat:name`; otherwise the trace side costs one atomic
+    /// load.
+    pub fn span(&'static self, cat: &'static str, name: &'static str) -> Span {
+        let trace = perfport_trace::span(cat, name);
+        Span {
+            histogram: self,
+            trace,
+            start: Instant::now(),
+            elapsed: None,
         }
     }
 }
 
-impl Drop for Local {
-    /// Thread exit: fold the shard into the retired totals and
-    /// unregister it under one lock, so no snapshot sees it twice or
-    /// not at all.
+/// One timed interval: the single instrument for a region that is both
+/// a telemetry histogram and, under `--trace`, a trace span.
+///
+/// The interval ends at the first [`Span::stop`] (or at drop), and its
+/// length is recorded into the histogram then. The trace span stays
+/// open until the `Span` drops, so arguments computed from the length
+/// still reach its end event.
+#[must_use = "a span stops when it drops"]
+pub struct Span {
+    histogram: &'static Histogram,
+    trace: perfport_trace::SpanGuard,
+    start: Instant,
+    elapsed: Option<Duration>,
+}
+
+impl Span {
+    /// Whether a trace collector records this span. Use it to skip
+    /// preparing arguments that cost something to compute.
+    pub fn is_traced(&self) -> bool {
+        self.trace.is_recording()
+    }
+
+    /// Attaches an argument to the trace span's end event; a no-op when
+    /// untraced.
+    pub fn arg(&mut self, key: &'static str, value: impl Into<perfport_trace::Value>) {
+        self.trace.arg(key, value);
+    }
+
+    /// Ends the interval on the first call, records its length into the
+    /// histogram and returns it; later calls return the same length.
+    pub fn stop(&mut self) -> Duration {
+        let (start, histogram) = (self.start, self.histogram);
+        *self.elapsed.get_or_insert_with(|| {
+            let elapsed = start.elapsed();
+            histogram.observe(nanos(elapsed));
+            elapsed
+        })
+    }
+}
+
+impl Drop for Span {
     fn drop(&mut self) {
-        let mut registry = registry();
-        self.shard.fold_into(&mut registry.retired);
-        registry.live.retain(|s| !Arc::ptr_eq(s, &self.shard));
+        self.stop();
     }
 }
 
-thread_local! {
-    static LOCAL: Local = Local::register();
-}
-
-fn cached<T>(
-    cache: &RefCell<HashMap<String, Arc<T>>>,
-    registry: &Mutex<HashMap<String, Arc<T>>>,
-    name: &str,
-    init: impl FnOnce() -> T,
-) -> Arc<T> {
-    if let Some(handle) = cache.borrow().get(name) {
-        return Arc::clone(handle);
-    }
-    let handle = {
-        let mut map = registry.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(init())),
-        )
-    };
-    cache
-        .borrow_mut()
-        .insert(name.to_string(), Arc::clone(&handle));
-    handle
-}
-
-/// Adds `delta` to the calling thread's shard of counter `name`.
-#[inline]
-pub fn counter_add(name: &str, delta: u64) {
-    LOCAL.with(|l| {
-        cached(&l.counters, &l.shard.counters, name, || AtomicU64::new(0))
-            .fetch_add(delta, Ordering::Relaxed);
-    });
-}
-
-/// Sets the calling thread's shard of gauge `name` to `value`.
-/// Shards merge by maximum at snapshot time.
-#[inline]
-pub fn gauge_set(name: &str, value: u64) {
-    LOCAL.with(|l| {
-        cached(&l.gauges, &l.shard.gauges, name, || AtomicU64::new(0))
-            .store(value, Ordering::Relaxed);
-    });
-}
-
-/// Records `value` into the calling thread's shard of histogram
-/// `name`.
-#[inline]
-pub fn observe(name: &str, value: u64) {
-    LOCAL.with(|l| {
-        cached(&l.histograms, &l.shard.histograms, name, Histogram::new).observe(value);
-    });
+/// A duration in whole nanoseconds, saturating at `u64::MAX`.
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Merges every shard into one canonical [`Snapshot`]: counters sum,
 /// gauges take the per-shard maximum, histograms add bucket-wise.
 /// Exited threads' shards count through the retired totals.
 pub fn snapshot() -> Snapshot {
-    let registry = registry();
-    let mut snap = registry.retired.clone();
-    for shard in &registry.live {
-        shard.fold_into(&mut snap);
-    }
-    snap
+    shards::snapshot()
 }
 
-#[cfg(test)]
+#[cfg(not(feature = "stub"))]
+mod shards {
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+    use super::{Histogram, Id, UNRESOLVED};
+    use crate::histogram::Histogram as Buckets;
+    use crate::snapshot::Snapshot;
+
+    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+        m.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// One kind's metric names; an id indexes every shard's slots of
+    /// that kind.
+    struct Names(Mutex<NameTable>);
+
+    struct NameTable {
+        ids: BTreeMap<&'static str, usize>,
+        names: Vec<&'static str>,
+    }
+
+    impl Names {
+        const fn new() -> Names {
+            Names(Mutex::new(NameTable {
+                ids: BTreeMap::new(),
+                names: Vec::new(),
+            }))
+        }
+
+        /// The id of `name`, registering it (and leaking a copy of a
+        /// name that is not `'static`) on first sight.
+        fn intern(&self, name: &str, keep: impl FnOnce() -> &'static str) -> (&'static str, usize) {
+            let mut table = lock(&self.0);
+            if let Some((&name, &id)) = table.ids.get_key_value(name) {
+                return (name, id);
+            }
+            let name = keep();
+            let id = table.names.len();
+            table.names.push(name);
+            table.ids.insert(name, id);
+            (name, id)
+        }
+
+        /// The handle's id, resolved once per handle.
+        #[inline]
+        fn id(&self, handle: &Id) -> usize {
+            match handle.id.load(Ordering::Relaxed) {
+                UNRESOLVED => {
+                    let (_, id) = self.intern(handle.name, || handle.name);
+                    handle.id.store(id, Ordering::Relaxed);
+                    id
+                }
+                id => id,
+            }
+        }
+    }
+
+    static COUNTERS: Names = Names::new();
+    static GAUGES: Names = Names::new();
+    static HISTOGRAMS: Names = Names::new();
+
+    /// One kind's slots in a shard, indexed by id; `None` until the
+    /// thread first touches that metric.
+    type Slots<T> = Mutex<Vec<Option<Arc<T>>>>;
+
+    /// One thread's private slice of the metric space, as snapshots
+    /// read it.
+    #[derive(Default)]
+    struct Shard {
+        counters: Slots<AtomicU64>,
+        gauges: Slots<AtomicU64>,
+        histograms: Slots<Buckets>,
+    }
+
+    /// Calls `f` with the name and slot of every metric `slots` holds.
+    fn each<T>(slots: &Slots<T>, names: &Names, mut f: impl FnMut(&'static str, &T)) {
+        let slots = lock(slots);
+        let names = lock(&names.0);
+        for (id, slot) in slots.iter().enumerate() {
+            if let Some(slot) = slot {
+                f(names.names[id], slot);
+            }
+        }
+    }
+
+    impl Shard {
+        /// Merges this shard into `snap`: counters sum, gauges take the
+        /// maximum, histograms add bucket-wise.
+        fn fold_into(&self, snap: &mut Snapshot) {
+            each(&self.counters, &COUNTERS, |name, c| {
+                *snap.counters.entry(name.to_string()).or_insert(0) += c.load(Ordering::Relaxed);
+            });
+            each(&self.gauges, &GAUGES, |name, g| {
+                let slot = snap.gauges.entry(name.to_string()).or_insert(0);
+                *slot = (*slot).max(g.load(Ordering::Relaxed));
+            });
+            each(&self.histograms, &HISTOGRAMS, |name, h| {
+                snap.histograms
+                    .entry(name.to_string())
+                    .or_default()
+                    .merge_from(&h.snapshot());
+            });
+        }
+    }
+
+    /// The shards of live threads, plus the folded totals of every
+    /// shard whose thread has exited.
+    #[derive(Default)]
+    struct Registry {
+        live: Vec<Arc<Shard>>,
+        retired: Snapshot,
+    }
+
+    /// Guarded by a mutex that is only taken at thread registration,
+    /// thread exit and snapshot time.
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+
+    fn registry() -> MutexGuard<'static, Registry> {
+        lock(REGISTRY.get_or_init(|| Mutex::new(Registry::default())))
+    }
+
+    /// The owner's view of one kind's slots: the same `Arc`s as the
+    /// shard, read without a lock.
+    type Cache<T> = RefCell<Vec<Option<Arc<T>>>>;
+
+    struct Local {
+        shard: Arc<Shard>,
+        counters: Cache<AtomicU64>,
+        gauges: Cache<AtomicU64>,
+        histograms: Cache<Buckets>,
+    }
+
+    impl Local {
+        fn register() -> Local {
+            let shard = Arc::new(Shard::default());
+            registry().live.push(Arc::clone(&shard));
+            Local {
+                shard,
+                counters: RefCell::default(),
+                gauges: RefCell::default(),
+                histograms: RefCell::default(),
+            }
+        }
+    }
+
+    impl Drop for Local {
+        /// Thread exit: fold the shard into the retired totals and
+        /// unregister it under one lock, so no snapshot sees it twice
+        /// or not at all.
+        fn drop(&mut self) {
+            let mut registry = registry();
+            self.shard.fold_into(&mut registry.retired);
+            registry.live.retain(|s| !Arc::ptr_eq(s, &self.shard));
+        }
+    }
+
+    thread_local! {
+        static LOCAL: Local = Local::register();
+    }
+
+    fn put<T>(slots: &mut Vec<Option<Arc<T>>>, id: usize, slot: &Arc<T>) {
+        if slots.len() <= id {
+            slots.resize_with(id + 1, || None);
+        }
+        slots[id] = Some(Arc::clone(slot));
+    }
+
+    /// Calls `f` with the calling thread's slot `id`, creating it on the
+    /// thread's first touch.
+    #[inline]
+    fn with_slot<T: Default>(
+        id: usize,
+        pick: for<'a> fn(&'a Local) -> (&'a Cache<T>, &'a Slots<T>),
+        f: impl FnOnce(&T),
+    ) {
+        LOCAL.with(|l| {
+            let (cache, slots) = pick(l);
+            if let Some(Some(slot)) = cache.borrow().get(id) {
+                return f(slot);
+            }
+            let slot = Arc::new(T::default());
+            put(&mut lock(slots), id, &slot);
+            put(&mut cache.borrow_mut(), id, &slot);
+            f(&slot);
+        });
+    }
+
+    #[inline]
+    pub(super) fn counter(handle: &Id, delta: u64) {
+        let id = COUNTERS.id(handle);
+        with_slot(
+            id,
+            |l| (&l.counters, &l.shard.counters),
+            |c| {
+                c.fetch_add(delta, Ordering::Relaxed);
+            },
+        );
+    }
+
+    #[inline]
+    pub(super) fn gauge(handle: &Id, value: u64) {
+        let id = GAUGES.id(handle);
+        with_slot(
+            id,
+            |l| (&l.gauges, &l.shard.gauges),
+            |g| {
+                g.store(value, Ordering::Relaxed);
+            },
+        );
+    }
+
+    #[inline]
+    pub(super) fn observe(handle: &Id, value: u64) {
+        let id = HISTOGRAMS.id(handle);
+        with_slot(
+            id,
+            |l| (&l.histograms, &l.shard.histograms),
+            |h| {
+                h.observe(value);
+            },
+        );
+    }
+
+    pub(super) fn named(name: &str) -> Histogram {
+        let (name, id) = HISTOGRAMS.intern(name, || Box::leak(name.into()));
+        Histogram(Id {
+            name,
+            id: AtomicUsize::new(id),
+        })
+    }
+
+    pub(super) fn snapshot() -> Snapshot {
+        let registry = registry();
+        let mut snap = registry.retired.clone();
+        for shard in &registry.live {
+            shard.fold_into(&mut snap);
+        }
+        snap
+    }
+
+    #[cfg(test)]
+    pub(super) fn live_shards() -> usize {
+        registry().live.len()
+    }
+}
+
+#[cfg(feature = "stub")]
+mod shards {
+    use super::{Histogram, Id};
+    use crate::snapshot::Snapshot;
+
+    #[inline(always)]
+    pub(super) fn counter(_: &Id, _: u64) {}
+
+    #[inline(always)]
+    pub(super) fn gauge(_: &Id, _: u64) {}
+
+    #[inline(always)]
+    pub(super) fn observe(_: &Id, _: u64) {}
+
+    pub(super) fn named(_: &str) -> Histogram {
+        Histogram::new("")
+    }
+
+    pub(super) fn snapshot() -> Snapshot {
+        Snapshot::default()
+    }
+}
+
+#[cfg(all(test, not(feature = "stub")))]
 mod tests {
     use super::*;
 
@@ -191,11 +471,12 @@ mod tests {
 
     #[test]
     fn counters_sum_across_threads() {
+        static CTR: Counter = Counter::new("test_metrics/ctr");
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(|| {
                     for _ in 0..100 {
-                        counter_add("test_metrics/ctr", 2);
+                        CTR.add(2);
                     }
                 })
             })
@@ -207,10 +488,20 @@ mod tests {
     }
 
     #[test]
+    fn handles_of_one_name_share_a_metric() {
+        static A: Counter = Counter::new("test_metrics/shared");
+        static B: Counter = Counter::new("test_metrics/shared");
+        A.add(3);
+        B.add(4);
+        assert_eq!(snapshot().counters["test_metrics/shared"], 7);
+    }
+
+    #[test]
     fn gauges_merge_by_max() {
+        static GAUGE: Gauge = Gauge::new("test_metrics/gauge");
         let threads: Vec<_> = [3u64, 9, 5]
             .into_iter()
-            .map(|v| std::thread::spawn(move || gauge_set("test_metrics/gauge", v)))
+            .map(|v| std::thread::spawn(move || GAUGE.set(v)))
             .collect();
         for t in threads {
             t.join().unwrap();
@@ -220,11 +511,12 @@ mod tests {
 
     #[test]
     fn histograms_merge_and_keep_exact_totals() {
+        static HIST: Histogram = Histogram::new("test_metrics/hist");
         let threads: Vec<_> = (0..3)
             .map(|i: u64| {
                 std::thread::spawn(move || {
                     for v in 0..50u64 {
-                        observe("test_metrics/hist", i * 1000 + v);
+                        HIST.observe(i * 1000 + v);
                     }
                 })
             })
@@ -241,16 +533,42 @@ mod tests {
     }
 
     #[test]
+    fn named_histograms_join_their_static_namesake() {
+        static HIST: Histogram = Histogram::new("test_metrics/named/a");
+        HIST.observe(5);
+        Histogram::named(&format!("test_metrics/named/{}", "a")).observe(7);
+        Histogram::named("test_metrics/named/b").observe(11);
+        let snap = snapshot();
+        assert_eq!(snap.histograms["test_metrics/named/a"].sum, 12);
+        assert_eq!(snap.histograms["test_metrics/named/b"].sum, 11);
+    }
+
+    #[test]
+    fn a_span_records_its_length_once() {
+        static HIST: Histogram = Histogram::new("test_metrics/span");
+        let mut span = HIST.span("test", "span");
+        let first = span.stop();
+        assert_eq!(span.stop(), first);
+        drop(span);
+        let h = &snapshot().histograms["test_metrics/span"];
+        assert_eq!(h.count, 1);
+        assert_eq!(h.sum, nanos(first));
+    }
+
+    #[test]
     fn exited_threads_retire_their_shards_and_keep_their_totals() {
+        static CTR: Counter = Counter::new("test_metrics/retired_ctr");
+        static GAUGE: Gauge = Gauge::new("test_metrics/retired_gauge");
+        static HIST: Histogram = Histogram::new("test_metrics/retired_hist");
         const THREADS: u64 = 2000;
         for batch in (0..THREADS).collect::<Vec<_>>().chunks(8) {
             let threads: Vec<_> = batch
                 .iter()
                 .map(|&i| {
                     std::thread::spawn(move || {
-                        counter_add("test_metrics/retired_ctr", 1);
-                        gauge_set("test_metrics/retired_gauge", i);
-                        observe("test_metrics/retired_hist", i);
+                        CTR.add(1);
+                        GAUGE.set(i);
+                        HIST.observe(i);
                     })
                 })
                 .collect();
@@ -266,15 +584,16 @@ mod tests {
         assert_eq!(h.sum, (0..THREADS).sum::<u64>());
         // Only threads alive right now (this test binary's harness and
         // concurrent tests) may still hold a registered shard.
-        let live = registry().live.len();
+        let live = shards::live_shards();
         assert!(live <= 64, "{live} shards registered after {THREADS} exits");
     }
 
     #[test]
     fn delta_against_live_epoch_only_sees_new_work() {
-        counter_add("test_metrics/epoch_ctr", 5);
+        static CTR: Counter = Counter::new("test_metrics/epoch_ctr");
+        CTR.add(5);
         let epoch = snapshot();
-        counter_add("test_metrics/epoch_ctr", 7);
+        CTR.add(7);
         let delta = snapshot().delta_since(&epoch);
         assert_eq!(delta.counters["test_metrics/epoch_ctr"], 7);
     }

@@ -1,6 +1,7 @@
 //! Thread-safe in-memory event collector.
 
 use crate::event::{Event, EventKind, Value};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -20,16 +21,33 @@ pub fn thread_id() -> u64 {
     TID.with(|t| *t)
 }
 
+/// An argument key: a literal at almost every site, so recording
+/// borrows it instead of allocating.
+pub type Key = Cow<'static, str>;
+
+/// An event as recorded: the category and static keys stay borrowed,
+/// and the [`Event`] with its owned strings is built only when the
+/// collector is read.
+struct Raw {
+    kind: EventKind,
+    cat: &'static str,
+    name: Key,
+    ts_ns: u128,
+    tid: u64,
+    args: Vec<(Key, Value)>,
+}
+
 /// Accumulates [`Event`]s from any number of threads.
 ///
 /// A collector is cheap to create and owns its own epoch: all
 /// timestamps are nanoseconds since [`Collector::new`] was called.
-/// Recording takes one short-lived mutex acquisition; the instrument
-/// sites in the workspace record at region/launch/size-point
-/// granularity (not per element), so contention is negligible.
+/// Recording takes one short-lived mutex acquisition and copies neither
+/// the category nor a literal argument key; the instrument sites in the
+/// workspace record at region/launch/size-point granularity (not per
+/// element), so contention is negligible.
 pub struct Collector {
     epoch: Instant,
-    events: Mutex<Vec<Event>>,
+    events: Mutex<Vec<Raw>>,
 }
 
 impl Collector {
@@ -47,13 +65,13 @@ impl Collector {
         &self,
         kind: EventKind,
         cat: &'static str,
-        name: String,
-        args: Vec<(String, Value)>,
+        name: impl Into<Key>,
+        args: Vec<(Key, Value)>,
     ) {
-        let event = Event {
+        let raw = Raw {
             kind,
-            cat: cat.to_string(),
-            name,
+            cat,
+            name: name.into(),
             ts_ns: self.epoch.elapsed().as_nanos(),
             tid: thread_id(),
             args,
@@ -61,7 +79,7 @@ impl Collector {
         self.events
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(event);
+            .push(raw);
     }
 
     /// Number of events recorded so far.
@@ -76,10 +94,22 @@ impl Collector {
 
     /// Copies out everything recorded so far, in recording order.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        let events = self.events.lock().unwrap_or_else(|e| e.into_inner());
+        events
+            .iter()
+            .map(|r| Event {
+                kind: r.kind,
+                cat: r.cat.to_string(),
+                name: r.name.to_string(),
+                ts_ns: r.ts_ns,
+                tid: r.tid,
+                args: r
+                    .args
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect(),
+            })
+            .collect()
     }
 }
 

@@ -42,7 +42,7 @@ pub mod export;
 pub mod json;
 pub mod summary;
 
-pub use collector::Collector;
+pub use collector::{Collector, Key};
 pub use event::{Event, EventKind, Value};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -136,7 +136,7 @@ impl Drop for TraceSession {
 pub fn span(cat: &'static str, name: impl Into<String>) -> SpanGuard {
     match current() {
         Some(collector) => {
-            let name = name.into();
+            let name: Key = name.into().into();
             collector.record(EventKind::SpanBegin, cat, name.clone(), Vec::new());
             SpanGuard {
                 inner: Some(SpanInner {
@@ -158,33 +158,15 @@ pub fn counter(cat: &'static str, name: impl Into<String>, value: f64) {
             EventKind::Counter,
             cat,
             name.into(),
-            vec![("value".to_string(), Value::F64(value))],
+            vec![("value".into(), Value::F64(value))],
         );
-    }
-}
-
-/// Records one counter event carrying several named series — a
-/// multi-series counter track in Chrome terms (all keys plot on one
-/// track), one JSONL line, and per-key statistics in the text summary
-/// (`cat:name.key`; a key named `"value"` keeps the plain `cat:name`).
-///
-/// This is the namespace hardware-counter deltas use: `perfport-obs`
-/// emits `("hw", "counters", [("cycles", …), ("instructions", …), …])`
-/// per measured scope, and all three exporters carry it with no extra
-/// plumbing.
-pub fn counter_set(cat: &'static str, name: impl Into<String>, values: &[(&str, f64)]) {
-    if let Some(collector) = current() {
-        let args = values
-            .iter()
-            .map(|&(k, v)| (k.to_string(), Value::F64(v)))
-            .collect();
-        collector.record(EventKind::Counter, cat, name.into(), args);
     }
 }
 
 /// Records an instantaneous event with arguments.
 pub fn instant(cat: &'static str, name: impl Into<String>, args: Vec<(String, Value)>) {
     if let Some(collector) = current() {
+        let args = args.into_iter().map(|(k, v)| (k.into(), v)).collect();
         collector.record(EventKind::Instant, cat, name.into(), args);
     }
 }
@@ -192,8 +174,8 @@ pub fn instant(cat: &'static str, name: impl Into<String>, args: Vec<(String, Va
 struct SpanInner {
     collector: Arc<Collector>,
     cat: &'static str,
-    name: String,
-    args: Vec<(String, Value)>,
+    name: Key,
+    args: Vec<(Key, Value)>,
 }
 
 /// RAII handle for an open span. Arguments attached with [`arg`]
@@ -214,7 +196,7 @@ impl SpanGuard {
     }
 
     /// Attaches an argument to the span's end event.
-    pub fn arg(&mut self, key: impl Into<String>, value: impl Into<Value>) {
+    pub fn arg(&mut self, key: impl Into<Key>, value: impl Into<Value>) {
         if let Some(inner) = &mut self.inner {
             inner.args.push((key.into(), value.into()));
         }

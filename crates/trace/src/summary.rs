@@ -114,8 +114,9 @@ pub fn render(events: &[Event]) -> String {
             }
             EventKind::Counter => {
                 // Single-valued counters use the key "value" and keep the
-                // plain `cat:name`; multi-series counters (counter_set)
-                // get one statistics row per series, `cat:name.key`.
+                // plain `cat:name`; a multi-series counter (several keys
+                // on one event) gets one statistics row per series,
+                // `cat:name.key`.
                 let mut recorded = false;
                 for (k, v) in &e.args {
                     let Some(x) = v.as_f64() else { continue };

@@ -11,7 +11,6 @@ pub use perfport_half as half;
 pub use perfport_machines as machines;
 pub use perfport_metrics as metrics;
 pub use perfport_models as models;
-pub use perfport_obs as obs;
 pub use perfport_pool as pool;
 pub use perfport_serve as serve;
 pub use perfport_trace as trace;

@@ -1,0 +1,85 @@
+//! The telemetry names the repository benchmark reads by string
+//! (`benchmark/src`) are recorded when their paths run. A renamed or
+//! dropped metric would otherwise zero a per-layer number without any
+//! error; here it fails the suite.
+
+use perfport::gemm::{batch, tuned, Layout, Matrix, Problem};
+use perfport::pool::ThreadPool;
+use perfport::serve::coordinator::CoordinatorConfig;
+use perfport::serve::local::run_local;
+use std::time::Duration;
+
+/// Counters every workload's per-layer numbers are read from.
+const COUNTERS: &[&str] = &[
+    "gemm/microkernel_calls",
+    "gemm/pack_a_bytes",
+    "gemm/pack_b_bytes",
+    "pool/regions",
+    "serve/leases_granted",
+    "serve/heartbeats",
+];
+
+/// Histograms the benchmark sums.
+const HISTOGRAMS: &[&str] = &["gemm/pack_ns", "gemm/compute_ns"];
+
+/// The per-bucket service-time family serve-batch and serve-single sum
+/// by prefix.
+const SERVICE_NS: &str = "batch/service_ns/";
+
+#[test]
+fn every_name_the_benchmark_reads_is_recorded() {
+    if perfport_telemetry::build_mode() != "on" {
+        return;
+    }
+    let before = perfport_telemetry::snapshot();
+
+    let pool = ThreadPool::new(2);
+    let a = Matrix::<f64>::random(64, 48, Layout::RowMajor, 1);
+    let b = Matrix::<f64>::random(48, 40, Layout::RowMajor, 2);
+    let mut c = Matrix::<f64>::zeros(64, 40, Layout::RowMajor);
+    tuned::gemm(&pool, &a, &b, &mut c, &tuned::TunedParams::host::<f64>());
+
+    let problems = [
+        Problem::new_f64(
+            Matrix::random(4, 8, Layout::RowMajor, 3),
+            Matrix::random(8, 12, Layout::RowMajor, 4),
+        ),
+        Problem::new_f32(
+            Matrix::random(16, 4, Layout::RowMajor, 5),
+            Matrix::random(4, 8, Layout::RowMajor, 6),
+        ),
+    ];
+    assert_eq!(batch::gemm_batch(&pool, &problems).len(), 2);
+
+    let cfg = CoordinatorConfig {
+        ids: vec!["fig7a".to_string()],
+        quick: true,
+        lease_points: 1,
+        ttl: Duration::from_secs(30),
+        backoff: Duration::from_millis(10),
+        max_retries: 3,
+        deadline: Some(Duration::from_secs(120)),
+        verbose: false,
+    };
+    run_local(&cfg, 1, None).expect("a loopback study session completes");
+
+    let delta = perfport_telemetry::snapshot().delta_since(&before);
+    for name in COUNTERS {
+        let value = delta.counters.get(*name).copied().unwrap_or(0);
+        assert!(value > 0, "counter {name} was not recorded");
+    }
+    for name in HISTOGRAMS {
+        let count = delta.histograms.get(*name).map_or(0, |h| h.count);
+        assert!(count > 0, "histogram {name} was not recorded");
+    }
+    let served: u64 = delta
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with(SERVICE_NS))
+        .map(|(_, h)| h.count)
+        .sum();
+    assert!(
+        served >= 2,
+        "{SERVICE_NS}* recorded {served} of the batch's 2 problems"
+    );
+}

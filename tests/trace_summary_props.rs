@@ -133,7 +133,7 @@ proptest! {
             let name = NAMES[*name as usize % NAMES.len()];
             let mut e = ev(EventKind::Counter, name, i as u128, 0);
             if *multi {
-                // A counter_set-style event: one row per series.
+                // A multi-series counter event: one row per series.
                 e.args.push(("x".to_string(), Value::F64(*v)));
                 e.args.push(("y".to_string(), Value::F64(-v)));
                 *expect.entry(format!("p:{name}.x")).or_default() += 1;
