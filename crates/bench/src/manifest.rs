@@ -190,33 +190,33 @@ impl Manifest {
         use perfport_trace::Value;
         let mut args = vec![
             ("schema".to_string(), Value::from(MANIFEST_SCHEMA)),
-            ("git_sha".to_string(), Value::Str(self.git_sha.clone())),
-            ("rustc".to_string(), Value::Str(self.rustc.clone())),
-            ("cpu_model".to_string(), Value::Str(self.cpu_model.clone())),
-            ("os".to_string(), Value::Str(self.os.clone())),
-            ("arch".to_string(), Value::Str(self.arch.clone())),
-            ("simd_isa".to_string(), Value::Str(self.simd_isa.clone())),
+            ("git_sha".to_string(), Value::from(self.git_sha.clone())),
+            ("rustc".to_string(), Value::from(self.rustc.clone())),
+            ("cpu_model".to_string(), Value::from(self.cpu_model.clone())),
+            ("os".to_string(), Value::from(self.os.clone())),
+            ("arch".to_string(), Value::from(self.arch.clone())),
+            ("simd_isa".to_string(), Value::from(self.simd_isa.clone())),
             ("threads".to_string(), Value::from(self.threads)),
             ("l1d_bytes".to_string(), Value::from(self.cache.l1d_bytes)),
             ("l2_bytes".to_string(), Value::from(self.cache.l2_bytes)),
             ("l3_bytes".to_string(), Value::from(self.cache.l3_bytes)),
             (
                 "cache_source".to_string(),
-                Value::Str(self.cache.source.to_string()),
+                Value::from(self.cache.source.to_string()),
             ),
-            ("telemetry".to_string(), Value::Str(self.telemetry.clone())),
+            ("telemetry".to_string(), Value::from(self.telemetry.clone())),
         ];
         if let Some(isa) = &self.simd_rejected {
-            args.push(("simd_rejected".to_string(), Value::Str(isa.clone())));
+            args.push(("simd_rejected".to_string(), Value::from(isa.clone())));
         }
         if let Some(shard) = &self.shard {
-            args.push(("shard".to_string(), Value::Str(shard.clone())));
+            args.push(("shard".to_string(), Value::from(shard.clone())));
         }
         if let Some(jobs) = self.jobs {
             args.push(("jobs".to_string(), Value::from(jobs)));
         }
         if let Some(baseline) = &self.baseline {
-            args.push(("baseline".to_string(), Value::Str(baseline.clone())));
+            args.push(("baseline".to_string(), Value::from(baseline.clone())));
         }
         args
     }

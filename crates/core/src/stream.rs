@@ -133,9 +133,17 @@ pub fn run_stream_kernel(pool: &ThreadPool, kernel: StreamKernel, n: usize) -> f
         StreamKernel::Dot => {
             let (dot, _) = pool.parallel_sum(n, Schedule::StaticBlock, |i| a0[i] * b0[i]);
             let expect: f64 = (0..n).map(|i| a0[i] * b0[i]).sum();
+            // Both sums add the same rounded products in different
+            // orders. Each is within γ_n·Σ|pᵢ| of the exact sum, where
+            // γ_n = n·u / (1 − n·u) (Higham, Accuracy and Stability of
+            // Numerical Algorithms, §4.2), so they differ by at most
+            // twice that.
+            let u = f64::EPSILON / 2.0;
+            let gamma = n as f64 * u / (1.0 - n as f64 * u);
+            let magnitude: f64 = (0..n).map(|i| (a0[i] * b0[i]).abs()).sum();
             assert!(
-                (dot - expect).abs() < expect.abs() * 1e-12,
-                "dot verification"
+                (dot - expect).abs() <= 2.0 * gamma * magnitude,
+                "dot verification: {dot} vs {expect}"
             );
             dot
         }
@@ -193,6 +201,13 @@ mod tests {
             let sum = run_stream_kernel(&pool, kernel, 10_000);
             assert!(sum.is_finite() && sum > 0.0, "{kernel}");
         }
+    }
+
+    #[test]
+    fn dot_verifies_at_the_default_size_on_two_workers() {
+        let pool = ThreadPool::new(2);
+        let dot = run_stream_kernel(&pool, StreamKernel::Dot, 1 << 20);
+        assert!(dot.is_finite() && dot > 0.0);
     }
 
     #[test]

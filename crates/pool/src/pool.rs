@@ -13,7 +13,8 @@ use crate::stats::RegionStats;
 use crate::topology::{place, CpuTopology, PinPolicy, Placement};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
-use perfport_telemetry::{Counter, Detail, Histogram};
+use perfport_telemetry::{Counter, Histogram};
+use perfport_trace::log::nanos;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -150,7 +151,7 @@ fn run_job(body: impl FnOnce()) -> bool {
     };
     let msg = perfport_telemetry::panic_message(&*payload);
     WORKER_PANICS.add(1);
-    perfport_telemetry::event("task_panic", Detail::Text(msg.clone()));
+    perfport_trace::instant("pool", "task_panic", vec![("message", msg.clone().into())]);
     perfport_telemetry::flight_dump("task_panic", &msg);
     true
 }
@@ -160,7 +161,7 @@ fn run_job(body: impl FnOnce()) -> bool {
 fn raise_region_panic(region: Duration) -> ! {
     const MSG: &str = "a perfport-pool worker panicked inside a parallel region";
     REGIONS_POISONED.add(1);
-    perfport_telemetry::event("region_poison", Detail::Num("ns", nanos(region)));
+    perfport_trace::instant("pool", "region_poison", vec![("ns", nanos(region).into())]);
     perfport_telemetry::flight_dump("region_poison", MSG);
     panic!("{MSG}");
 }
@@ -279,7 +280,6 @@ impl ThreadPool {
     /// Re-raises (as a panic) if any worker's body panicked.
     pub fn run_region<F: Fn(usize) + Sync>(&self, body: &F) {
         let team = self.senders.len();
-        perfport_telemetry::event("region_begin", Detail::Num("team", team as u64));
         let mut sp = REGION_NS.span("pool", "region");
         sp.arg("team", team);
         let state = RegionState::new(team);
@@ -300,7 +300,6 @@ impl ThreadPool {
         if panicked {
             raise_region_panic(region);
         }
-        perfport_telemetry::event("region_end", Detail::Num("ns", nanos(region)));
     }
 
     /// Work-sharing loop over `0..n`: `body(ctx, chunk)` is invoked for
@@ -391,7 +390,10 @@ impl ThreadPool {
         BARRIER_WAIT_NS.add(nanos(stats.total_barrier_wait()));
         if sp.is_traced() {
             sp.arg("n", n);
-            sp.arg("schedule", format!("{schedule:?}"));
+            sp.arg("schedule", schedule.kind());
+            if let Some(chunk) = schedule.chunk() {
+                sp.arg("chunk", chunk);
+            }
             sp.arg("team", team);
             sp.arg(
                 "items_min",
@@ -454,11 +456,6 @@ impl ThreadPool {
 /// definition.
 fn job_msg(job: Job) -> Msg {
     Msg::Run(job)
-}
-
-/// `Duration` → saturating nanoseconds, for telemetry and flight events.
-fn nanos(d: Duration) -> u64 {
-    d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 impl Drop for ThreadPool {

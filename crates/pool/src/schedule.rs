@@ -75,6 +75,26 @@ impl Schedule {
     pub fn is_static(&self) -> bool {
         matches!(self, Schedule::StaticBlock | Schedule::StaticChunked { .. })
     }
+
+    /// The kind of the OpenMP `schedule` clause: `static`, `dynamic` or
+    /// `guided`.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            Schedule::StaticBlock | Schedule::StaticChunked { .. } => "static",
+            Schedule::Dynamic { .. } => "dynamic",
+            Schedule::Guided { .. } => "guided",
+        }
+    }
+
+    /// The clause's chunk argument, if it has one (`min_chunk` for
+    /// guided).
+    pub(crate) fn chunk(&self) -> Option<usize> {
+        match *self {
+            Schedule::StaticBlock => None,
+            Schedule::StaticChunked { chunk } | Schedule::Dynamic { chunk } => Some(chunk),
+            Schedule::Guided { min_chunk } => Some(min_chunk),
+        }
+    }
 }
 
 /// Computes the contiguous block owned by `thread` under
@@ -234,6 +254,21 @@ impl DynamicCursor {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn clause_kind_and_chunk() {
+        let clause = |s: Schedule| (s.kind(), s.chunk());
+        assert_eq!(clause(Schedule::StaticBlock), ("static", None));
+        assert_eq!(
+            clause(Schedule::StaticChunked { chunk: 8 }),
+            ("static", Some(8))
+        );
+        assert_eq!(clause(Schedule::Dynamic { chunk: 1 }), ("dynamic", Some(1)));
+        assert_eq!(
+            clause(Schedule::Guided { min_chunk: 2 }),
+            ("guided", Some(2))
+        );
+    }
 
     fn cover_static(schedule: Schedule, n: usize, threads: usize) -> Vec<usize> {
         let mut hits = vec![0usize; n];

@@ -1,8 +1,9 @@
 //! Always-on runtime telemetry for the perfport workspace.
 //!
 //! This is the one instrumentation path. Every fact is recorded once,
-//! here, cheaply enough to leave on unconditionally; `--trace` is the
-//! opt-in, per-event view of the same spans:
+//! cheaply enough to leave on unconditionally: aggregates here, events
+//! in `perfport-trace`'s per-thread record log, of which `--trace` and
+//! the flight recorder are two views:
 //!
 //! - **Static metric handles** ([`Counter`], [`Gauge`], [`Histogram`]),
 //!   each a `static` declared at its call site: every thread writes its
@@ -12,13 +13,13 @@
 //!   and log₂-bucketed streaming histograms
 //!   ([`histogram::HistogramSnapshot`]) carrying exact count/sum.
 //! - **Spans** ([`Histogram::span`]): one timed interval recorded into
-//!   its histogram always and, while a `perfport-trace` collector is
-//!   installed, also emitted as a trace span with its arguments.
-//! - **Flight recorder** ([`event`], [`flight_dump`]): a fixed-size
-//!   per-worker ring of structured runtime events that costs nothing
-//!   on disk until a region poisons or a task panics, at which point
-//!   the merged rings are serialized to `flight-<pid>.json` for
-//!   post-mortem inspection.
+//!   its histogram and, as one record, into the thread's event log;
+//!   while a `perfport-trace` collector is installed that record also
+//!   carries the span's arguments into the trace.
+//! - **Flight recorder** ([`flight_dump`]): the newest 256 records of
+//!   every thread's event log, which cost nothing on disk until a
+//!   region poisons or a task panics, at which point they are merged
+//!   and serialized to `flight-<pid>.json` for post-mortem inspection.
 //!
 //! Instrumentation is **observation-only** by construction: nothing
 //! recorded here feeds back into scheduling or numerics, and the
@@ -30,7 +31,8 @@
 //!
 //! CI measures the cost of the always-on default by rebuilding the
 //! bench harness with this crate's `stub` feature, which replaces
-//! every recording entry point with an empty inline function, and
+//! every metric recording entry point with an empty inline function
+//! and turns the flight dump off, and
 //! gating the two `host_gemm` runs against each other (≤2%). Shipping
 //! code never enables `stub`; it exists purely as the A/B baseline.
 
@@ -41,18 +43,10 @@ pub mod histogram;
 mod metrics;
 pub mod snapshot;
 
-pub use flight::{panic_message, Detail};
+pub use flight::panic_message;
 pub use histogram::HistogramSnapshot;
 pub use metrics::{snapshot, Counter, Gauge, Histogram, Span};
 pub use snapshot::Snapshot;
-
-/// Records a flight-recorder event on the calling thread's ring.
-#[inline]
-pub fn event(kind: &'static str, detail: Detail) {
-    if !cfg!(feature = "stub") {
-        flight::event(kind, detail);
-    }
-}
 
 /// Dumps the flight recorder (first trigger only); returns the path
 /// written. Never dumps in a `stub` build.

@@ -32,9 +32,10 @@
 //! reaches the trace collector.
 
 use std::sync::atomic::AtomicUsize;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::snapshot::Snapshot;
+use perfport_trace::log::nanos;
 
 /// Marks a handle whose name has not been resolved to an id yet.
 const UNRESOLVED: usize = usize::MAX;
@@ -117,33 +118,30 @@ impl Histogram {
         shards::observe(&self.0, value);
     }
 
-    /// Starts timing one interval into this histogram. While a
-    /// `perfport-trace` collector is installed the interval is also a
-    /// trace span `cat:name`; otherwise the trace side costs one atomic
-    /// load.
+    /// Starts timing one interval into this histogram. The interval is
+    /// also a `perfport-trace` span `cat:name`, which times it: it lands
+    /// in the thread's record log, and in a collector's session while
+    /// one is installed.
     pub fn span(&'static self, cat: &'static str, name: &'static str) -> Span {
-        let trace = perfport_trace::span(cat, name);
         Span {
             histogram: self,
-            trace,
-            start: Instant::now(),
+            trace: perfport_trace::span(cat, name),
             elapsed: None,
         }
     }
 }
 
 /// One timed interval: the single instrument for a region that is both
-/// a telemetry histogram and, under `--trace`, a trace span.
+/// a telemetry histogram and a trace span.
 ///
 /// The interval ends at the first [`Span::stop`] (or at drop), and its
-/// length is recorded into the histogram then. The trace span stays
-/// open until the `Span` drops, so arguments computed from the length
-/// still reach its end event.
+/// length is recorded into the histogram then. The trace span writes
+/// its record when the `Span` drops, so arguments computed from the
+/// length still reach its end event.
 #[must_use = "a span stops when it drops"]
 pub struct Span {
     histogram: &'static Histogram,
     trace: perfport_trace::SpanGuard,
-    start: Instant,
     elapsed: Option<Duration>,
 }
 
@@ -163,9 +161,9 @@ impl Span {
     /// Ends the interval on the first call, records its length into the
     /// histogram and returns it; later calls return the same length.
     pub fn stop(&mut self) -> Duration {
-        let (start, histogram) = (self.start, self.histogram);
+        let (trace, histogram) = (&mut self.trace, self.histogram);
         *self.elapsed.get_or_insert_with(|| {
-            let elapsed = start.elapsed();
+            let elapsed = trace.stop();
             histogram.observe(nanos(elapsed));
             elapsed
         })
@@ -176,11 +174,6 @@ impl Drop for Span {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-/// A duration in whole nanoseconds, saturating at `u64::MAX`.
-fn nanos(d: Duration) -> u64 {
-    d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Merges every shard into one canonical [`Snapshot`]: counters sum,

@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 
 use crate::histogram::{bucket_upper_bound, HistogramSnapshot};
+use perfport_trace::json::escape;
 
 /// A merged, immutable view of all shards at one instant.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -187,26 +188,6 @@ pub fn prometheus_name(name: &str) -> String {
     format!("perfport_{sanitized}")
 }
 
-/// Minimal JSON string escaping for metric names and event payloads
-/// (quote, backslash, and control characters).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,12 +255,5 @@ mod tests {
         assert_eq!(delta.counters["queue/submitted"], 4);
         assert_eq!(delta.gauges["queue/depth"], 2);
         assert!(delta.histograms["serve/latency_ns"].is_empty());
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(escape("plain/name"), "plain/name");
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

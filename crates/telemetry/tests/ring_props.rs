@@ -8,8 +8,9 @@
 //!   of relative error) — the bound the serving-path cross-check
 //!   relies on.
 
-use perfport_telemetry::flight::{FlightEvent, Ring};
+use perfport_telemetry::flight::FlightEvent;
 use perfport_telemetry::histogram::Histogram;
+use perfport_trace::log::Ring;
 use proptest::prelude::*;
 
 fn ev(i: u64) -> FlightEvent {

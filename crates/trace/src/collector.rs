@@ -1,66 +1,34 @@
-//! Thread-safe in-memory event collector.
+//! The trace view of the per-thread record log.
 
 use crate::event::{Event, EventKind, Value};
-use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use crate::log::{self, Key};
 
-/// Process-wide registry handing out small, stable per-thread ids. The
-/// OS thread id is neither small nor stable across runs; trace ids
-/// start at 0 in registration order, which makes summaries and Chrome
-/// timelines readable.
-static NEXT_TID: AtomicU64 = AtomicU64::new(0);
+pub use crate::log::thread_id;
 
-thread_local! {
-    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Returns this thread's stable trace id.
-pub fn thread_id() -> u64 {
-    TID.with(|t| *t)
-}
-
-/// An argument key: a literal at almost every site, so recording
-/// borrows it instead of allocating.
-pub type Key = Cow<'static, str>;
-
-/// An event as recorded: the category and static keys stay borrowed,
-/// and the [`Event`] with its owned strings is built only when the
-/// collector is read.
-struct Raw {
-    kind: EventKind,
-    cat: &'static str,
-    name: Key,
-    ts_ns: u128,
-    tid: u64,
-    args: Vec<(Key, Value)>,
-}
-
-/// Accumulates [`Event`]s from any number of threads.
+/// A trace session over the per-thread record logs.
 ///
-/// A collector is cheap to create and owns its own epoch: all
-/// timestamps are nanoseconds since [`Collector::new`] was called.
-/// Recording takes one short-lived mutex acquisition and copies neither
-/// the category nor a literal argument key; the instrument sites in the
-/// workspace record at region/launch/size-point granularity (not per
-/// element), so contention is negligible.
+/// A collector owns a session of the logs ([`crate::log`]): while it
+/// lives, every thread keeps its records unbounded, even after it
+/// exits. Timestamps are nanoseconds since [`Collector::new`] was
+/// called.
 pub struct Collector {
-    epoch: Instant,
-    events: Mutex<Vec<Raw>>,
+    /// The session recording sites stamp while this collector is
+    /// installed.
+    pub(crate) session: u64,
+    origin: u64,
 }
 
 impl Collector {
-    /// Creates an empty collector whose epoch is "now".
+    /// Opens an empty session whose epoch is "now".
     pub fn new() -> Self {
         Collector {
-            epoch: Instant::now(),
-            events: Mutex::new(Vec::new()),
+            session: log::open_session(),
+            origin: log::now_ns(),
         }
     }
 
-    /// Records one event, stamped with the current time and the calling
-    /// thread's stable id.
+    /// Records one event into the calling thread's log, stamped now and
+    /// owned by this collector whether or not it is installed.
     pub fn record(
         &self,
         kind: EventKind,
@@ -68,54 +36,49 @@ impl Collector {
         name: impl Into<Key>,
         args: Vec<(Key, Value)>,
     ) {
-        let raw = Raw {
-            kind,
-            cat,
-            name: name.into(),
-            ts_ns: self.epoch.elapsed().as_nanos(),
-            tid: thread_id(),
-            args,
-        };
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(raw);
+        log::point(kind, cat, name.into(), args, self.session);
     }
 
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copies out everything recorded so far, in recording order.
+    /// Copies out everything recorded so far, every thread's records
+    /// merged by timestamp and each span expanded into its begin and end
+    /// event; a span's arguments travel on its end event.
     pub fn snapshot(&self) -> Vec<Event> {
-        let events = self.events.lock().unwrap_or_else(|e| e.into_inner());
-        events
-            .iter()
-            .map(|r| Event {
-                kind: r.kind,
-                cat: r.cat.to_string(),
-                name: r.name.to_string(),
-                ts_ns: r.ts_ns,
-                tid: r.tid,
-                args: r
-                    .args
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-            })
-            .collect()
+        let mut stamped = Vec::new();
+        log::each_session(self.session, |tid, record| {
+            for (kind, at) in record.events() {
+                let args = match kind {
+                    EventKind::SpanBegin => Vec::new(),
+                    _ => record
+                        .args
+                        .iter()
+                        .map(|(k, v)| (k.to_string(), v.clone()))
+                        .collect(),
+                };
+                let event = Event {
+                    kind,
+                    cat: record.cat.to_string(),
+                    name: record.name.to_string(),
+                    ts_ns: u128::from(at.ns.saturating_sub(self.origin)),
+                    tid,
+                    args,
+                };
+                stamped.push((at, event));
+            }
+        });
+        stamped.sort_by_key(|&(at, _)| at);
+        stamped.into_iter().map(|(_, event)| event).collect()
     }
 }
 
 impl Default for Collector {
     fn default() -> Self {
         Collector::new()
+    }
+}
+
+impl Drop for Collector {
+    fn drop(&mut self) {
+        log::close_session();
     }
 }
 

@@ -1,5 +1,6 @@
 //! The event model: what one recorded observation looks like.
 
+use crate::log::Key;
 use std::fmt;
 
 /// The kind of a recorded event.
@@ -49,8 +50,9 @@ pub enum Value {
     F64(f64),
     /// Boolean.
     Bool(bool),
-    /// Text.
-    Str(String),
+    /// Text: borrowed when it is a literal, so recording it allocates
+    /// nothing.
+    Str(Key),
 }
 
 impl Value {
@@ -107,14 +109,14 @@ impl From<bool> for Value {
         Value::Bool(v)
     }
 }
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Self {
+        Value::Str(Key::Borrowed(v))
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Key::Owned(v))
     }
 }
 

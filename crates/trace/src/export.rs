@@ -126,8 +126,8 @@ fn json_to_value(j: &Json) -> Value {
                 Value::F64(*n)
             }
         }
-        Json::String(s) => Value::Str(s.clone()),
-        other => Value::Str(format!("{other:?}")),
+        Json::String(s) => Value::Str(s.clone().into()),
+        other => Value::Str(format!("{other:?}").into()),
     }
 }
 
@@ -212,7 +212,7 @@ mod tests {
                 tid: 0,
                 args: vec![
                     ("n".to_string(), Value::U64(4096)),
-                    ("sched".to_string(), Value::Str("static".to_string())),
+                    ("sched".to_string(), Value::Str("static".into())),
                 ],
             },
         ]
@@ -244,7 +244,7 @@ mod tests {
         // End-event args survive (order normalised by key).
         let end = &imported[2];
         assert_eq!(end.arg("n"), Some(&Value::U64(4096)));
-        assert_eq!(end.arg("sched"), Some(&Value::Str("static".to_string())));
+        assert_eq!(end.arg("sched"), Some(&Value::Str("static".into())));
     }
 
     #[test]

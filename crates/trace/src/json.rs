@@ -361,6 +361,13 @@ mod tests {
     }
 
     #[test]
+    fn escape_handles_quotes_and_control_chars() {
+        assert_eq!(escape("plain/name"), "plain/name");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "quote\" back\\slash \n tab\t control\u{1} é";
         let doc = format!("\"{}\"", escape(nasty));
