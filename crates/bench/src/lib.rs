@@ -2,7 +2,8 @@
 //!
 //! Every binary accepts `--quick` (reduced sweep for smoke testing),
 //! `--csv` (machine-readable output next to the human-readable table),
-//! `--threads <n>` (worker-team size, default: all available cores),
+//! `--threads <n>` (team size, the calling thread included; default: all
+//! available cores),
 //! and `--trace <path>` (write a Chrome `trace_event` file capturing
 //! region, kernel-launch, and size-point spans for the run).
 //! Unknown flags are an error: the binary prints the usage line and
@@ -45,7 +46,8 @@ pub struct HarnessArgs {
     pub quick: bool,
     /// Also print CSV blocks.
     pub csv: bool,
-    /// Worker-team size override (`None`: all available cores).
+    /// Team-size override, the calling thread included (`None`: all
+    /// available cores).
     pub threads: Option<usize>,
     /// Write a Chrome trace of the run here.
     pub trace: Option<PathBuf>,
@@ -142,7 +144,8 @@ impl HarnessArgs {
         Self::parse(std::env::args().skip(1))
     }
 
-    /// The worker-team size to run with: the `--threads` override, or
+    /// The team size to run with, counting the calling thread as member
+    /// 0, as OpenMP's `num_threads` does: the `--threads` override, or
     /// every core the OS reports.
     pub fn thread_count(&self) -> usize {
         self.threads.unwrap_or_else(|| {

@@ -41,7 +41,7 @@ pub struct Manifest {
     /// because the host cannot execute it (unknown values abort the
     /// process instead). `None` when the override was honoured or absent.
     pub simd_rejected: Option<String>,
-    /// Worker-team size of the run.
+    /// Team size of the run, the calling thread included.
     pub threads: usize,
     /// Study-grid shard this run executed (`"i/n"`), `None` for
     /// unsharded runs.

@@ -1,8 +1,9 @@
 //! An OpenMP-like work-sharing runtime.
 //!
 //! The paper compares four CPU programming models that all reduce to the
-//! same execution shape: a persistent team of worker threads, a `parallel
-//! for` over an index space, a loop schedule (OpenMP `static`/`dynamic`/
+//! same execution shape: a persistent team of threads that includes the
+//! one reaching the loop, a `parallel for` over an index space, a loop
+//! schedule (OpenMP `static`/`dynamic`/
 //! `guided`, Julia `@threads :static`, Numba `prange`), and an optional
 //! thread-affinity policy (`OMP_PROC_BIND`/`OMP_PLACES`, `JULIA_EXCLUSIVE`;
 //! Numba notably has none). This crate is that substrate, built from
@@ -13,8 +14,10 @@
 //! work-sharing loop over one region, and a loop of at most one item runs
 //! on the calling thread instead of forking one. The pieces:
 //!
-//! * [`ThreadPool`] — a persistent worker team with fork-join semantics and
-//!   panic propagation (the "OpenMP runtime").
+//! * [`ThreadPool`] — a persistent team with fork-join semantics and panic
+//!   propagation (the "OpenMP runtime"). The calling thread is team member
+//!   0, like OpenMP's master thread, so a team of `n` spawns `n − 1`
+//!   workers and a team of one runs every region on the caller.
 //! * [`Schedule`] — static (block or round-robin chunked), dynamic, and
 //!   guided loop schedules, implemented exactly as the OpenMP 5.x
 //!   specification describes them.

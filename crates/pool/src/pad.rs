@@ -2,7 +2,7 @@
 //!
 //! The dynamic-schedule cursor and the region join counter are the two
 //! atomics every worker hammers during a parallel region. On the
-//! coordinator's stack (or inside an `Arc` allocation) they would
+//! caller's stack (or inside an `Arc` allocation) they would
 //! otherwise share a cache line with neighbouring fields, so every
 //! `fetch_add`/`fetch_sub` from one core invalidates lines other cores
 //! are reading — classic false sharing. Wrapping them in [`CachePadded`]

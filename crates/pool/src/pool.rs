@@ -1,11 +1,14 @@
-//! The persistent worker team and its fork-join protocol.
+//! The persistent team and its fork-join protocol.
 //!
 //! Like an OpenMP runtime, the pool keeps its team alive across parallel
-//! regions: forking a region costs one channel send per worker plus a
-//! wake-up, not a thread spawn. Region bodies may borrow from the caller's
-//! stack; soundness comes from the strict join protocol — `run_region`
-//! does not return until every worker has signalled completion, so the
-//! borrowed closure outlives all uses.
+//! regions, and the thread that forks a region is team member 0, as
+//! OpenMP's master thread is: a team of `n` is the caller plus `n − 1`
+//! spawned workers. Forking a region costs one channel send and one
+//! wake-up per spawned worker, not a thread spawn, so a team of one forks
+//! nothing. Region bodies may borrow from the caller's stack; soundness
+//! comes from the strict join protocol — `run_region` does not return,
+//! not even by unwinding, until every worker has signalled completion, so
+//! the borrowed closure outlives all uses.
 
 use crate::schedule::{Chunk, DynamicCursor, Schedule, StaticChunks};
 use crate::slice::SlotCell;
@@ -24,32 +27,35 @@ use std::time::{Duration, Instant};
 /// Per-thread context handed to every region body.
 #[derive(Debug, Clone, Copy)]
 pub struct ForContext {
-    /// This worker's index within the team, `0..num_threads`.
+    /// This thread's index within the team, `0..num_threads`; 0 is the
+    /// calling thread.
     pub thread_id: usize,
     /// Team size (`omp_get_num_threads`).
     pub num_threads: usize,
-    /// Where the affinity policy put this worker.
+    /// Where the affinity policy put this thread.
     pub placement: Placement,
 }
 
-/// Iterations of the coordinator's spin phase before it parks on the
-/// condvar. Sized so a small region (tens of microseconds of work per
-/// worker) joins without a futex round trip, while a long region costs
-/// at most a few microseconds of extra spinning.
+/// Iterations of the caller's spin phase before it parks on the condvar.
+/// The caller spins only once its own share of the region is done, so
+/// the wait covers just the workers' lag behind it: the wake-up latency
+/// plus any imbalance. Sized so a small region (tens of microseconds of
+/// work per thread) joins without a futex round trip, while a long
+/// region costs at most a few microseconds of extra spinning.
 const JOIN_SPIN_ITERS: u32 = 4096;
 
-/// Completion state shared between the coordinator and the team for one
-/// region.
+/// Completion state shared between the caller and the spawned workers
+/// for one region.
 ///
 /// The join counter lives on its own cache-line pair: every worker RMWs
 /// it once per region, and at small region sizes those RMWs land within
 /// nanoseconds of each other — sharing a line with `done_flag` (which
-/// the coordinator polls in its spin phase) would make each decrement
-/// evict the coordinator's line.
+/// the caller polls in its spin phase) would make each decrement evict
+/// the caller's line.
 struct RegionState {
     remaining: crate::pad::CachePadded<AtomicUsize>,
     panicked: AtomicBool,
-    /// Lock-free completion flag for the coordinator's spin phase.
+    /// Lock-free completion flag for the caller's spin phase.
     done_flag: AtomicBool,
     /// Parked-path completion state, for when spinning times out.
     done: Mutex<bool>,
@@ -57,19 +63,21 @@ struct RegionState {
 }
 
 impl RegionState {
-    fn new(team: usize) -> Arc<Self> {
+    /// State for a region joining `workers` spawned workers; with none
+    /// it is done from the start.
+    fn new(workers: usize) -> Arc<Self> {
         Arc::new(RegionState {
-            remaining: crate::pad::CachePadded::new(AtomicUsize::new(team)),
+            remaining: crate::pad::CachePadded::new(AtomicUsize::new(workers)),
             panicked: AtomicBool::new(false),
-            done_flag: AtomicBool::new(false),
-            done: Mutex::new(false),
+            done_flag: AtomicBool::new(workers == 0),
+            done: Mutex::new(workers == 0),
             cv: Condvar::new(),
         })
     }
 
     fn finish_one(&self) {
-        // AcqRel: the worker's writes happen-before the coordinator's
-        // return from `wait`.
+        // AcqRel: the worker's writes happen-before the caller's return
+        // from `wait`.
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.done_flag.store(true, Ordering::Release);
             let mut done = self.done.lock();
@@ -80,10 +88,10 @@ impl RegionState {
 
     /// Bounded spin, then park. Forking a region costs one channel send
     /// per worker; at small loop sizes the *join* used to dominate
-    /// because the coordinator always took the mutex + condvar path
-    /// (a futex sleep/wake pair). Spinning on the lock-free flag first
-    /// makes the fork-join round trip allocation- and syscall-free
-    /// whenever the region finishes within the spin budget.
+    /// because the caller always took the mutex + condvar path (a futex
+    /// sleep/wake pair). Spinning on the lock-free flag first makes the
+    /// join syscall-free whenever the workers finish within the spin
+    /// budget.
     fn wait(&self) {
         for _ in 0..JOIN_SPIN_ITERS {
             // Acquire pairs with the Release store in `finish_one` (and
@@ -101,15 +109,15 @@ impl RegionState {
     }
 }
 
-/// A type-erased pointer to a region body living on the coordinator's
-/// stack. The join protocol guarantees the pointee outlives every call.
+/// A type-erased pointer to a region body living on the caller's stack.
+/// The join protocol guarantees the pointee outlives every call.
 struct Job {
     data: *const (),
     call: unsafe fn(*const (), usize),
     state: Arc<RegionState>,
 }
 
-// SAFETY: `data` points at a `F: Sync` closure that the coordinator keeps
+// SAFETY: `data` points at a `F: Sync` closure that the caller keeps
 // alive until all workers signalled completion; sending the pointer to
 // worker threads is exactly the `&F: Send` capability `F: Sync` grants.
 unsafe impl Send for Job {}
@@ -142,9 +150,9 @@ static REGIONS_POISONED: Counter = Counter::new("pool/regions_poisoned");
 /// `task_panic` event and flight-recorded. Returns whether `body`
 /// panicked.
 ///
-/// The flight dump fires before the coordinator learns of the failure,
-/// and the dump guard is first-trigger-wins, so the file on disk ends
-/// with this event.
+/// The flight dump fires before the region re-raises the failure, and the
+/// dump guard is first-trigger-wins, so the file on disk ends with this
+/// event.
 fn run_job(body: impl FnOnce()) -> bool {
     let Err(payload) = catch_unwind(AssertUnwindSafe(body)) else {
         return false;
@@ -166,8 +174,9 @@ fn raise_region_panic(region: Duration) -> ! {
     panic!("{MSG}");
 }
 
-/// A persistent team of worker threads with OpenMP-style fork-join
-/// parallel regions and work-sharing loops.
+/// A persistent team with OpenMP-style fork-join parallel regions and
+/// work-sharing loops. The calling thread is member 0 of every region,
+/// so a team of `n` spawns `n − 1` worker threads.
 ///
 /// ```
 /// use perfport_pool::{Schedule, ThreadPool};
@@ -190,7 +199,8 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Creates a pool of `threads` unpinned workers on a flat topology.
+    /// Creates an unpinned team of `threads` on a flat topology: the
+    /// caller plus `threads − 1` spawned workers.
     pub fn new(threads: usize) -> Self {
         Self::with_affinity(
             threads,
@@ -199,9 +209,10 @@ impl ThreadPool {
         )
     }
 
-    /// Creates a pool whose workers are placed on `topology` according to
-    /// `policy`. Placement is recorded for the timing models; it is not
-    /// enforced with OS affinity calls (see crate docs).
+    /// Creates a team of `threads` placed on `topology` according to
+    /// `policy`; it spawns workers `1..threads`, and placement 0 is the
+    /// calling thread's. Placement is recorded for the timing models; it
+    /// is not enforced with OS affinity calls (see crate docs).
     ///
     /// # Panics
     ///
@@ -211,9 +222,9 @@ impl ThreadPool {
         let placements: Vec<Placement> = (0..threads)
             .map(|t| place(&topology, policy, threads, t))
             .collect();
-        let mut senders = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for tid in 0..threads {
+        let mut senders = Vec::with_capacity(threads - 1);
+        let mut handles = Vec::with_capacity(threads - 1);
+        for tid in 1..threads {
             let (tx, rx) = unbounded::<Msg>();
             senders.push(tx);
             let handle = std::thread::Builder::new()
@@ -222,7 +233,7 @@ impl ThreadPool {
                     while let Ok(msg) = rx.recv() {
                         match msg {
                             Msg::Run(job) => {
-                                // SAFETY: the coordinator keeps the closure
+                                // SAFETY: the caller keeps the closure
                                 // alive until `finish_one` has been called
                                 // by every worker.
                                 if run_job(|| unsafe { (job.call)(job.data, tid) }) {
@@ -247,9 +258,9 @@ impl ThreadPool {
         }
     }
 
-    /// Team size.
+    /// Team size, the calling thread included.
     pub fn num_threads(&self) -> usize {
-        self.senders.len()
+        self.placements.len()
     }
 
     /// The topology the team is placed on.
@@ -262,7 +273,7 @@ impl ThreadPool {
         self.policy
     }
 
-    /// Recorded placement of every worker.
+    /// Recorded placement of every team member; entry 0 is the caller's.
     pub fn placements(&self) -> &[Placement] {
         &self.placements
     }
@@ -272,30 +283,36 @@ impl ThreadPool {
         self.regions_run.load(Ordering::Relaxed)
     }
 
-    /// Runs `body(thread_id)` on every worker and waits for all of them —
-    /// a bare `#pragma omp parallel`.
+    /// Runs `body(thread_id)` on every team member and waits for all of
+    /// them — a bare `#pragma omp parallel`. The calling thread runs
+    /// `body(0)` after handing the region to the spawned workers, so a
+    /// team of one runs it inline with no wake-up and no join.
     ///
     /// # Panics
     ///
-    /// Re-raises (as a panic) if any worker's body panicked.
+    /// Re-raises (as a panic) if any member's body panicked, but only
+    /// once every worker has finished: workers hold pointers into the
+    /// caller's stack until the join.
     pub fn run_region<F: Fn(usize) + Sync>(&self, body: &F) {
-        let team = self.senders.len();
         let mut sp = REGION_NS.span("pool", "region");
-        sp.arg("team", team);
-        let state = RegionState::new(team);
+        sp.arg("team", self.num_threads());
+        let state = RegionState::new(self.senders.len());
         for tx in &self.senders {
             let job = Job {
                 data: body as *const F as *const (),
                 call: call_body::<F>,
                 state: Arc::clone(&state),
             };
-            tx.send(job_msg(job)).expect("worker channel closed");
+            tx.send(Msg::Run(job)).expect("worker channel closed");
         }
+        // `run_job` catches a panic in the caller's share, so the join
+        // below always runs before this frame can unwind.
+        let caller_panicked = run_job(|| body(0));
         state.wait();
         let region = sp.stop();
         REGIONS.add(1);
         self.regions_run.fetch_add(1, Ordering::Relaxed);
-        let panicked = state.panicked.load(Ordering::Acquire);
+        let panicked = caller_panicked || state.panicked.load(Ordering::Acquire);
         sp.arg("panicked", panicked);
         if panicked {
             raise_region_panic(region);
@@ -311,8 +328,11 @@ impl ThreadPool {
     /// team of one, like an OpenMP region whose `if` clause is false. It
     /// is wrapped exactly as a worker wraps its share, and a panic in it
     /// re-raises the same region-panic message. The returned stats keep
-    /// one slot per pool worker, with the item in slot 0 and zero barrier
+    /// one slot per team member, with the item in slot 0 and zero barrier
     /// wait everywhere.
+    ///
+    /// A longer loop forks one region, and the calling thread works
+    /// through its share as member 0; its counts fill slot 0.
     ///
     /// # Panics
     ///
@@ -354,8 +374,8 @@ impl ThreadPool {
                     my_chunks += 1;
                 }
             }
-            // SAFETY: each worker writes only its own slot, and the
-            // coordinator reads only after the join.
+            // SAFETY: each team member writes only its own slot, and the
+            // caller reads only after the join.
             unsafe {
                 items.set(tid, my_items);
                 chunks.set(tid, my_chunks);
@@ -388,23 +408,22 @@ impl ThreadPool {
             barrier_wait_per_thread,
         };
         BARRIER_WAIT_NS.add(nanos(stats.total_barrier_wait()));
+        // Only what a reader cannot derive from the rest of the trace: the
+        // nested `pool:region` span carries `team`, `imbalance` is
+        // `items_max · team / n`, and an inline call's item counts follow
+        // from `n` alone.
         if sp.is_traced() {
             sp.arg("n", n);
             sp.arg("schedule", schedule.kind());
             if let Some(chunk) = schedule.chunk() {
                 sp.arg("chunk", chunk);
             }
-            sp.arg("team", team);
-            sp.arg(
-                "items_min",
-                stats.items_per_thread.iter().copied().min().unwrap_or(0),
-            );
-            sp.arg(
-                "items_max",
-                stats.items_per_thread.iter().copied().max().unwrap_or(0),
-            );
-            sp.arg("imbalance", stats.imbalance());
-            sp.arg("fork_join_overhead_ns", nanos(stats.fork_join_overhead));
+            if !inline {
+                let items = &stats.items_per_thread;
+                sp.arg("items_min", items.iter().copied().min().unwrap_or(0));
+                sp.arg("items_max", items.iter().copied().max().unwrap_or(0));
+                sp.arg("fork_join_overhead_ns", nanos(stats.fork_join_overhead));
+            }
         }
         stats
     }
@@ -440,7 +459,7 @@ impl ThreadPool {
         self.parallel_for_each(n, schedule, |i| {
             let v = f(i);
             // SAFETY: every schedule assigns each index to exactly one
-            // chunk (one worker), and the coordinator reads the slots
+            // chunk (one thread), and the caller reads the slots
             // only after the region joined.
             unsafe { slots.set(i, Some(v)) };
         });
@@ -450,12 +469,6 @@ impl ThreadPool {
             .map(|v| v.expect("schedule visited every index exactly once"))
             .collect()
     }
-}
-
-/// Wraps a job; separated so `Msg` construction stays next to its
-/// definition.
-fn job_msg(job: Job) -> Msg {
-    Msg::Run(job)
 }
 
 impl Drop for ThreadPool {
@@ -592,7 +605,7 @@ mod tests {
 
     #[test]
     fn many_tiny_regions_join_correctly() {
-        // Small regions finish inside the coordinator's spin budget, so
+        // Small regions finish inside the caller's spin budget, so
         // this hammers the lock-free join path; the sleepy regions in
         // `fork_join_overhead_is_measured` cover the parked path.
         let pool = ThreadPool::new(4);
@@ -620,6 +633,86 @@ mod tests {
         // The pool must remain usable afterwards.
         let stats = pool.parallel_for_each(8, Schedule::StaticBlock, |_| {});
         assert_eq!(stats.total_items(), 8);
+    }
+
+    #[test]
+    fn the_caller_is_team_member_zero() {
+        let me = std::thread::current().id();
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            assert_eq!(pool.num_threads(), threads);
+            assert_eq!(pool.handles.len(), threads - 1, "the caller is not spawned");
+            let ran_on = parking_lot::Mutex::new(Vec::new());
+            pool.run_region(&|tid| ran_on.lock().push((tid, std::thread::current().id())));
+            let mut ran_on = ran_on.into_inner();
+            ran_on.sort_by_key(|&(tid, _)| tid);
+            assert_eq!(
+                ran_on.iter().map(|&(tid, _)| tid).collect::<Vec<_>>(),
+                (0..threads).collect::<Vec<_>>()
+            );
+            assert_eq!(ran_on[0].1, me, "member 0 is the calling thread");
+            let distinct: HashSet<_> = ran_on.iter().map(|&(_, id)| id).collect();
+            assert_eq!(
+                distinct.len(),
+                threads,
+                "{threads} members, {threads} threads"
+            );
+        }
+        // A team of one runs every region on the caller alone.
+        let pool = ThreadPool::new(1);
+        let ran_on = parking_lot::Mutex::new(HashSet::new());
+        pool.parallel_for_each(64, Schedule::Dynamic { chunk: 4 }, |_| {
+            ran_on.lock().insert(std::thread::current().id());
+        });
+        assert_eq!(ran_on.into_inner(), HashSet::from([me]));
+        assert_eq!(pool.regions_run(), 1);
+    }
+
+    #[test]
+    fn a_caller_share_panic_waits_for_every_worker() {
+        /// Meets worker 1 at the barrier while member 0 unwinds.
+        struct MeetOnUnwind<'a>(&'a std::sync::Barrier);
+        impl Drop for MeetOnUnwind<'_> {
+            fn drop(&mut self) {
+                self.0.wait();
+            }
+        }
+
+        flight_dir_in_temp();
+        let me = std::thread::current().id();
+        // Worker 1 writes here only once member 0 is unwinding on the
+        // caller, and then late: a region that re-raised before its join
+        // would reach the check below with the slot still empty. The body
+        // and what it borrows are declared before the pool, so they
+        // outlive its workers either way.
+        let unwinding = std::sync::Barrier::new(2);
+        let late_write = parking_lot::Mutex::new(None);
+        let body = |tid: usize| {
+            if tid == 0 {
+                let _meet = MeetOnUnwind(&unwinding);
+                assert_eq!(std::thread::current().id(), me);
+                panic!("boom on the caller");
+            }
+            unwinding.wait();
+            std::thread::sleep(Duration::from_millis(20));
+            *late_write.lock() = Some(std::thread::current().id());
+        };
+        let pool = ThreadPool::new(2);
+        let payload = catch_unwind(AssertUnwindSafe(|| pool.run_region(&body)))
+            .expect_err("the caller's panic must propagate");
+        let worker = late_write
+            .lock()
+            .take()
+            .expect("worker 1 finished before the region re-raised");
+        assert_ne!(worker, me);
+        assert_eq!(
+            perfport_telemetry::panic_message(&*payload),
+            "a perfport-pool worker panicked inside a parallel region"
+        );
+        assert_eq!(
+            pool.parallel_map(4, Schedule::StaticBlock, |i| i * 3),
+            vec![0, 3, 6, 9]
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! analogue.
 //!
 //! Each thread folds its chunks into a private accumulator; the
-//! coordinator combines the per-thread partials in thread order after
+//! caller combines the per-thread partials in thread order after
 //! the join, so a reduction over a commutative-associative operator is
 //! deterministic for a fixed team size and schedule.
 

@@ -185,7 +185,7 @@ impl Iterator for StaticChunks {
 ///
 /// The cursor atomic is padded to its own cache-line pair: every worker
 /// RMWs it on every grab, and without padding it shares a line with
-/// whatever neighbours it on the coordinator's stack (the per-thread
+/// whatever neighbours it on the caller's stack (the per-thread
 /// stats slots), turning each grab into cross-core invalidation traffic
 /// on unrelated data.
 #[derive(Debug)]

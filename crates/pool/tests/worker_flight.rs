@@ -1,7 +1,7 @@
 //! Post-mortem drills: a panic in a pool region must leave a
 //! well-formed `flight-<pid>.json` whose last event is the failure,
-//! whether the panicking item ran on a worker or, for a one-item loop,
-//! on the calling thread.
+//! whether the panicking item ran on a worker or on the calling thread,
+//! which is team member 0 of a region and runs a one-item loop alone.
 //!
 //! The dump is first-trigger-wins per process, and an uncaught panic
 //! kills the process, so each drill runs in a child: the parent
@@ -17,27 +17,39 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// Set only in the environment of a re-executed child, to the drill:
-/// `"worker"`, `"inline"` or `"clean"`.
+/// `"worker"`, `"caller"`, `"inline"` or `"clean"`.
 const CHILD_MARKER: &str = "PERFPORT_WORKER_FLIGHT_CHILD";
 
 /// The payload of the panicking item in the `"worker"` drill.
 const WORKER_PAYLOAD: &str = "worker flight drill: item 1 panicked";
 
+/// The payload of the panicking item in the `"caller"` drill.
+const CALLER_PAYLOAD: &str = "caller flight drill: item 0 panicked";
+
 /// The payload of the panicking item in the `"inline"` drill.
 const INLINE_PAYLOAD: &str = "inline flight drill: the only item panicked";
+
+/// Precedes the label a child prints for its own thread. A child run with
+/// one test thread prints it after libtest's `test child ... `.
+const LABEL_LINE: &str = "caller thread label: ";
 
 /// The child body. Every drill first runs a few clean two-item regions,
 /// so the ring holds complete `region_begin`/`region_end` pairs.
 ///
 /// - `"worker"`: a two-item region whose item 1 panics on worker 1. That
 ///   panic reaches this thread as the region panic and is not caught.
+/// - `"caller"`: a two-item region whose item 0 panics on this thread,
+///   team member 0. The panic is caught and the pool must stay usable.
 /// - `"inline"`: a one-item loop that panics on this thread; the panic
 ///   is caught, and the pool must have forked no region and stay usable.
+///
+/// Every drill prints this thread's label, which names it in the dump.
 #[test]
 fn child() {
     let Ok(drill) = std::env::var(CHILD_MARKER) else {
         return;
     };
+    println!("{LABEL_LINE}{}", perfport_trace::log::thread_label());
     let pool = ThreadPool::new(2);
     for _ in 0..3 {
         assert_eq!(
@@ -52,6 +64,22 @@ fn child() {
                     panic!("{WORKER_PAYLOAD}");
                 }
             });
+        }
+        "caller" => {
+            let regions = pool.regions_run();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.parallel_for_each(2, Schedule::StaticBlock, |i| {
+                    if i == 0 {
+                        panic!("{CALLER_PAYLOAD}");
+                    }
+                });
+            }));
+            assert!(result.is_err(), "the panic must propagate");
+            assert_eq!(pool.regions_run(), regions + 1, "one region was forked");
+            assert_eq!(
+                pool.parallel_map(2, Schedule::StaticBlock, |i| i + 1),
+                vec![1, 2]
+            );
         }
         "inline" => {
             let regions = pool.regions_run();
@@ -198,6 +226,49 @@ fn uncaught_worker_panic_dumps_a_parseable_flight_recording() {
             "kind '{expected}' missing: {text}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Item 0 of a region runs on the calling thread, so its panic is
+/// recorded under the caller's label, and it is the dump's last event.
+#[test]
+fn caller_share_panic_is_recorded_on_the_callers_thread() {
+    if !dumping_parent() {
+        return;
+    }
+    let (out, dir) = run_child("caller");
+    assert!(
+        out.status.success(),
+        "the caught caller panic must leave the pool usable:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let label = stdout
+        .lines()
+        .find_map(|l| l.split_once(LABEL_LINE).map(|(_, label)| label))
+        .expect("the child names its thread label");
+    assert!(!label.starts_with("perfport-worker"), "{label}");
+
+    let (text, doc) = only_dump(&dir);
+    let trigger = doc.get("trigger").expect("trigger object");
+    assert!(
+        is_task_panic(trigger, CALLER_PAYLOAD),
+        "wrong trigger: {text}"
+    );
+    let last = doc
+        .get("events")
+        .and_then(Json::as_array)
+        .and_then(|events| events.last())
+        .expect("a non-empty events array");
+    assert!(
+        is_task_panic(last, CALLER_PAYLOAD),
+        "wrong last event: {text}"
+    );
+    assert_eq!(
+        last.get("worker").and_then(Json::as_str),
+        Some(label),
+        "the panic is recorded on the caller's thread: {text}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

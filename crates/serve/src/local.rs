@@ -25,6 +25,10 @@ pub struct KillPlan {
 /// must re-lease its range — the joined artifact is byte-identical
 /// either way.
 ///
+/// The victim connects alone, and the other workers connect only once it
+/// has returned, so it dies at the same point of the same lease on every
+/// run instead of racing its peers for the grid.
+///
 /// # Errors
 ///
 /// Whatever [`coordinator::run`] returns; in particular, killing the
@@ -36,11 +40,11 @@ pub fn run_local(
     kill: Option<KillPlan>,
 ) -> Result<JoinedArtifact, ServeError> {
     let (tx, rx) = mpsc::channel::<Box<dyn Communicator>>();
+    let mut ends: Vec<Box<dyn Communicator>> = Vec::with_capacity(workers);
     let mut handles = Vec::with_capacity(workers);
     for i in 0..workers {
         let (coord_end, worker_end) = Loopback::pair();
-        tx.send(Box::new(coord_end))
-            .expect("receiver outlives the send loop");
+        ends.push(Box::new(coord_end));
         let wcfg = WorkerConfig {
             ident: format!("w{i}"),
             fail_after: kill.filter(|k| k.worker == i).map(|k| k.after_points),
@@ -54,9 +58,30 @@ pub fn run_local(
             let _ = worker::run(&mut comm, &wcfg);
         }));
     }
-    // Dropping the sender lets the coordinator detect "no workers will
-    // ever arrive" if the whole team dies with work outstanding.
-    drop(tx);
+    // The sender is dropped once every end is sent, so the coordinator
+    // can detect "no workers will ever arrive" if the whole team dies
+    // with work outstanding. Until its end is sent, a worker has only
+    // buffered its Hello.
+    match kill.filter(|k| k.worker < workers) {
+        Some(k) => {
+            tx.send(ends.remove(k.worker))
+                .expect("receiver outlives the send");
+            let victim = handles.remove(k.worker);
+            handles.push(std::thread::spawn(move || {
+                let _ = victim.join();
+                for end in ends {
+                    // Fails only when the run ended without these workers.
+                    let _ = tx.send(end);
+                }
+            }));
+        }
+        None => {
+            for end in ends {
+                tx.send(end).expect("receiver outlives the send loop");
+            }
+            drop(tx);
+        }
+    }
     let result = coordinator::run(rx, cfg);
     for handle in handles {
         // A successful run has delivered every live worker its Bye, and
