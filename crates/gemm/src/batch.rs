@@ -1,4 +1,4 @@
-//! Batched small-GEMM execution with shape-bucketing.
+//! Batched small-GEMM execution.
 //!
 //! The paper benchmarks one large GEMM at a time, but a production
 //! serving system faces the opposite regime: streams of *many small*
@@ -9,27 +9,28 @@
 //!
 //! * [`Problem`] / [`Output`] — one `C = A·B` request and its result,
 //!   over `f64`/`f32`/[`F16`].
-//! * [`bucket`] — groups problems by [`BucketKey`] `(precision, m, n,
-//!   k)` so every problem in a bucket shares one [`TunedParams`] /
-//!   `TileShape` selection ([`bucket_params`]), computed once per bucket
-//!   instead of once per problem.
+//! * [`bucket_params`] — the [`TunedParams`] / `TileShape` selection
+//!   every problem of one precision shares, looked up once per precision
+//!   per batch.
 //! * [`gemm_batch`] — executes a batch on a [`ThreadPool`], one problem
-//!   per work item in *canonical order* (bucket-major by `BucketKey`
-//!   ordering, submission order within a bucket), packing through each
-//!   worker's reusable thread-local arena.
+//!   per work item in submission order. A problem that fits one cache
+//!   block runs the tuned kernel's direct tiles with no packing (see
+//!   [`crate::tuned`]); a larger one packs through the worker's reusable
+//!   thread-local arena.
+//! * [`BucketKey`] — `(precision, m, n, k)`, the key of the per-shape
+//!   `batch/service_ns/<key>` service-time histograms.
 //!
 //! # The batch ≡ serial bitwise contract
 //!
 //! The concatenated outputs of [`gemm_batch`] are **bitwise identical**
 //! to running [`gemm_serial`] per problem in submission order, for any
-//! bucketing and any worker count. Three facts make this
-//! hold: every problem runs *whole* on one worker (no intra-problem
-//! row-splitting), both paths derive parameters through the same
-//! [`bucket_params`] function, and the tuned kernel's accumulation order
-//! per `C` element is a fixed function of the `Kc` blocking alone. The
-//! contract is enforced by proptests (`batch_props.rs`) and by the
-//! output checks of the `serve-batch` and `serve-single` benchmark
-//! workloads.
+//! worker count. Three facts make this hold: every problem runs *whole*
+//! on one worker (no intra-problem row-splitting), both paths derive
+//! parameters through the same [`bucket_params`] function, and the tuned
+//! kernel's accumulation order per `C` element is a fixed function of the
+//! `Kc` blocking alone. The contract is enforced by proptests
+//! (`batch_props.rs`) and by the output checks of the `serve-batch` and
+//! `serve-single` benchmark workloads.
 
 use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
@@ -38,11 +39,11 @@ use perfport_half::F16;
 use perfport_pool::{Schedule, ThreadPool};
 use perfport_telemetry::{Counter, Histogram};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
-/// Element precision of one batched problem, in canonical bucket order
-/// (widest first, matching the paper's precision columns).
+/// Element precision of one batched problem (widest first, matching the
+/// paper's precision columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Precision {
     /// IEEE 754 binary64.
@@ -144,7 +145,7 @@ impl Problem {
         }
     }
 
-    /// The bucket this problem belongs to.
+    /// The problem's precision and shape.
     pub fn key(&self) -> BucketKey {
         let (m, n, k) = self.dims();
         BucketKey {
@@ -156,14 +157,9 @@ impl Problem {
     }
 }
 
-/// The grouping key for shape-bucketing: problems with equal keys share
-/// one [`TunedParams`] selection and run back-to-back so a worker's pack
-/// arena sees a run of identically-shaped packs.
-///
-/// The derived ordering (precision-major, then `m`, `n`, `k`) is the
-/// *canonical bucket order*: bucket iteration — and therefore the
-/// batch's internal execution sequence — is identical for every worker
-/// count.
+/// A problem's precision and shape: the key of its
+/// `batch/service_ns/<key>` service-time histogram, so a serving mix's
+/// shapes stay separable in the merged snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BucketKey {
     /// Element precision.
@@ -219,21 +215,8 @@ impl Output {
     }
 }
 
-/// Groups problems into buckets by [`BucketKey`].
-///
-/// Every problem index lands in exactly one bucket; within a bucket,
-/// indices keep submission order; buckets iterate in canonical
-/// `BucketKey` order (the `BTreeMap` ordering) — all three properties
-/// are load-bearing for the bitwise contract and property-tested.
-pub fn bucket(problems: &[Problem]) -> BTreeMap<BucketKey, Vec<usize>> {
-    let mut buckets: BTreeMap<BucketKey, Vec<usize>> = BTreeMap::new();
-    for (idx, problem) in problems.iter().enumerate() {
-        buckets.entry(problem.key()).or_default().push(idx);
-    }
-    buckets
-}
-
-/// The tuned-kernel parameters every problem in `key`'s bucket shares.
+/// The tuned-kernel parameters of a problem with key `key`; they depend
+/// on its precision alone.
 ///
 /// Both [`gemm_batch`] and the per-problem serial reference
 /// ([`gemm_batch_serial`]) derive parameters through this one function,
@@ -257,8 +240,8 @@ fn solve<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, params: &TunedParams) -> Matri
 static PROBLEMS: Counter = Counter::new("batch/problems");
 
 thread_local! {
-    /// This thread's handles of the per-bucket `batch/service_ns/<key>`
-    /// histograms, so each bucket's name is built once per thread.
+    /// This thread's handles of the per-shape `batch/service_ns/<key>`
+    /// histograms, so each key's name is built once per thread.
     static SERVICE_NS: RefCell<HashMap<BucketKey, Histogram>> = RefCell::new(HashMap::new());
 }
 
@@ -269,9 +252,8 @@ fn run_problem(problem: &Problem, params: &TunedParams) -> Output {
         Problem::F32 { a, b } => Output::F32(solve(a, b, params)),
         Problem::F16 { a, b } => Output::F16(solve(a, b, params)),
     };
-    // Per-bucket service-time histogram: tail percentiles for any
-    // number of problems in O(1) memory, keyed so a serving mix's
-    // buckets stay separable in the merged snapshot.
+    // Per-shape service-time histogram: tail percentiles for any
+    // number of problems in O(1) memory.
     let service_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     PROBLEMS.add(1);
     SERVICE_NS.with(|handles| {
@@ -284,34 +266,34 @@ fn run_problem(problem: &Problem, params: &TunedParams) -> Output {
     output
 }
 
-/// The canonical execution sequence: `(submission index, shared
-/// params)` in bucket-major order, submission order within a bucket.
-fn execution_order(problems: &[Problem]) -> Vec<(usize, TunedParams)> {
-    let mut exec = Vec::with_capacity(problems.len());
-    for (key, indices) in bucket(problems) {
-        let params = bucket_params(&key);
-        exec.extend(indices.into_iter().map(|idx| (idx, params)));
-    }
-    exec
+/// Each problem's parameters, in submission order, with one
+/// [`bucket_params`] lookup per precision present.
+fn problem_params(problems: &[Problem]) -> Vec<TunedParams> {
+    let mut by_precision: [Option<TunedParams>; 3] = [None; 3];
+    problems
+        .iter()
+        .map(|p| {
+            *by_precision[p.precision() as usize].get_or_insert_with(|| bucket_params(&p.key()))
+        })
+        .collect()
 }
 
 /// Executes a batch of problems on the pool and returns outputs in
 /// submission order.
 ///
-/// Work items are whole problems in canonical bucket order, dispatched
-/// through `parallel_map` with a dynamic schedule of one problem per
-/// grab; each worker packs through its reusable thread-local arena, so a
-/// steady stream of batches never reallocates pack buffers after warm-up.
-/// A one-problem batch is a one-item loop, which runs and packs on the
-/// calling thread with no pool round trip. Outputs are bitwise identical
-/// to [`gemm_batch_serial`] for any worker count (see the module docs).
+/// Work items are whole problems in submission order, dispatched through
+/// `parallel_map` with a dynamic schedule of one problem per grab. A
+/// problem that fits one cache block runs unpacked; a larger one packs
+/// through the worker's reusable thread-local arena, so a steady stream
+/// of batches never reallocates pack buffers after warm-up. A
+/// one-problem batch is a one-item loop, which runs on the calling
+/// thread with no pool round trip. Outputs are bitwise identical to
+/// [`gemm_batch_serial`] for any worker count (see the module docs).
 pub fn gemm_batch(pool: &ThreadPool, problems: &[Problem]) -> Vec<Output> {
-    let exec = execution_order(problems);
-    let results = pool.parallel_map(exec.len(), Schedule::Dynamic { chunk: 1 }, |i| {
-        let (idx, params) = &exec[i];
-        (*idx, run_problem(&problems[*idx], params))
-    });
-    scatter(problems.len(), results)
+    let params = problem_params(problems);
+    pool.parallel_map(problems.len(), Schedule::Dynamic { chunk: 1 }, |i| {
+        run_problem(&problems[i], &params[i])
+    })
 }
 
 /// The per-problem serial reference: [`gemm_serial`] on each problem in
@@ -321,18 +303,6 @@ pub fn gemm_batch_serial(problems: &[Problem]) -> Vec<Output> {
     problems
         .iter()
         .map(|p| run_problem(p, &bucket_params(&p.key())))
-        .collect()
-}
-
-fn scatter(n: usize, results: Vec<(usize, Output)>) -> Vec<Output> {
-    let mut slots: Vec<Option<Output>> = (0..n).map(|_| None).collect();
-    for (idx, output) in results {
-        debug_assert!(slots[idx].is_none(), "problem {idx} executed twice");
-        slots[idx] = Some(output);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every problem executed exactly once"))
         .collect()
 }
 
@@ -360,17 +330,6 @@ mod tests {
                 Matrix::random(3, 10, l, seed + 7),
             ),
         ]
-    }
-
-    #[test]
-    fn buckets_partition_the_batch() {
-        let problems = mixed_batch(9);
-        let buckets = bucket(&problems);
-        // The two identically-shaped f32 problems share one bucket.
-        assert_eq!(buckets.len(), 3);
-        let mut seen: Vec<usize> = buckets.values().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   tuned kernel dispatches to at runtime (portable autovectorized
 //!   fallback included), overridable via `PERFPORT_SIMD`;
 //! * [`verify`] — numerical verification against an `f64` reference;
-//! * [`batch`] — the batched small-GEMM serving layer: shape-bucketed
+//! * [`batch`] — the batched small-GEMM serving layer: mixed-precision
 //!   [`Problem`] streams executed on the pool under a batch ≡ serial
 //!   bitwise contract.
 //!
@@ -64,7 +64,7 @@ pub mod variants;
 pub mod verify;
 
 pub use batch::{
-    bucket, bucket_params, gemm_batch, gemm_batch_serial, BucketKey, Output, Precision, Problem,
+    bucket_params, gemm_batch, gemm_batch_serial, BucketKey, Output, Precision, Problem,
 };
 pub use gpu::{gpu_gemm, gpu_gemm_mixed, GpuVariant};
 pub use gpu_tiled::{gpu_gemm_tiled, gpu_gemm_tiled_mixed, TILE, TILE_SMEM_ELEMS};

@@ -43,10 +43,17 @@
 //! type (e.g. 4 lanes for `f64` on AVX2), and one accumulator row must fit
 //! the kernel's register budget of at most `MAX_VECS` vectors (2 on x86,
 //! 4 on NEON; `f64` `8×16` on AVX2 would need 4). Non-qualifying tiles
-//! fall back to the portable tile via [`select`]. Ragged edge tiles need
-//! no special case at this level: the packing routines zero-pad
-//! micropanels to full `MR`/`NR` extent, so a microkernel always computes
-//! a full tile.
+//! fall back to the portable tile via [`select`]. A packed microkernel
+//! always computes a full tile: the packing routines zero-pad
+//! micropanels to full `MR`/`NR` extent, so ragged edges need no special
+//! case. The exception is the *direct* form of each x86 kernel
+//! (`select_direct`), which the tuned driver runs on
+//! problems that fit one cache block without packing them: it reads the
+//! row-major operands in place, clamps `A` rows past the edge and masks
+//! `B` lanes past it (`_mm512_maskz_loadu_*` under AVX-512,
+//! `_mm256_maskload_*` under AVX2). It runs the FMA body of its packed
+//! kernel, so the live part of its tile is bit for bit the packed one.
+//! `portable` and NEON have no direct form and always pack.
 //!
 //! # FMA-contraction caveat
 //!
@@ -301,28 +308,59 @@ pub fn portable<T: Scalar, const MR: usize, const NR: usize>(
     acc
 }
 
-/// Reinterprets a concrete microkernel as the generic signature, checked
-/// by the caller's `TypeId` comparison.
+/// A direct microkernel: the same `kb`-deep contraction as a
+/// [`Microkernel`], read in place from row-major operands instead of
+/// packed micropanels.
+///
+/// Called as `kernel(kb, a, lda, b, ldb, ilim, jlim)`: `a` starts at the
+/// tile's first `A` row (rows `lda` apart, `kb` live elements each), `b`
+/// at its first `B` element (rows `ldb` apart). Rows past `ilim` and
+/// columns past `jlim` of the returned tile are unspecified; the live
+/// `ilim × jlim` corner is bit for bit what the packed kernel of the same
+/// ISA, precision and tile computes from zero-padded panels. Panics if
+/// `ilim` or `jlim` is outside `1..=MR` / `1..=NR`, or, when `kb > 0`, if
+/// `(ilim-1)·lda + kb > a.len()` or `(kb-1)·ldb + jlim > b.len()`.
+pub(crate) type DirectKernel<T, const MR: usize, const NR: usize> =
+    fn(usize, &[T], usize, &[T], usize, usize, usize) -> [[T; NR]; MR];
+
+/// The native forms one ISA provides for a tile: the packed kernel, and
+/// the direct one where the ISA has it (x86 only).
+struct Native<T, const MR: usize, const NR: usize> {
+    packed: Microkernel<T, MR, NR>,
+    direct: Option<DirectKernel<T, MR, NR>>,
+}
+
+/// Reinterprets concrete kernels as the generic signatures, checked by
+/// the caller's `TypeId` comparison.
 ///
 /// # Safety
 ///
-/// `T` and `U` must be the same type (the function pointer is only
+/// `T` and `U` must be the same type (each function pointer is only
 /// transmuted between two spellings of one signature).
-unsafe fn cast_kernel<T: Scalar, U: Scalar, const MR: usize, const NR: usize>(
-    f: Microkernel<U, MR, NR>,
-) -> Microkernel<T, MR, NR> {
+unsafe fn cast_kernels<T: Scalar, U: Scalar, const MR: usize, const NR: usize>(
+    k: Native<U, MR, NR>,
+) -> Native<T, MR, NR> {
     debug_assert_eq!(TypeId::of::<T>(), TypeId::of::<U>());
     // SAFETY: caller guarantees T == U, so both function-pointer types
     // name the identical ABI.
-    unsafe { std::mem::transmute::<Microkernel<U, MR, NR>, Microkernel<T, MR, NR>>(f) }
+    unsafe {
+        Native {
+            packed: std::mem::transmute::<Microkernel<U, MR, NR>, Microkernel<T, MR, NR>>(k.packed),
+            direct: k.direct.map(|d| {
+                std::mem::transmute::<DirectKernel<U, MR, NR>, DirectKernel<T, MR, NR>>(d)
+            }),
+        }
+    }
 }
 
-/// The native microkernel `isa` provides for element type `T` and tile
+/// The native kernels `isa` provides for element type `T` and tile
 /// `MR×NR`, or `None` when the combination has no native implementation
 /// (foreign ISA, unsupported lane multiple, a row wider than the kernel's
 /// `MAX_VECS` register budget, or the software-half type, which the tuned
-/// driver widens to `f32` before it ever reaches a microkernel).
-fn native<T: Scalar, const MR: usize, const NR: usize>(isa: Isa) -> Option<Microkernel<T, MR, NR>> {
+/// driver widens to `f32` before it ever reaches a microkernel). One
+/// decision serves both forms, so a direct tile always runs the FMA body
+/// of the packed kernel it stands in for.
+fn native<T: Scalar, const MR: usize, const NR: usize>(isa: Isa) -> Option<Native<T, MR, NR>> {
     let is_f64 = TypeId::of::<T>() == TypeId::of::<f64>();
     let is_f32 = TypeId::of::<T>() == TypeId::of::<f32>();
     #[cfg(target_arch = "x86_64")]
@@ -332,23 +370,40 @@ fn native<T: Scalar, const MR: usize, const NR: usize>(isa: Isa) -> Option<Micro
         let avx = matches!(isa, Isa::Avx512 | Isa::Avx2);
         if is_f64 {
             if isa == Isa::Avx512 && fits(8) {
+                let k = Native {
+                    packed: x86::f64_avx512::<MR, NR>,
+                    direct: Some(x86::f64_avx512_direct::<MR, NR>),
+                };
                 // SAFETY: T == f64.
-                return Some(unsafe { cast_kernel(x86::f64_avx512::<MR, NR>) });
+                return Some(unsafe { cast_kernels(k) });
             }
             if avx && fits(4) {
-                // SAFETY: T == f64. (The AVX-512 verdict also requires
-                // AVX2+FMA, so the 256-bit kernel is legal under either.)
-                return Some(unsafe { cast_kernel(x86::f64_avx2::<MR, NR>) });
+                // The AVX-512 verdict also requires AVX2+FMA, so the
+                // 256-bit kernels are legal under either.
+                let k = Native {
+                    packed: x86::f64_avx2::<MR, NR>,
+                    direct: Some(x86::f64_avx2_direct::<MR, NR>),
+                };
+                // SAFETY: T == f64.
+                return Some(unsafe { cast_kernels(k) });
             }
         }
         if is_f32 {
             if isa == Isa::Avx512 && fits(16) {
+                let k = Native {
+                    packed: x86::f32_avx512::<MR, NR>,
+                    direct: Some(x86::f32_avx512_direct::<MR, NR>),
+                };
                 // SAFETY: T == f32.
-                return Some(unsafe { cast_kernel(x86::f32_avx512::<MR, NR>) });
+                return Some(unsafe { cast_kernels(k) });
             }
             if avx && fits(8) {
+                let k = Native {
+                    packed: x86::f32_avx2::<MR, NR>,
+                    direct: Some(x86::f32_avx2_direct::<MR, NR>),
+                };
                 // SAFETY: T == f32.
-                return Some(unsafe { cast_kernel(x86::f32_avx2::<MR, NR>) });
+                return Some(unsafe { cast_kernels(k) });
             }
         }
     }
@@ -357,12 +412,20 @@ fn native<T: Scalar, const MR: usize, const NR: usize>(isa: Isa) -> Option<Micro
         let fits = |lanes: usize| NR.is_multiple_of(lanes) && NR / lanes <= neon::MAX_VECS;
         if isa == Isa::Neon {
             if is_f64 && fits(2) {
+                let k = Native {
+                    packed: neon::f64_neon::<MR, NR>,
+                    direct: None,
+                };
                 // SAFETY: T == f64.
-                return Some(unsafe { cast_kernel(neon::f64_neon::<MR, NR>) });
+                return Some(unsafe { cast_kernels(k) });
             }
             if is_f32 && fits(4) {
+                let k = Native {
+                    packed: neon::f32_neon::<MR, NR>,
+                    direct: None,
+                };
                 // SAFETY: T == f32.
-                return Some(unsafe { cast_kernel(neon::f32_neon::<MR, NR>) });
+                return Some(unsafe { cast_kernels(k) });
             }
         }
     }
@@ -379,7 +442,18 @@ fn native<T: Scalar, const MR: usize, const NR: usize>(isa: Isa) -> Option<Micro
 /// [`active`] guarantees), and the debug assertion enforces it.
 pub fn select<T: Scalar, const MR: usize, const NR: usize>(isa: Isa) -> Microkernel<T, MR, NR> {
     debug_assert!(isa.available(), "dispatching to unavailable ISA {isa}");
-    native::<T, MR, NR>(isa).unwrap_or(portable::<T, MR, NR>)
+    native::<T, MR, NR>(isa).map_or(portable::<T, MR, NR>, |k| k.packed)
+}
+
+/// Selects the direct form of the native kernel [`select`] returns for
+/// the same arguments, or `None` where there is none: under `portable`
+/// and NEON (which keep packing), and wherever [`select`] falls back to
+/// [`portable`]. The same availability contract as [`select`] applies.
+pub(crate) fn select_direct<T: Scalar, const MR: usize, const NR: usize>(
+    isa: Isa,
+) -> Option<DirectKernel<T, MR, NR>> {
+    debug_assert!(isa.available(), "dispatching to unavailable ISA {isa}");
+    native::<T, MR, NR>(isa).and_then(|k| k.direct)
 }
 
 /// Whether `select::<T, MR, NR>(isa)` resolves to a native SIMD kernel

@@ -10,12 +10,15 @@
 //!
 //! All four kernels (`f64`/`f32` × AVX2/AVX-512) share one body, the
 //! `x86_kernel!` macro: they differ only in element type, lane count and
-//! the five intrinsics that zero, load, broadcast, fuse and store a
-//! vector. The safe entries it generates bound-check the panels and
-//! confine the `unsafe` needed to call a `#[target_feature]` function.
-//! Their safety rests on the dispatch contract in [`crate::simd`]:
-//! `select` hands these entries out only after the matching CPU feature
-//! was detected at runtime. So the entries are crate-private, and code
+//! the intrinsics that zero, load, broadcast, fuse and store a vector,
+//! plus a masked load. The same body also gives each kernel its *direct*
+//! form, which reads row-major operands in place instead of packed
+//! micropanels (`select_direct`). The safe entries it generates
+//! bound-check the panels or strips and confine the `unsafe` needed to
+//! call a `#[target_feature]` function. Their safety rests on the
+//! dispatch contract in [`crate::simd`]: `select` and `select_direct`
+//! hand these entries out only after the matching CPU feature was
+//! detected at runtime. So the entries are crate-private, and code
 //! outside this crate reaches a kernel only through that check:
 //!
 //! ```compile_fail,E0603
@@ -38,44 +41,87 @@ pub(crate) const MAX_VECS: usize = 2;
 
 /// Defines one x86 microkernel: a `#[target_feature]` body over `W`-lane
 /// vectors of `T`, built from the five intrinsics that differ between
-/// ISAs and precisions, plus its safe bounds-checked, crate-private
-/// entry.
+/// ISAs and precisions plus a masked load, and its two safe,
+/// bounds-checked, crate-private entries.
+///
+/// The body is written once and instantiated twice through its
+/// `DIRECT` parameter. The packed instantiation reads zero-padded
+/// micropanels; the direct one reads a row-major `A` strip at stride
+/// `lda` (rows past `ilim` clamped to the last live row) and a row-major
+/// `B` strip at stride `ldb` (lanes past `jlim` masked off, so no load
+/// touches memory past the strip). Both issue the same FMA chain per
+/// live element of the tile, from a zero accumulator, `p` ascending, so
+/// their live results are bit for bit equal.
 macro_rules! x86_kernel {
     (
         $(#[$doc:meta])*
-        pub(crate) fn $entry:ident => $kernel:ident(
+        pub(crate) fn $entry:ident, $direct:ident => $kernel:ident(
             $t:ty, $w:literal lanes, $feature:literal,
-            $setzero:ident, $loadu:ident, $set1:ident, $fmadd:ident, $storeu:ident $(,)?
+            $setzero:ident, $loadu:ident, $set1:ident, $fmadd:ident, $storeu:ident,
+            mask = |$live:ident| $mask:expr,
+            maskload = |$m:ident, $ptr:ident| $maskload:expr $(,)?
         );
     ) => {
-        /// The `target_feature` body behind the entry of the same
-        /// ISA and precision.
+        /// The `target_feature` body behind both entries of the same ISA
+        /// and precision (see `x86_kernel!` for the two read patterns).
         ///
         /// # Safety
         ///
-        /// The CPU must support the enabled features at runtime, and
-        /// `ap`/`bp` must hold at least `kb*MR` / `kb*NR` elements. (A row
-        /// of more than `MAX_VECS` vectors is not unsafe: it panics on the
-        /// checked accumulator index.)
+        /// The CPU must support the enabled features at runtime. Packed
+        /// (`DIRECT = false`): `a`/`b` hold at least `kb*MR` / `kb*NR`
+        /// elements, and `lda`, `ldb`, `ilim`, `jlim` are unused. Direct:
+        /// `1 ≤ ilim ≤ MR`, `1 ≤ jlim ≤ NR`, and when `kb > 0`,
+        /// `(ilim-1)*lda + kb ≤ a.len()` and `(kb-1)*ldb + jlim ≤
+        /// b.len()`. (A row of more than `MAX_VECS` vectors is not unsafe:
+        /// it panics on the checked accumulator index.)
         #[target_feature(enable = $feature)]
-        unsafe fn $kernel<const MR: usize, const NR: usize>(
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $kernel<const MR: usize, const NR: usize, const DIRECT: bool>(
             kb: usize,
-            ap: &[$t],
-            bp: &[$t],
+            a: &[$t],
+            lda: usize,
+            ilim: usize,
+            b: &[$t],
+            ldb: usize,
+            jlim: usize,
         ) -> [[$t; NR]; MR] {
             const W: usize = $w;
             debug_assert!(NR.is_multiple_of(W) && NR / W <= MAX_VECS);
             let nv = NR / W;
             let mut acc = [[$setzero(); MAX_VECS]; MR];
-            let a = ap.as_ptr();
-            let b = bp.as_ptr();
+            let a = a.as_ptr();
+            let b = b.as_ptr();
+            // Direct reads only: each tile row's first `A` element, and
+            // each `B` vector's live-lane mask. A row is read only for
+            // `p < kb`, where the entry's bound holds; with `kb = 0` its
+            // start may lie past `a`, so it is formed with `wrapping_add`.
+            let mut arow = [a; MR];
+            let mut mask = [{ let $live = W; $mask }; MAX_VECS];
+            if DIRECT {
+                for (r, row) in arow.iter_mut().enumerate() {
+                    *row = a.wrapping_add(r.min(ilim - 1) * lda);
+                }
+                for (j, m) in mask.iter_mut().enumerate().take(nv) {
+                    let $live = jlim.saturating_sub(j * W).min(W);
+                    *m = $mask;
+                }
+            }
             for p in 0..kb {
                 let mut bv = [$setzero(); MAX_VECS];
                 for (j, v) in bv.iter_mut().enumerate().take(nv) {
-                    *v = $loadu(b.add(p * NR + j * W));
+                    *v = if DIRECT {
+                        // A fully masked vector may start past the strip,
+                        // so its address is formed without `add`'s
+                        // in-bounds requirement; masked lanes are never
+                        // read.
+                        let ($m, $ptr) = (mask[j], b.wrapping_add(p * ldb + j * W));
+                        $maskload
+                    } else {
+                        $loadu(b.add(p * NR + j * W))
+                    };
                 }
                 for (r, row) in acc.iter_mut().enumerate() {
-                    let av = $set1(*a.add(p * MR + r));
+                    let av = $set1(if DIRECT { *arow[r].add(p) } else { *a.add(p * MR + r) });
                     for j in 0..nv {
                         row[j] = $fmadd(av, bv[j], row[j]);
                     }
@@ -103,7 +149,39 @@ macro_rules! x86_kernel {
             // SAFETY: only reachable through `simd::select`, which returns
             // this entry only under an ISA verdict that detected the
             // kernel's features; panel bounds were just asserted.
-            unsafe { $kernel::<MR, NR>(kb, ap, bp) }
+            unsafe { $kernel::<MR, NR, false>(kb, ap, MR, MR, bp, NR, NR) }
+        }
+
+        /// The direct form of the entry above (a `simd::DirectKernel`):
+        /// the same tile read in place from row-major `A` and `B` strips.
+        pub(crate) fn $direct<const MR: usize, const NR: usize>(
+            kb: usize,
+            a: &[$t],
+            lda: usize,
+            b: &[$t],
+            ldb: usize,
+            ilim: usize,
+            jlim: usize,
+        ) -> [[$t; NR]; MR] {
+            assert!(
+                (1..=MR).contains(&ilim) && (1..=NR).contains(&jlim),
+                "tile extent out of range"
+            );
+            // `rows` rows `stride` apart, the last `last` long, fit `len`.
+            let fits = |rows: usize, stride: usize, last: usize, len: usize| {
+                rows.checked_mul(stride)
+                    .and_then(|start| start.checked_add(last))
+                    .is_some_and(|end| end <= len)
+            };
+            assert!(
+                kb == 0 || (fits(ilim - 1, lda, kb, a.len()) && fits(kb - 1, ldb, jlim, b.len())),
+                "strip too short"
+            );
+            // SAFETY: only reachable through `simd::select_direct`, which
+            // returns this entry only under an ISA verdict that detected
+            // the kernel's features; extents and strip bounds were just
+            // asserted.
+            unsafe { $kernel::<MR, NR, true>(kb, a, lda, ilim, b, ldb, jlim) }
         }
     };
 }
@@ -112,9 +190,11 @@ x86_kernel! {
     /// `f64` tile on 256-bit AVX2 lanes with FMA accumulation; `NR` must
     /// be a multiple of 4. Also the `f64` kernel under an AVX-512 verdict
     /// for tiles narrower than one zmm register.
-    pub(crate) fn f64_avx2 => kernel_f64_avx2(
+    pub(crate) fn f64_avx2, f64_avx2_direct => kernel_f64_avx2(
         f64, 4 lanes, "avx2,fma",
         _mm256_setzero_pd, _mm256_loadu_pd, _mm256_set1_pd, _mm256_fmadd_pd, _mm256_storeu_pd,
+        mask = |live| _mm256_cmpgt_epi64(_mm256_set1_epi64x(live as i64), _mm256_setr_epi64x(0, 1, 2, 3)),
+        maskload = |m, ptr| _mm256_maskload_pd(ptr, m),
     );
 }
 
@@ -127,9 +207,14 @@ x86_kernel! {
     /// the `8×16` tile against 54.6 with this kernel on `8×8`, so any
     /// AVX-512 frequency penalty there is outweighed by the doubled
     /// vector width.
-    pub(crate) fn f32_avx2 => kernel_f32_avx2(
+    pub(crate) fn f32_avx2, f32_avx2_direct => kernel_f32_avx2(
         f32, 8 lanes, "avx2,fma",
         _mm256_setzero_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_fmadd_ps, _mm256_storeu_ps,
+        mask = |live| _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(live as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        ),
+        maskload = |m, ptr| _mm256_maskload_ps(ptr, m),
     );
 }
 
@@ -137,9 +222,11 @@ x86_kernel! {
     /// `f64` tile on 512-bit AVX-512F lanes; `NR` must be a multiple of
     /// 8, so each accumulator row of the `8×16` AVX-512 default tile is
     /// two zmm registers (16 accumulators of the 32).
-    pub(crate) fn f64_avx512 => kernel_f64_avx512(
+    pub(crate) fn f64_avx512, f64_avx512_direct => kernel_f64_avx512(
         f64, 8 lanes, "avx512f",
         _mm512_setzero_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_fmadd_pd, _mm512_storeu_pd,
+        mask = |live| ((1u32 << live) - 1) as __mmask8,
+        maskload = |m, ptr| _mm512_maskz_loadu_pd(m, ptr),
     );
 }
 
@@ -147,9 +234,11 @@ x86_kernel! {
     /// `f32` tile on 512-bit AVX-512F lanes; `NR` must be a multiple of
     /// 16, so each accumulator row of the `8×16` AVX-512 default tile is
     /// exactly one zmm register.
-    pub(crate) fn f32_avx512 => kernel_f32_avx512(
+    pub(crate) fn f32_avx512, f32_avx512_direct => kernel_f32_avx512(
         f32, 16 lanes, "avx512f",
         _mm512_setzero_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_fmadd_ps, _mm512_storeu_ps,
+        mask = |live| ((1u32 << live) - 1) as __mmask16,
+        maskload = |m, ptr| _mm512_maskz_loadu_ps(m, ptr),
     );
 }
 

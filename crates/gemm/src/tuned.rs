@@ -20,7 +20,19 @@
 //! 3. **Cache blocking** — `Kc` sizes the `B` micropanel to half of L1d,
 //!    `Mc×Kc` sizes the `A` block to half of L2, and `Kc×Nc` sizes the
 //!    `B` panel to an L3 share ([`BlockSizes::for_cache`], fed from
-//!    [`CacheInfo`]).
+//!    [`CacheInfo`]);
+//! 4. **One block, no packing** — a row range of `C` whose row-major
+//!    operands already fit those budgets (one `Mc` block, one `(jc, p0)`
+//!    panel, `A` rows plus `B` plus `C` rows in half of L2, and each
+//!    `k × NR` strip of `B` in half of L1d) skips step 1: the verdict's
+//!    *direct* microkernel reads `A` and `B` where they lie, clamping rows
+//!    and masking columns at the edges (`simd::select_direct`). It runs
+//!    the packed kernel's FMA chain per element of `C` and accumulates
+//!    through the same path, so the result is bit for bit the packed one
+//!    and the choice needs no switch. Small GEMMs, such as a serving
+//!    batch's, pay no packing at all; `F16` operands are widened once,
+//!    unpadded. Under `portable` and NEON, which have no direct kernel,
+//!    every problem packs.
 //!
 //! Parallelisation follows the paper's CPU strategy: macro-row-blocks of
 //! `C` are the work-sharing index space on the existing [`ThreadPool`],
@@ -366,11 +378,14 @@ static COMPUTE_NS: Histogram = Histogram::new("gemm/compute_ns");
 /// `gemm:tuned` trace span by [`gemm`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TunedStats {
-    /// Bytes copied into packed `A` blocks.
+    /// Bytes copied into packed `A` blocks. A direct (unpacked) row
+    /// range copies none, except `F16`'s once-widened `A` rows.
     pub pack_a_bytes: u64,
-    /// Bytes copied into packed `B` panels.
+    /// Bytes copied into packed `B` panels; likewise none on the direct
+    /// path but `F16`'s once-widened `B`.
     pub pack_b_bytes: u64,
-    /// Microkernel invocations (full `MR×NR` tiles, edges included).
+    /// Microkernel invocations (full `MR×NR` tiles, edges included),
+    /// packed and direct alike.
     pub microkernel_calls: u64,
 }
 
@@ -574,6 +589,19 @@ trait PackOps {
         half: HalfConv,
     ) -> u64;
 
+    /// The operands a direct tile reads ([`run_direct`]): rows `rows` of
+    /// the row-major `A` and all of the row-major `B`, as `Pack` elements
+    /// at their source strides (`k` and `n`), with the bytes written to
+    /// provide them. Nothing is padded or reordered.
+    fn direct_operands<'s>(
+        a: &'s Matrix<Self::Src>,
+        b: &'s Matrix<Self::Src>,
+        rows: Range<usize>,
+        a_buf: &'s mut AlignedBuf<Self::Pack>,
+        b_buf: &'s mut AlignedBuf<Self::Pack>,
+        half: HalfConv,
+    ) -> (&'s [Self::Pack], &'s [Self::Pack], TunedStats);
+
     /// Accumulates microkernel outputs `v` into the equally long run `c`
     /// of `C`.
     fn accumulate(half: HalfConv, c: &mut [Self::Src], v: &[Self::Pack]);
@@ -615,6 +643,20 @@ impl<T: Scalar> PackOps for PlainOps<T> {
         _: HalfConv,
     ) -> u64 {
         pack_b(b, p0, kb, j0, nb, nr, buf)
+    }
+
+    /// The operands themselves: nothing is copied.
+    fn direct_operands<'s>(
+        a: &'s Matrix<T>,
+        b: &'s Matrix<T>,
+        rows: Range<usize>,
+        _: &'s mut AlignedBuf<T>,
+        _: &'s mut AlignedBuf<T>,
+        _: HalfConv,
+    ) -> (&'s [T], &'s [T], TunedStats) {
+        let k = a.cols();
+        let ap = &a.as_slice()[rows.start * k..rows.end * k];
+        (ap, b.as_slice(), TunedStats::default())
     }
 
     #[inline(always)]
@@ -672,6 +714,30 @@ impl PackOps for WidenedF16Ops {
     ) -> u64 {
         let (rs, cs) = strides(b);
         pack_widened(b.as_slice(), (cs, rs), j0, nb, p0, kb, nr, buf, half.widen)
+    }
+
+    /// `A`'s rows and all of `B`, each widened by one contiguous
+    /// conversion into the arena's widened buffers.
+    fn direct_operands<'s>(
+        a: &'s Matrix<F16>,
+        b: &'s Matrix<F16>,
+        rows: Range<usize>,
+        a_buf: &'s mut AlignedBuf<f32>,
+        b_buf: &'s mut AlignedBuf<f32>,
+        half: HalfConv,
+    ) -> (&'s [f32], &'s [f32], TunedStats) {
+        let k = a.cols();
+        let src = &a.as_slice()[rows.start * k..rows.end * k];
+        let aw = AlignedBuf::slice_for(a_buf, src.len());
+        (half.widen)(src, aw);
+        let bw = AlignedBuf::slice_for(b_buf, b.as_slice().len());
+        (half.widen)(b.as_slice(), bw);
+        let stats = TunedStats {
+            pack_a_bytes: std::mem::size_of_val(aw) as u64,
+            pack_b_bytes: std::mem::size_of_val(bw) as u64,
+            ..TunedStats::default()
+        };
+        (aw, bw, stats)
     }
 
     #[inline(always)]
@@ -851,6 +917,114 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
     (stats, phases)
 }
 
+/// The direct form of the `MR×NR` kernel for rows `rows` of `C = A·B`,
+/// when the verdict has one ([`simd::select_direct`]) and the rows fit
+/// one cache block, so that [`run_direct`] can read the operands in
+/// place. The rows must be one `Mc` block and `n ≤ Nc`; `A`, `B` and `C`
+/// must be row-major; and the operands must fit the two budgets
+/// [`BlockSizes::for_cache`] gives the packed path:
+///
+/// * **L2**, the `Mc×Kc` elements of a packed `A` block (half of L2): the
+///   `A` rows, `B` *and* the `C` rows, since the tiles re-read `A` and `B`
+///   in place while `C` passes through the same cache;
+/// * **L1**, the `Kc×NR` elements of a packed `B` micropanel (half of
+///   L1d): the `k × NR` strip of `B` a direct tile re-reads for every row
+///   tile, counting the extra cache line each unaligned strip row can
+///   touch. This also keeps `k < Kc`, one `(jc, p0)` panel.
+///
+/// Inside the bare "`A` plus `B` in half of L2" bound, packing measured
+/// faster where `C` outgrew L2 and where a `Kc`-deep strip overflowed L1
+/// (EXPERIMENTS.md, "Small GEMMs skip packing").
+fn direct_kernel<P: PackOps, const MR: usize, const NR: usize>(
+    a: &Matrix<P::Src>,
+    b: &Matrix<P::Src>,
+    c_layout: Layout,
+    rows: &Range<usize>,
+    blocks: &BlockSizes,
+    isa: Isa,
+) -> Option<simd::DirectKernel<P::Pack, MR, NR>> {
+    let (m, k, n) = (rows.len(), a.cols(), b.cols());
+    let row_bytes = NR * std::mem::size_of::<P::Pack>();
+    let fits = m <= blocks.mc
+        && n <= blocks.nc
+        && [a.layout(), b.layout(), c_layout] == [Layout::RowMajor; 3]
+        && k > 0
+        && k * (row_bytes + PACK_ALIGN) <= blocks.kc * row_bytes
+        && m * k + k * n + m * n <= blocks.mc * blocks.kc;
+    simd::select_direct::<P::Pack, MR, NR>(isa).filter(|_| fits)
+}
+
+/// The unpacked path for a row range that fits one cache block
+/// ([`direct_kernel`]): direct tiles read `A` and `B` where they lie (or
+/// where [`PackOps::direct_operands`] widened them) in the tile order of
+/// [`compute_block`], and land in `C` through the same
+/// [`PackOps::accumulate`]. Each direct tile runs the FMA chain of the
+/// packed tile it replaces, so `C` comes out bit for bit as from
+/// [`run_blocked`], with the same microkernel call count.
+#[allow(clippy::too_many_arguments)]
+fn run_direct<P: PackOps, const MR: usize, const NR: usize>(
+    a: &Matrix<P::Src>,
+    b: &Matrix<P::Src>,
+    c: &DisjointSlice<'_, P::Src>,
+    rows: Range<usize>,
+    a_buf: &mut AlignedBuf<P::Pack>,
+    b_buf: &mut AlignedBuf<P::Pack>,
+    kernel: simd::DirectKernel<P::Pack, MR, NR>,
+    half: HalfConv,
+    timed: bool,
+) -> (TunedStats, PhaseNs) {
+    let (k, n) = (a.cols(), b.cols());
+    let mut phases = PhaseNs::default();
+    let mut clock = timed.then(Instant::now);
+    let (ap, bp, mut stats) = P::direct_operands(a, b, rows.clone(), a_buf, b_buf, half);
+    phases.pack += lap(&mut clock);
+    for j_base in (0..n).step_by(NR) {
+        let jlim = NR.min(n - j_base);
+        for i_base in rows.clone().step_by(MR) {
+            let ilim = MR.min(rows.end - i_base);
+            let a_strip = &ap[(i_base - rows.start) * k..];
+            let acc = kernel(k, a_strip, k, &bp[j_base..], n, ilim, jlim);
+            stats.microkernel_calls += 1;
+            for (r, acc_row) in acc.iter().enumerate().take(ilim) {
+                // SAFETY: the caller owns rows `rows` of `C` exclusively
+                // (see `compute_block`).
+                let crow = unsafe { c.row(i_base + r, n) };
+                P::accumulate(half, &mut crow[j_base..j_base + jlim], &acc_row[..jlim]);
+            }
+        }
+    }
+    phases.compute += lap(&mut clock);
+    (stats, phases)
+}
+
+/// One row range of `C`: [`run_direct`] when [`direct_kernel`] finds a
+/// direct kernel for it, the packed [`run_blocked`] otherwise. The two
+/// agree bit for bit, so the choice moves no result.
+#[allow(clippy::too_many_arguments)]
+fn run_rows<P: PackOps, const MR: usize, const NR: usize>(
+    a: &Matrix<P::Src>,
+    b: &Matrix<P::Src>,
+    c: &DisjointSlice<'_, P::Src>,
+    c_shape: (usize, usize),
+    c_layout: Layout,
+    rows: Range<usize>,
+    blocks: &BlockSizes,
+    a_buf: &mut AlignedBuf<P::Pack>,
+    b_buf: &mut AlignedBuf<P::Pack>,
+    isa: Isa,
+    timed: bool,
+) -> (TunedStats, PhaseNs) {
+    match direct_kernel::<P, MR, NR>(a, b, c_layout, &rows, blocks, isa) {
+        Some(kernel) => {
+            let half = simd::select_half(isa);
+            run_direct::<P, MR, NR>(a, b, c, rows, a_buf, b_buf, kernel, half, timed)
+        }
+        None => run_blocked::<P, MR, NR>(
+            a, b, c, c_shape, c_layout, rows, blocks, a_buf, b_buf, isa, timed,
+        ),
+    }
+}
+
 fn check_shapes<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, m: usize, n: usize) {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     assert_eq!(a.rows(), m, "A rows must match C rows");
@@ -956,11 +1130,11 @@ fn rows_phased<T: Scalar>(
         let c16 = unsafe { &*(c as *const DisjointSlice<'_, T>).cast::<DisjointSlice<'_, F16>>() };
         let (aw, bw) = arena.widened();
         let run = match (params.tile.mr, params.tile.nr) {
-            (4, 4) => run_blocked::<WidenedF16Ops, 4, 4>,
-            (8, 4) => run_blocked::<WidenedF16Ops, 8, 4>,
-            (4, 8) => run_blocked::<WidenedF16Ops, 4, 8>,
-            (8, 8) => run_blocked::<WidenedF16Ops, 8, 8>,
-            (8, 16) => run_blocked::<WidenedF16Ops, 8, 16>,
+            (4, 4) => run_rows::<WidenedF16Ops, 4, 4>,
+            (8, 4) => run_rows::<WidenedF16Ops, 8, 4>,
+            (4, 8) => run_rows::<WidenedF16Ops, 4, 8>,
+            (8, 8) => run_rows::<WidenedF16Ops, 8, 8>,
+            (8, 16) => run_rows::<WidenedF16Ops, 8, 16>,
             _ => panic!("unsupported tile shape {}", params.tile),
         };
         return run(
@@ -978,11 +1152,11 @@ fn rows_phased<T: Scalar>(
         );
     }
     let run = match (params.tile.mr, params.tile.nr) {
-        (4, 4) => run_blocked::<PlainOps<T>, 4, 4>,
-        (8, 4) => run_blocked::<PlainOps<T>, 8, 4>,
-        (4, 8) => run_blocked::<PlainOps<T>, 4, 8>,
-        (8, 8) => run_blocked::<PlainOps<T>, 8, 8>,
-        (8, 16) => run_blocked::<PlainOps<T>, 8, 16>,
+        (4, 4) => run_rows::<PlainOps<T>, 4, 4>,
+        (8, 4) => run_rows::<PlainOps<T>, 8, 4>,
+        (4, 8) => run_rows::<PlainOps<T>, 4, 8>,
+        (8, 8) => run_rows::<PlainOps<T>, 8, 8>,
+        (8, 16) => run_rows::<PlainOps<T>, 8, 16>,
         _ => panic!("unsupported tile shape {}", params.tile),
     };
     let (a_buf, b_buf) = PlainOps::<T>::bufs(arena);
@@ -1366,6 +1540,188 @@ mod tests {
         assert_eq!(TileShape::for_isa(Isa::Avx512, 8), zmm);
         assert_eq!(TileShape::for_isa(Isa::Avx512, 4), zmm);
         assert!(TileShape::ALL.contains(&zmm));
+    }
+
+    /// `C` after `C += A·B` over every row from a nonzero start, through
+    /// the packed [`run_blocked`] (`direct = false`) or through
+    /// [`run_rows`], with the stats of the call.
+    fn run_all<P: PackOps, const MR: usize, const NR: usize>(
+        direct: bool,
+        a: &Matrix<P::Src>,
+        b: &Matrix<P::Src>,
+        blocks: &BlockSizes,
+        isa: Isa,
+    ) -> (Vec<u64>, TunedStats) {
+        let (m, n) = (a.rows(), b.cols());
+        let mut c = Matrix::<P::Src>::from_fn(m, n, Layout::RowMajor, |i, j| {
+            P::Src::from_f64((i as f64 - 2.0 * j as f64) / 16.0)
+        });
+        let ds = DisjointSlice::new(c.as_mut_slice());
+        let (mut a_buf, mut b_buf) = (AlignedBuf::new(), AlignedBuf::new());
+        let run = if direct {
+            run_rows::<P, MR, NR>
+        } else {
+            run_blocked::<P, MR, NR>
+        };
+        let rows = 0..m;
+        let (stats, _) = run(
+            a,
+            b,
+            &ds,
+            (m, n),
+            Layout::RowMajor,
+            rows,
+            blocks,
+            &mut a_buf,
+            &mut b_buf,
+            isa,
+            false,
+        );
+        let bits = c.as_slice().iter().map(|x| x.to_f64().to_bits()).collect();
+        (bits, stats)
+    }
+
+    /// Whether [`run_rows`] takes the direct tiles for all of `A·B`.
+    fn goes_direct<P: PackOps, const MR: usize, const NR: usize>(
+        a: &Matrix<P::Src>,
+        b: &Matrix<P::Src>,
+        blocks: &BlockSizes,
+        isa: Isa,
+    ) -> bool {
+        direct_kernel::<P, MR, NR>(a, b, Layout::RowMajor, &(0..a.rows()), blocks, isa).is_some()
+    }
+
+    /// Direct ≡ packed for one flavour and tile under `isa`: bit for bit
+    /// over a sweep of shapes, with the closed-form counts, and the gate's
+    /// boundaries.
+    fn direct_matches_packed<P: PackOps, const MR: usize, const NR: usize>(isa: Isa) {
+        assert_eq!(
+            TileShape::for_isa(isa, P::Src::PACK_BYTES),
+            TileShape { mr: MR, nr: NR }
+        );
+        let blocks = TunedParams::for_cache_isa::<P::Src>(CacheInfo::DEFAULT, isa).blocks;
+        let widened = if P::Src::BYTES == P::Src::PACK_BYTES {
+            0
+        } else {
+            4
+        };
+        let what = |m, n, k| format!("{isa} {} {m}x{n}x{k}", P::Src::NAME);
+        const SIZES: [usize; 11] = [1, 3, 4, 8, 12, 16, 17, 24, 32, 48, 64];
+        for (i, &m) in SIZES.iter().enumerate() {
+            for (j, &n) in SIZES.iter().enumerate() {
+                for (l, &k) in SIZES.iter().enumerate() {
+                    let seed = (100 * i + 10 * j + l) as u64;
+                    let a = Matrix::<P::Src>::random(m, k, Layout::RowMajor, seed);
+                    let b = Matrix::<P::Src>::random(k, n, Layout::RowMajor, seed + 7);
+                    assert!(
+                        goes_direct::<P, MR, NR>(&a, &b, &blocks, isa),
+                        "{}",
+                        what(m, n, k)
+                    );
+                    let (want, _) = run_all::<P, MR, NR>(false, &a, &b, &blocks, isa);
+                    let (got, stats) = run_all::<P, MR, NR>(true, &a, &b, &blocks, isa);
+                    assert_eq!(got, want, "{}", what(m, n, k));
+                    let closed = TunedStats {
+                        pack_a_bytes: (widened * m * k) as u64,
+                        pack_b_bytes: (widened * k * n) as u64,
+                        microkernel_calls: (m.div_ceil(MR) * n.div_ceil(NR)) as u64,
+                    };
+                    assert_eq!(stats, closed, "{}", what(m, n, k));
+                }
+            }
+        }
+        // The gate's edges: the deepest `B` strip that fits the
+        // micropanel's L1 budget with one extra line per row goes direct,
+        // one step deeper packs; a column-major operand packs; so do
+        // operands past the `Mc×Kc` L2 budget, which `A` rows, `B` and
+        // `C` rows meet exactly at `16·16 + 16·n + 16·n = 16·64`, n = 24.
+        let (m, n) = (5, 7);
+        let random = |r, c, layout, seed| Matrix::<P::Src>::random(r, c, layout, seed);
+        let row = Layout::RowMajor;
+        let row_bytes = NR * std::mem::size_of::<P::Pack>();
+        let deepest = blocks.kc * row_bytes / (row_bytes + PACK_ALIGN);
+        assert!(deepest < blocks.kc);
+        for (k, direct) in [(deepest, true), (deepest + 1, false), (blocks.kc, false)] {
+            let (a, b) = (random(m, k, row, 1), random(k, n, row, 2));
+            assert_eq!(
+                goes_direct::<P, MR, NR>(&a, &b, &blocks, isa),
+                direct,
+                "k = {k}"
+            );
+            let (want, _) = run_all::<P, MR, NR>(false, &a, &b, &blocks, isa);
+            assert_eq!(
+                run_all::<P, MR, NR>(true, &a, &b, &blocks, isa).0,
+                want,
+                "k = {k}"
+            );
+        }
+        let (a, b) = (random(m, 9, Layout::ColMajor, 3), random(9, n, row, 4));
+        assert!(!goes_direct::<P, MR, NR>(&a, &b, &blocks, isa));
+        let (a, b) = (random(m, 9, row, 3), random(9, n, Layout::ColMajor, 4));
+        assert!(!goes_direct::<P, MR, NR>(&a, &b, &blocks, isa));
+        let (a, b) = (random(m, 9, row, 3), random(9, n, row, 4));
+        assert!(
+            direct_kernel::<P, MR, NR>(&a, &b, Layout::RowMajor, &(0..m), &blocks, isa).is_some()
+        );
+        assert!(
+            direct_kernel::<P, MR, NR>(&a, &b, Layout::ColMajor, &(0..m), &blocks, isa).is_none()
+        );
+        let tight = BlockSizes {
+            mc: 16,
+            kc: 64,
+            nc: 64,
+        };
+        for (n, direct) in [(24, true), (25, false)] {
+            let (a, b) = (random(16, 16, row, 5), random(16, n, row, 6));
+            assert_eq!(
+                goes_direct::<P, MR, NR>(&a, &b, &tight, isa),
+                direct,
+                "n = {n}"
+            );
+            let (want, _) = run_all::<P, MR, NR>(false, &a, &b, &tight, isa);
+            assert_eq!(
+                run_all::<P, MR, NR>(true, &a, &b, &tight, isa).0,
+                want,
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn direct_tiles_match_packed_bit_for_bit() {
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
+            match isa {
+                Isa::Avx512 => {
+                    direct_matches_packed::<PlainOps<f64>, 8, 16>(isa);
+                    direct_matches_packed::<PlainOps<f32>, 8, 16>(isa);
+                    direct_matches_packed::<WidenedF16Ops, 8, 16>(isa);
+                }
+                Isa::Avx2 => {
+                    direct_matches_packed::<PlainOps<f64>, 8, 4>(isa);
+                    direct_matches_packed::<PlainOps<f32>, 8, 8>(isa);
+                    direct_matches_packed::<WidenedF16Ops, 8, 8>(isa);
+                }
+                // No direct form: every problem packs.
+                Isa::Neon | Isa::Portable => {
+                    assert!(simd::select_direct::<f64, 8, 4>(isa).is_none());
+                    assert!(simd::select_direct::<f32, 8, 8>(isa).is_none());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strip too short")]
+    fn direct_entry_rejects_a_short_strip() {
+        let Some(kernel) = [Isa::Avx512, Isa::Avx2]
+            .into_iter()
+            .filter(|isa| isa.available())
+            .find_map(simd::select_direct::<f64, 8, 4>)
+        else {
+            panic!("strip too short"); // keep the expectation where no direct form exists
+        };
+        // Three rows of depth 5 at stride 5 need 15 elements of `A`.
+        let _ = kernel(5, &[0.0; 14], 5, &[0.0; 20], 4, 3, 4);
     }
 
     #[test]

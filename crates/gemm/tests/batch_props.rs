@@ -1,9 +1,8 @@
-//! Property tests for the batched serving layer: the shape-bucketing
-//! invariants and the batch ≡ serial bitwise contract, under ragged
-//! proptest-generated shape mixes (degenerate 0/1 extents included)
-//! across all three precisions.
+//! Property tests for the batched serving layer: the batch ≡ serial
+//! bitwise contract, under ragged proptest-generated shape mixes
+//! (degenerate 0/1 extents included) across all three precisions.
 
-use perfport_gemm::batch::{bucket, gemm_batch, gemm_batch_serial, Precision, Problem};
+use perfport_gemm::batch::{gemm_batch, gemm_batch_serial, Precision, Problem};
 use perfport_gemm::{Layout, Matrix};
 use perfport_pool::ThreadPool;
 use proptest::prelude::*;
@@ -80,46 +79,6 @@ fn batch_of_specs() -> impl Strategy<Value = Vec<Spec>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Bucketing is a partition: every problem index appears in exactly
-    /// one bucket, and every bucket's key matches its members.
-    #[test]
-    fn every_problem_lands_in_exactly_one_bucket(specs in batch_of_specs()) {
-        let problems = build(&specs);
-        let buckets = bucket(&problems);
-        let mut seen: Vec<usize> = Vec::new();
-        for (key, indices) in &buckets {
-            for &idx in indices {
-                prop_assert_eq!(problems[idx].key(), *key, "index {} in wrong bucket", idx);
-                seen.push(idx);
-            }
-        }
-        seen.sort_unstable();
-        let expected: Vec<usize> = (0..problems.len()).collect();
-        prop_assert_eq!(seen, expected, "bucketing must be a partition");
-    }
-
-    /// Bucket iteration order is canonical — a pure function of the
-    /// problems, never of concurrency — and within a bucket indices keep
-    /// submission order.
-    #[test]
-    fn bucket_order_is_canonical(specs in batch_of_specs()) {
-        let problems = build(&specs);
-        let buckets = bucket(&problems);
-        let keys: Vec<_> = buckets.keys().copied().collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        prop_assert_eq!(&keys, &sorted, "bucket-major order must be sorted BucketKey order");
-        for indices in buckets.values() {
-            prop_assert!(
-                indices.windows(2).all(|w| w[0] < w[1]),
-                "within-bucket order must be submission order"
-            );
-        }
-        // Re-bucketing (any later call, any thread count) reproduces the
-        // same map exactly.
-        prop_assert_eq!(buckets, bucket(&problems));
-    }
 
     /// The tentpole contract: concatenated batch outputs are bitwise
     /// identical to per-problem serial execution in submission order,

@@ -34,7 +34,9 @@ fn every_name_the_benchmark_reads_is_recorded() {
     let before = perfport_telemetry::snapshot();
 
     let pool = ThreadPool::new(2);
-    let a = Matrix::<f64>::random(64, 48, Layout::RowMajor, 1);
+    // Column-major `A`: row-major operands that fit one cache block run
+    // unpacked, and this call must pack.
+    let a = Matrix::<f64>::random(64, 48, Layout::ColMajor, 1);
     let b = Matrix::<f64>::random(48, 40, Layout::RowMajor, 2);
     let mut c = Matrix::<f64>::zeros(64, 40, Layout::RowMajor);
     tuned::gemm(&pool, &a, &b, &mut c, &tuned::TunedParams::host::<f64>());
