@@ -94,7 +94,7 @@ pub trait Communicator: Send {
     /// Waits up to `timeout` for the next frame. `Ok(None)` means the
     /// timeout elapsed with the peer still alive. A zero `timeout`
     /// still returns a frame that has already been delivered. The
-    /// coordinator's per-connection driver waits one heartbeat TTL at a
+    /// coordinator's per-connection driver waits one lease TTL at a
     /// time, so `Ok(None)` there means the worker stayed silent that
     /// long.
     ///
@@ -150,6 +150,13 @@ impl Loopback {
             },
         )
     }
+
+    /// Delivers `bytes` to the peer as one datagram, bypassing the
+    /// encoder, so tests can send what no encoder would write.
+    #[cfg(test)]
+    pub(crate) fn send_raw(&mut self, bytes: Vec<u8>) -> Result<(), CommError> {
+        self.tx.send(bytes).map_err(|_| CommError::Closed)
+    }
 }
 
 impl Communicator for Loopback {
@@ -192,7 +199,7 @@ pub mod tcp_v1 {
 
     impl TcpCommunicator {
         /// Wraps an accepted or connected stream. Disables Nagle so
-        /// heartbeats are timely; failure to do so is non-fatal.
+        /// small frames leave at once; failure to do so is non-fatal.
         pub fn new(stream: TcpStream) -> TcpCommunicator {
             let _ = stream.set_nodelay(true);
             let peer = stream

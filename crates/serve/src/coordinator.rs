@@ -14,6 +14,13 @@
 //!    └───────────────────────┘   aborts the run: LeaseExhausted)
 //! ```
 //!
+//! Credit window: a worker may hold up to two leases, so its next range
+//! is already queued when it sends a `Result`. The second credit is
+//! earned by the worker's first `Result` of the session (slow start), so
+//! a worker that never finishes anything holds one range, not two. Any
+//! frame from a worker pushes the deadline of every lease it holds out
+//! by one TTL.
+//!
 //! A worker whose lease expires goes on *probation*: it is excluded
 //! from new grants until its next frame proves it alive, so an expired
 //! range migrates to a different worker instead of bouncing back to
@@ -21,14 +28,18 @@
 //!
 //! Concurrency: each connection is owned by one *driver* thread that
 //! follows the protocol's turn rule. The worker holds the turn from
-//! adoption until its `Hello`, and from each `Lease` until its
-//! `Result`, `Bye` or an error; meanwhile the driver reads and forwards
-//! every frame into one event channel. Otherwise the driver blocks on
-//! its outgoing channel, so a grant leaves the moment the coordinator
-//! decides it. The coordinator thread alone owns the lease table and
-//! sleeps on the event channel until the next frame, lease deadline,
-//! backoff release or run deadline — a silent worker never delays a
-//! live one.
+//! adoption until its `Hello`, and whenever it holds a lease; the
+//! driver then reads and forwards every frame into one event channel.
+//! Each `Hello` or `Result` hands the turn to the coordinator, which
+//! answers on the driver's outgoing channel with its grants (or a
+//! `Bye`) and then `None` if the worker holds a lease, handing the turn
+//! back. A worker that holds no lease leaves the turn with the
+//! coordinator, so its driver blocks on the outgoing channel and a grant
+//! leaves the moment the coordinator decides it. The coordinator thread
+//! alone owns the lease table and sleeps on the event channel until the
+//! next frame, lease deadline, backoff release or run deadline — a
+//! silent worker never delays a live one. Per event it touches only what
+//! changed: the ready set, the sender's held leases and a done count.
 //!
 //! Determinism: the joined artifact is assembled from per-range CSV
 //! fragments keyed by range start and emitted in range order, so worker
@@ -59,7 +70,7 @@ use crate::frame::{Frame, Role, PROTOCOL_VERSION};
 use crate::ServeError;
 use perfport_core::{figure_specs, study_grid, StudyConfig, STUDY_CSV_HEADER};
 use perfport_telemetry::{Counter, Gauge};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::thread::JoinHandle;
@@ -72,6 +83,10 @@ static LEASES_COMPLETED: Counter = Counter::new("serve/leases_completed");
 static HEARTBEATS: Counter = Counter::new("serve/heartbeats");
 static POINTS_DONE: Counter = Counter::new("serve/points_done");
 
+/// Leases one worker may hold at once: the one it computes and the one
+/// queued behind it. A protocol constant, not a tuning knob.
+const LEASE_WINDOW: usize = 2;
+
 /// Everything the coordinator needs to run one distributed study.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
@@ -83,9 +98,12 @@ pub struct CoordinatorConfig {
     /// Grid points per lease (the last lease of the grid may be
     /// shorter). The byte-identity contract holds for any value ≥ 1.
     pub lease_points: usize,
-    /// Heartbeat time-to-live: a leased range whose worker has not
-    /// heartbeat within this window is re-leased, and a connection that
-    /// stays silent this long after adoption is dropped.
+    /// Lease time-to-live: a leased range whose worker has sent no
+    /// frame within this window is re-leased, and a connection that
+    /// stays silent this long after adoption is dropped. Workers learn
+    /// it from the coordinator's `Hello` and heartbeat after any point
+    /// that ends `ttl / 2` or more after their last frame, so the
+    /// slowest single grid point must take less than `ttl / 2`.
     pub ttl: Duration,
     /// Delay before an expired range becomes grantable again, scaled
     /// linearly by its attempt count (bounded backoff).
@@ -116,10 +134,16 @@ impl Default for CoordinatorConfig {
 
 impl CoordinatorConfig {
     /// The study spec string the coordinator's `Hello` carries, e.g.
-    /// `"ids=fig5c,fig7a;quick=1"`. Workers parse it with
-    /// [`parse_spec`] and enumerate the identical grid.
+    /// `"ids=fig5c,fig7a;quick=1;ttl_ms=30000"`. Workers parse it with
+    /// [`parse_spec`], enumerate the identical grid and pace their
+    /// heartbeats by the TTL.
     pub fn spec_string(&self) -> String {
-        format!("ids={};quick={}", self.ids.join(","), u8::from(self.quick))
+        format!(
+            "ids={};quick={};ttl_ms={}",
+            self.ids.join(","),
+            u8::from(self.quick),
+            self.ttl.as_millis()
+        )
     }
 
     /// The study configuration the spec selects.
@@ -132,17 +156,30 @@ impl CoordinatorConfig {
     }
 }
 
+/// A coordinator's study spec as a worker reads it from `Hello`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StudySpec {
+    /// Figure panel ids, in canonical grid order.
+    pub ids: Vec<String>,
+    /// Whether the reduced quick sweep is served.
+    pub quick: bool,
+    /// The coordinator's lease TTL (whole milliseconds, rounded down,
+    /// so a worker heartbeats early rather than late).
+    pub ttl: Duration,
+}
+
 /// Parses a coordinator `Hello` study spec (see
-/// [`CoordinatorConfig::spec_string`]) into `(panel ids, quick)`.
+/// [`CoordinatorConfig::spec_string`]).
 ///
 /// # Errors
 ///
-/// A message naming the malformed part: missing keys, unknown keys, or
-/// a non-boolean quick value. Panel ids are validated separately by
-/// [`validate_ids`].
-pub fn parse_spec(spec: &str) -> Result<(Vec<String>, bool), String> {
+/// A message naming the malformed part: missing keys, unknown keys, a
+/// non-boolean quick value or a non-integer TTL. Panel ids are
+/// validated separately by [`validate_ids`].
+pub fn parse_spec(spec: &str) -> Result<StudySpec, String> {
     let mut ids = None;
     let mut quick = None;
+    let mut ttl = None;
     for part in spec.split(';') {
         let (key, value) = part
             .split_once('=')
@@ -164,15 +201,22 @@ pub fn parse_spec(spec: &str) -> Result<(Vec<String>, bool), String> {
                     other => return Err(format!("quick must be 0 or 1, got '{other}'")),
                 })
             }
+            "ttl_ms" => {
+                let ms = value
+                    .parse::<u64>()
+                    .map_err(|_| format!("ttl_ms must be an integer, got '{value}'"))?;
+                ttl = Some(Duration::from_millis(ms));
+            }
             other => return Err(format!("unknown spec key '{other}'")),
         }
     }
     let ids = ids.ok_or_else(|| "spec is missing ids=".to_string())?;
     let quick = quick.ok_or_else(|| "spec is missing quick=".to_string())?;
+    let ttl = ttl.ok_or_else(|| "spec is missing ttl_ms=".to_string())?;
     if ids.is_empty() {
         return Err("spec names no figure panels".to_string());
     }
-    Ok((ids, quick))
+    Ok(StudySpec { ids, quick, ttl })
 }
 
 /// Checks every id against the figure registry, returning the
@@ -268,25 +312,174 @@ pub fn strip_trailer(rendered: &str) -> String {
         .collect()
 }
 
-#[derive(Debug, Clone)]
 enum ChunkState {
-    Pending {
-        not_before: Instant,
-        attempt: usize,
-    },
+    /// Grantable: listed in [`LeaseTable::ready`], or in
+    /// [`LeaseTable::cooling`] until its backoff ends.
+    Pending,
     Leased {
         conn: usize,
         lease_id: u64,
         deadline: Instant,
-        attempt: usize,
     },
-    Done,
+    /// Finished, holding the range's CSV fragment.
+    Done(String),
 }
 
 struct Chunk {
     range: Range<usize>,
+    /// Times the range has been released (expired or its worker lost).
+    attempt: usize,
     state: ChunkState,
-    csv: Option<String>,
+}
+
+/// The grid's lease ranges plus the indexes that keep each event's work
+/// proportional to what it changes: no event scans every range.
+struct LeaseTable {
+    chunks: Vec<Chunk>,
+    /// Points per range; a range's index is its start divided by this.
+    step: usize,
+    /// Pending ranges ready for a grant. Ordered by index, which is
+    /// start order, so grants go lowest start first.
+    ready: BTreeSet<usize>,
+    /// Pending ranges still backing off, with the instant each becomes
+    /// ready. Only released ranges pass through here, so it stays short.
+    cooling: Vec<(Instant, usize)>,
+    done: usize,
+}
+
+impl LeaseTable {
+    fn new(total: usize, lease_points: usize) -> LeaseTable {
+        let chunks: Vec<Chunk> = lease_ranges(total, lease_points)
+            .into_iter()
+            .map(|range| Chunk {
+                range,
+                attempt: 0,
+                state: ChunkState::Pending,
+            })
+            .collect();
+        LeaseTable {
+            ready: (0..chunks.len()).collect(),
+            chunks,
+            step: lease_points.max(1),
+            cooling: Vec::new(),
+            done: 0,
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.done == self.chunks.len()
+    }
+
+    /// Moves every range whose backoff has ended into `ready`.
+    fn promote(&mut self, now: Instant) {
+        let ready = &mut self.ready;
+        self.cooling.retain(|&(at, idx)| {
+            let cooled = at <= now;
+            if cooled {
+                ready.insert(idx);
+            }
+            !cooled
+        });
+    }
+
+    /// `true` while range `idx` is leased to `conn` as `lease_id`.
+    fn holds(&self, idx: usize, conn: usize, lease_id: u64) -> bool {
+        matches!(self.chunks[idx].state,
+            ChunkState::Leased { conn: c, lease_id: id, .. } if c == conn && id == lease_id)
+    }
+
+    fn deadline(&self, idx: usize) -> Option<Instant> {
+        match self.chunks[idx].state {
+            ChunkState::Leased { deadline, .. } => Some(deadline),
+            _ => None,
+        }
+    }
+
+    /// The lowest ready range: grants go lowest start first.
+    fn next_ready(&self) -> Option<usize> {
+        self.ready.first().copied()
+    }
+
+    /// Leases ready range `idx` to `conn`.
+    fn lease(&mut self, idx: usize, conn: usize, lease_id: u64, deadline: Instant) {
+        self.ready.remove(&idx);
+        self.chunks[idx].state = ChunkState::Leased {
+            conn,
+            lease_id,
+            deadline,
+        };
+    }
+
+    fn refresh(&mut self, idx: usize, until: Instant) {
+        if let ChunkState::Leased { deadline, .. } = &mut self.chunks[idx].state {
+            *deadline = until;
+        }
+    }
+
+    /// Returns leased range `idx` to `Pending` with its attempt count
+    /// bumped and a linear backoff, or aborts the run once retries are
+    /// exhausted.
+    fn release(&mut self, idx: usize, cfg: &CoordinatorConfig) -> Result<(), ServeError> {
+        LEASES_EXPIRED.add(1);
+        let chunk = &mut self.chunks[idx];
+        chunk.attempt += 1;
+        if chunk.attempt > cfg.max_retries {
+            return Err(ServeError::LeaseExhausted {
+                start: chunk.range.start,
+                end: chunk.range.end,
+                attempts: chunk.attempt,
+            });
+        }
+        chunk.state = ChunkState::Pending;
+        self.cooling
+            .push((Instant::now() + cfg.backoff * chunk.attempt as u32, idx));
+        Ok(())
+    }
+
+    /// Accepts a `Result` frame. Returns the number of fresh points it
+    /// contributed (0 for a duplicate of an already-`Done` range — late
+    /// results from slow-but-alive workers are idempotent because the
+    /// study is deterministic).
+    fn accept(&mut self, lease_id: u64, range: Range<usize>, csv: String) -> Result<usize, String> {
+        let idx = range.start / self.step;
+        let chunk = self
+            .chunks
+            .get_mut(idx)
+            .filter(|c| c.range == range)
+            .ok_or_else(|| format!("lease {lease_id} names unknown range {range:?}"))?;
+        if matches!(chunk.state, ChunkState::Done(_)) {
+            return Ok(0);
+        }
+        let lines = csv.lines().count();
+        if lines != chunk.range.len() {
+            return Err(format!(
+                "range {range:?} carries {lines} CSV lines, expected {}",
+                chunk.range.len()
+            ));
+        }
+        if matches!(chunk.state, ChunkState::Pending) {
+            // A late result for a range that expired and awaits a grant.
+            self.ready.remove(&idx);
+            self.cooling.retain(|&(_, i)| i != idx);
+        }
+        chunk.state = ChunkState::Done(csv);
+        self.done += 1;
+        Ok(lines)
+    }
+
+    /// The joined CSV body: the header, then every fragment in range
+    /// order.
+    fn join(&self) -> String {
+        let mut csv = String::from(STUDY_CSV_HEADER);
+        csv.push('\n');
+        for chunk in &self.chunks {
+            match &chunk.state {
+                ChunkState::Done(fragment) => csv.push_str(fragment),
+                _ => unreachable!("the run joins only a finished table"),
+            }
+        }
+        csv
+    }
 }
 
 /// What a driver thread or the connection forwarder tells the
@@ -306,20 +499,30 @@ enum Event {
 
 /// The coordinator's view of one adopted connection.
 struct Conn {
-    /// Frames for this connection's driver; `None` once the connection
-    /// is dropped, which lets the driver exit.
-    out: Option<Sender<Frame>>,
+    /// Frames for this connection's driver, `None` ending the
+    /// coordinator's turn; the sender is dropped with the connection,
+    /// which lets the driver exit.
+    out: Option<Sender<Option<Frame>>>,
     driver: Option<JoinHandle<()>>,
     ident: Option<String>,
     /// Mirrors the driver's turn: `true` while the worker holds it
-    /// (before its `Hello`, and from a `Lease` until its `Result`). Only
-    /// a connection whose worker does not hold the turn gets a grant.
+    /// (before its `Hello`, and while it holds a lease). Only a
+    /// connection whose worker does not hold the turn gets a grant
+    /// outside a reply.
     worker_turn: bool,
-    /// Set when this worker misses a heartbeat window: a suspect worker
+    /// Set when this worker misses a lease deadline: a suspect worker
     /// receives no further grants (the range would just bounce back to
     /// the silent peer until retries ran out) until it proves it is
     /// alive by sending any frame.
     suspect: bool,
+    /// Leases sent on this connection whose `Result` has not arrived,
+    /// oldest first, as `(lease_id, range index)`. An entry outlives its
+    /// lease's expiry, because the worker still computes the range, so
+    /// its length is what the credit window bounds.
+    held: Vec<(u64, usize)>,
+    /// Leases this worker may hold: one until its first `Result`, then
+    /// [`LEASE_WINDOW`].
+    window: usize,
 }
 
 impl Conn {
@@ -327,13 +530,30 @@ impl Conn {
         self.out.is_some()
     }
 
-    /// Queues `frame` for the driver; `false` when the driver is gone.
-    fn send(&self, frame: Frame) -> bool {
-        self.out.as_ref().is_some_and(|out| out.send(frame).is_ok())
+    /// Queues `entry` for the driver (`None` ends the coordinator's
+    /// turn); `false` when the driver is gone.
+    fn queue(&self, entry: Option<Frame>) -> bool {
+        self.out.as_ref().is_some_and(|out| out.send(entry).is_ok())
     }
 
-    fn kill(&mut self) {
+    fn send(&self, frame: Frame) -> bool {
+        self.queue(Some(frame))
+    }
+
+    /// Drops the connection and releases every range it still holds.
+    fn kill(
+        &mut self,
+        table: &mut LeaseTable,
+        me: usize,
+        cfg: &CoordinatorConfig,
+    ) -> Result<(), ServeError> {
         self.out = None;
+        for (lease_id, idx) in self.held.drain(..) {
+            if table.holds(idx, me, lease_id) {
+                table.release(idx, cfg)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -342,7 +562,7 @@ impl Conn {
 fn drive(
     conn: usize,
     mut comm: Box<dyn Communicator>,
-    out: Receiver<Frame>,
+    out: Receiver<Option<Frame>>,
     events: Sender<Event>,
     ttl: Duration,
 ) {
@@ -392,16 +612,19 @@ fn drive(
                 return;
             }
         }
-        // The coordinator holds the turn: send what it decides.
+        // The coordinator holds the turn: send what it queues until
+        // `None` hands the turn back.
         loop {
-            let Ok(frame) = out.recv() else { return };
+            let frame = match out.recv() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(_) => return,
+            };
             if let Err(e) = comm.send(&frame) {
                 return lost(format!("send failed: {e}"));
             }
-            match frame {
-                Frame::Lease { .. } => break,
-                Frame::Bye { .. } => return,
-                _ => {}
+            if matches!(frame, Frame::Bye { .. }) {
+                return;
             }
         }
     }
@@ -410,14 +633,14 @@ fn drive(
 /// While the worker holds the turn the coordinator queues nothing but
 /// its final `Bye`. Sends that `Bye` if one is queued; `true` once the
 /// connection should end.
-fn shut_down(comm: &mut dyn Communicator, out: &Receiver<Frame>) -> bool {
+fn shut_down(comm: &mut dyn Communicator, out: &Receiver<Option<Frame>>) -> bool {
     match out.try_recv() {
-        Ok(bye) => {
+        Ok(Some(bye)) => {
             let _ = comm.send(&bye);
             true
         }
         Err(TryRecvError::Disconnected) => true,
-        Err(TryRecvError::Empty) => false,
+        Ok(None) | Err(TryRecvError::Empty) => false,
     }
 }
 
@@ -433,9 +656,11 @@ fn shut_down(comm: &mut dyn Communicator, out: &Receiver<Frame>) -> bool {
 /// connection that says nothing for `ttl` after adoption is dropped; a
 /// worker whose `Hello` arrives after the last range is done is
 /// answered with `Hello` and then `Bye`, so it leaves cleanly with no
-/// lease. On success every live worker gets a `Bye`; on failure every
-/// connection is closed. Either way every driver is joined before `run`
-/// returns, which a worker silent mid-lease delays by at most one
+/// lease. Connections already queued when `run` starts are adopted
+/// before any frame is read, so a fast peer cannot finish the grid
+/// without them. On success every live worker gets a `Bye`; on failure
+/// every connection is closed. Either way every driver is joined before
+/// `run` returns, which a worker silent mid-lease delays by at most one
 /// `ttl`. Connections arriving after the run are closed unread.
 ///
 /// # Errors
@@ -453,6 +678,13 @@ pub fn run(
     let total = study_grid(&id_refs, &cfg.study_config()).len();
 
     let (events_tx, events) = mpsc::channel::<Event>();
+    // Connections queued before the run are adopted ahead of any frame.
+    // Left to the forwarder below, a descheduled forwarder could hand
+    // one over only after its peers had finished the grid, and the run
+    // would close it unread.
+    while let Ok(comm) = conn_rx.try_recv() {
+        let _ = events_tx.send(Event::Connect(comm));
+    }
     let forward = events_tx.clone();
     // Left detached: it blocks on the connection source, which may
     // outlive the run (a TCP accept loop). After the run it exits on the
@@ -470,54 +702,88 @@ pub fn run(
         .map_err(|e| ServeError::Comm(CommError::Io(format!("spawn: {e}"))))?;
 
     let mut conns = Vec::new();
-    let outcome = serve(cfg, total, &mut conns, &events_tx, &events);
+    let mut table = LeaseTable::new(total, cfg.lease_points);
+    let outcome = serve(cfg, &mut table, &mut conns, &events_tx, &events);
     for conn in &mut conns {
         if outcome.is_ok() {
             conn.send(Frame::Bye {
                 reason: "complete".to_string(),
             });
         }
-        conn.kill();
+        conn.out = None;
     }
     for driver in conns.iter_mut().filter_map(|c| c.driver.take()) {
         if let Err(panic) = driver.join() {
             std::panic::resume_unwind(panic);
         }
     }
-    let (chunks, manifests) = outcome?;
-
-    let mut csv = String::from(STUDY_CSV_HEADER);
-    csv.push('\n');
-    for chunk in &chunks {
-        csv.push_str(chunk.csv.as_ref().expect("every chunk is Done"));
-    }
-    Ok(JoinedArtifact { csv, manifests })
+    let manifests = outcome?;
+    Ok(JoinedArtifact {
+        csv: table.join(),
+        manifests,
+    })
 }
 
-/// The event loop of [`run`] over a grid of `total` points: adopts
-/// connections into `conns`, grants and re-leases ranges, and returns
-/// the finished lease table with every worker's provenance.
+/// Grants connection `i` ready ranges up to its window, lowest start
+/// first, then hands the turn back to the worker if it holds a lease.
+/// Called only while the coordinator holds the turn on `i`.
+fn reply(
+    conns: &mut [Conn],
+    i: usize,
+    table: &mut LeaseTable,
+    next_lease_id: &mut u64,
+    cfg: &CoordinatorConfig,
+) -> Result<(), ServeError> {
+    let conn = &mut conns[i];
+    while !conn.suspect && conn.held.len() < conn.window {
+        let Some(idx) = table.next_ready() else {
+            break;
+        };
+        let lease_id = *next_lease_id + 1;
+        let range = table.chunks[idx].range.clone();
+        let lease = Frame::Lease {
+            lease_id,
+            start: range.start as u64,
+            end: range.end as u64,
+        };
+        if !conn.send(lease) {
+            return conn.kill(table, i, cfg);
+        }
+        *next_lease_id = lease_id;
+        table.lease(idx, i, lease_id, Instant::now() + cfg.ttl);
+        conn.held.push((lease_id, idx));
+        LEASES_GRANTED.add(1);
+        if cfg.verbose {
+            eprintln!(
+                "coordinator: leased points {}..{} to worker {} (lease {lease_id}, attempt {})",
+                range.start,
+                range.end,
+                conn.ident.as_deref().unwrap_or("?"),
+                table.chunks[idx].attempt,
+            );
+        }
+    }
+    conn.worker_turn = !conn.held.is_empty();
+    if conn.worker_turn && !conn.queue(None) {
+        return conn.kill(table, i, cfg);
+    }
+    Ok(())
+}
+
+/// The event loop of [`run`]: adopts connections into `conns`, grants
+/// and re-leases ranges until `table` is finished, and returns every
+/// worker's provenance.
 fn serve(
     cfg: &CoordinatorConfig,
-    total: usize,
+    table: &mut LeaseTable,
     conns: &mut Vec<Conn>,
     events_tx: &Sender<Event>,
     events: &Receiver<Event>,
-) -> Result<(Vec<Chunk>, BTreeMap<String, WorkerProvenance>), ServeError> {
+) -> Result<BTreeMap<String, WorkerProvenance>, ServeError> {
     let spec = cfg.spec_string();
     let started = Instant::now();
     let run_deadline = cfg.deadline.map(|cap| started + cap);
-    let mut chunks: Vec<Chunk> = lease_ranges(total, cfg.lease_points)
-        .into_iter()
-        .map(|range| Chunk {
-            range,
-            state: ChunkState::Pending {
-                not_before: started,
-                attempt: 0,
-            },
-            csv: None,
-        })
-        .collect();
+    let total = table.chunks.last().map_or(0, |c| c.range.end);
     let mut manifests: BTreeMap<String, WorkerProvenance> = BTreeMap::new();
     let mut next_lease_id: u64 = 0;
     let mut points_done: usize = 0;
@@ -531,8 +797,8 @@ fn serve(
     progress(&format!(
         "serving {} grid points as {} lease(s) of ≤{} points",
         total,
-        chunks.len(),
-        cfg.lease_points.max(1)
+        table.chunks.len(),
+        table.step
     ));
 
     loop {
@@ -540,9 +806,7 @@ fn serve(
         WORKERS_CONNECTED.set(live as u64);
         // A worker adopted but not yet introduced may still be on its
         // way in: finishing now would drop it mid-handshake.
-        if chunks.iter().all(|c| matches!(c.state, ChunkState::Done))
-            && conns.iter().all(|c| !c.alive() || c.ident.is_some())
-        {
+        if table.finished() && conns.iter().all(|c| !c.alive() || c.ident.is_some()) {
             break;
         }
         if live == 0 && !source_open {
@@ -553,81 +817,44 @@ fn serve(
             return Err(ServeError::DeadlineExceeded);
         }
 
-        // Expire leases whose workers missed their heartbeat window.
-        for chunk in chunks.iter_mut() {
-            if let ChunkState::Leased {
-                conn,
-                deadline,
-                attempt,
-                ..
-            } = chunk.state
-            {
-                if now >= deadline {
-                    LEASES_EXPIRED.add(1);
+        // Expire leases whose workers missed their deadline. The worker
+        // may be slow rather than dead: its connection stays (a late
+        // Result is still welcome) and its held entry with it, but the
+        // range is freed for someone else and the silent worker goes on
+        // probation so the range is not granted straight back to it.
+        for (i, conn) in conns.iter_mut().enumerate() {
+            for &(lease_id, idx) in &conn.held {
+                if table.holds(idx, i, lease_id) && table.deadline(idx).is_some_and(|d| now >= d) {
+                    let range = &table.chunks[idx].range;
                     progress(&format!(
-                        "lease over points {}..{} missed its heartbeat window; re-leasing",
-                        chunk.range.start, chunk.range.end
+                        "lease over points {}..{} missed its deadline; re-leasing",
+                        range.start, range.end
                     ));
-                    // The worker may be slow rather than dead: leave its
-                    // connection alive (a late Result is still welcome)
-                    // but free the range for someone else, and put the
-                    // silent worker on probation so the range is not
-                    // granted straight back to it.
-                    conns[conn].suspect = true;
-                    expire_chunk(chunk, attempt, cfg)?;
+                    conn.suspect = true;
+                    table.release(idx, cfg)?;
                 }
             }
         }
 
-        // Grant pending ranges to idle, introduced workers.
-        let now = Instant::now();
-        for (i, conn) in conns.iter_mut().enumerate() {
-            if !conn.alive() || conn.worker_turn || conn.suspect || conn.ident.is_none() {
-                continue;
+        // Grant ready ranges to idle, introduced workers.
+        table.promote(Instant::now());
+        for i in 0..conns.len() {
+            if table.ready.is_empty() {
+                break;
             }
-            let next = chunks.iter().position(|c| {
-                matches!(&c.state, ChunkState::Pending { not_before, .. } if *not_before <= now)
-            });
-            let Some(idx) = next else { break };
-            next_lease_id += 1;
-            let lease = Frame::Lease {
-                lease_id: next_lease_id,
-                start: chunks[idx].range.start as u64,
-                end: chunks[idx].range.end as u64,
-            };
-            let attempt = match chunks[idx].state {
-                ChunkState::Pending { attempt, .. } => attempt,
-                _ => unreachable!("position() matched Pending"),
-            };
-            if !conn.send(lease) {
-                conn.kill();
-                continue;
+            let conn = &conns[i];
+            if conn.alive() && !conn.worker_turn && conn.ident.is_some() {
+                reply(conns, i, table, &mut next_lease_id, cfg)?;
             }
-            LEASES_GRANTED.add(1);
-            progress(&format!(
-                "leased points {}..{} to worker {} (lease {next_lease_id}, attempt {attempt})",
-                chunks[idx].range.start,
-                chunks[idx].range.end,
-                conn.ident.as_deref().unwrap_or("?"),
-            ));
-            chunks[idx].state = ChunkState::Leased {
-                conn: i,
-                lease_id: next_lease_id,
-                deadline: Instant::now() + cfg.ttl,
-                attempt,
-            };
-            conn.worker_turn = true;
         }
 
         // Sleep until the next event or the next instant the lease
         // table can change on its own.
-        let wake = chunks
+        let wake = conns
             .iter()
-            .filter_map(|c| match c.state {
-                ChunkState::Leased { deadline, .. } => Some(deadline),
-                ChunkState::Pending { not_before, .. } if not_before > now => Some(not_before),
-                _ => None,
-            })
+            .flat_map(|c| &c.held)
+            .filter_map(|&(_, idx)| table.deadline(idx))
+            .chain(table.cooling.iter().map(|&(at, _)| at))
             .chain(run_deadline)
             .min();
         let event = match wake {
@@ -656,6 +883,8 @@ fn serve(
                     ident: None,
                     worker_turn: true,
                     suspect: false,
+                    held: Vec::new(),
+                    window: 1,
                 });
                 continue;
             }
@@ -670,8 +899,7 @@ fn serve(
                         "worker {}: {why}",
                         conn.ident.as_deref().unwrap_or("?")
                     ));
-                    conn.kill();
-                    release_conn_lease(&mut chunks, i, cfg)?;
+                    conn.kill(table, i, cfg)?;
                 }
                 continue;
             }
@@ -683,15 +911,22 @@ fn serve(
             // dropped.
             continue;
         }
-        if !matches!(frame, Frame::Heartbeat { .. }) {
-            conn.worker_turn = false;
+        // Any frame proves the worker alive: every lease it holds gets
+        // a fresh deadline.
+        let until = Instant::now() + cfg.ttl;
+        for &(lease_id, idx) in &conn.held {
+            if table.holds(idx, i, lease_id) {
+                table.refresh(idx, until);
+            }
         }
+        // Set when the frame hands the coordinator its turn to reply.
+        let mut answer = false;
         match frame {
             Frame::Hello {
                 role: Role::Worker,
                 ident,
                 detail,
-            } => {
+            } if conn.ident.is_none() => {
                 progress(&format!("hello from worker {ident}"));
                 let entry = manifests.entry(ident.clone()).or_insert(WorkerProvenance {
                     manifest: String::new(),
@@ -699,64 +934,58 @@ fn serve(
                 });
                 entry.manifest = detail;
                 conn.ident = Some(ident);
-                let reply = Frame::Hello {
+                let hello = Frame::Hello {
                     role: Role::Coordinator,
                     ident: "coordinator".to_string(),
                     detail: spec.clone(),
                 };
-                if !conn.send(reply) {
-                    conn.kill();
+                answer = conn.send(hello);
+                if !answer {
+                    conn.kill(table, i, cfg)?;
                 }
             }
             // A worker speaks first; anything else before its Hello is
             // a protocol violation like any unexpected frame below.
-            Frame::Heartbeat { lease_id, .. } if conn.ident.is_some() => {
+            Frame::Heartbeat { .. } if conn.ident.is_some() => {
                 HEARTBEATS.add(1);
                 conn.suspect = false;
-                let now = Instant::now();
-                for chunk in chunks.iter_mut() {
-                    if let ChunkState::Leased {
-                        conn: owner,
-                        lease_id: id,
-                        deadline,
-                        ..
-                    } = &mut chunk.state
-                    {
-                        if *id == lease_id && *owner == i {
-                            *deadline = now + cfg.ttl;
-                        }
-                    }
-                }
             }
             Frame::Result {
                 lease_id,
                 start,
                 end,
                 csv,
-                manifest,
             } if conn.ident.is_some() => {
                 conn.suspect = false;
-                let accepted =
-                    accept_result(&mut chunks, lease_id, start as usize..end as usize, csv);
-                match accepted {
+                let range = start as usize..end as usize;
+                let entry = conn.held.iter().position(|&(id, _)| id == lease_id);
+                let verdict = match entry {
+                    Some(at) if table.chunks[conn.held[at].1].range != range => Err(format!(
+                        "lease {lease_id} was granted for points {:?}, not {range:?}",
+                        table.chunks[conn.held[at].1].range
+                    )),
+                    _ => table.accept(lease_id, range, csv),
+                };
+                match verdict {
                     Ok(fresh_points) => {
+                        if let Some(at) = entry {
+                            conn.held.remove(at);
+                        }
+                        conn.window = LEASE_WINDOW;
                         if fresh_points > 0 {
                             points_done += fresh_points;
                             LEASES_COMPLETED.add(1);
                             POINTS_DONE.add(fresh_points as u64);
-                            if let Some(ident) = &conn.ident {
-                                let entry =
-                                    manifests.entry(ident.clone()).or_insert(WorkerProvenance {
-                                        manifest: manifest.clone(),
-                                        leases: 0,
-                                    });
-                                entry.manifest = manifest;
-                                entry.leases += 1;
+                            if let Some(p) =
+                                conn.ident.as_ref().and_then(|id| manifests.get_mut(id))
+                            {
+                                p.leases += 1;
                             }
                             progress(&format!(
                                 "lease {lease_id} done ({points_done}/{total} points)"
                             ));
                         }
+                        answer = true;
                     }
                     Err(detail) => {
                         progress(&format!(
@@ -766,8 +995,7 @@ fn serve(
                         conn.send(Frame::Bye {
                             reason: format!("bad result: {detail}"),
                         });
-                        conn.kill();
-                        release_conn_lease(&mut chunks, i, cfg)?;
+                        conn.kill(table, i, cfg)?;
                     }
                 }
             }
@@ -776,8 +1004,7 @@ fn serve(
                     "worker {} said bye ({reason})",
                     conn.ident.as_deref().unwrap_or("?")
                 ));
-                conn.kill();
-                release_conn_lease(&mut chunks, i, cfg)?;
+                conn.kill(table, i, cfg)?;
             }
             other => {
                 progress(&format!(
@@ -788,9 +1015,11 @@ fn serve(
                 conn.send(Frame::Bye {
                     reason: format!("unexpected {} frame", other.name()),
                 });
-                conn.kill();
-                release_conn_lease(&mut chunks, i, cfg)?;
+                conn.kill(table, i, cfg)?;
             }
+        }
+        if answer {
+            reply(conns, i, table, &mut next_lease_id, cfg)?;
         }
     }
 
@@ -798,75 +1027,7 @@ fn serve(
         "complete: {total} points joined from {} worker(s)",
         manifests.len()
     ));
-    Ok((chunks, manifests))
-}
-
-/// Accepts a `Result` frame into the lease table. Returns the number of
-/// fresh points it contributed (0 for a duplicate of an already-`Done`
-/// range — late results from slow-but-alive workers are idempotent
-/// because the study is deterministic).
-fn accept_result(
-    chunks: &mut [Chunk],
-    lease_id: u64,
-    range: Range<usize>,
-    csv: String,
-) -> Result<usize, String> {
-    let chunk = chunks
-        .iter_mut()
-        .find(|c| c.range == range)
-        .ok_or_else(|| format!("lease {lease_id} names unknown range {range:?}"))?;
-    if matches!(chunk.state, ChunkState::Done) {
-        return Ok(0);
-    }
-    let lines = csv.lines().count();
-    if lines != chunk.range.len() {
-        return Err(format!(
-            "range {range:?} carries {lines} CSV lines, expected {}",
-            chunk.range.len()
-        ));
-    }
-    chunk.state = ChunkState::Done;
-    chunk.csv = Some(csv);
-    Ok(lines)
-}
-
-fn expire_chunk(
-    chunk: &mut Chunk,
-    attempt: usize,
-    cfg: &CoordinatorConfig,
-) -> Result<(), ServeError> {
-    let attempt = attempt + 1;
-    if attempt > cfg.max_retries {
-        return Err(ServeError::LeaseExhausted {
-            start: chunk.range.start,
-            end: chunk.range.end,
-            attempts: attempt,
-        });
-    }
-    chunk.state = ChunkState::Pending {
-        not_before: Instant::now() + cfg.backoff * attempt as u32,
-        attempt,
-    };
-    Ok(())
-}
-
-/// Frees whatever range connection `i` currently holds (worker died or
-/// was dropped): the range re-enters `Pending` with its attempt count
-/// bumped, or the run aborts once retries are exhausted.
-fn release_conn_lease(
-    chunks: &mut [Chunk],
-    i: usize,
-    cfg: &CoordinatorConfig,
-) -> Result<(), ServeError> {
-    for chunk in chunks.iter_mut() {
-        if let ChunkState::Leased { conn, attempt, .. } = chunk.state {
-            if conn == i {
-                LEASES_EXPIRED.add(1);
-                expire_chunk(chunk, attempt, cfg)?;
-            }
-        }
-    }
-    Ok(())
+    Ok(manifests)
 }
 
 #[cfg(test)]
@@ -899,10 +1060,11 @@ mod tests {
             ..CoordinatorConfig::default()
         };
         let spec = cfg.spec_string();
-        assert_eq!(spec, "ids=fig5c,fig7a;quick=1");
-        let (ids, quick) = parse_spec(&spec).unwrap();
-        assert_eq!(ids, vec!["fig5c", "fig7a"]);
-        assert!(quick);
+        assert_eq!(spec, "ids=fig5c,fig7a;quick=1;ttl_ms=30000");
+        let parsed = parse_spec(&spec).unwrap();
+        assert_eq!(parsed.ids, vec!["fig5c", "fig7a"]);
+        assert!(parsed.quick);
+        assert_eq!(parsed.ttl, cfg.ttl);
     }
 
     #[test]
@@ -911,9 +1073,11 @@ mod tests {
             "",
             "ids=fig5c",
             "quick=1",
-            "ids=fig5c;quick=maybe",
-            "ids=;quick=1",
-            "ids=fig5c;quick=1;extra=2",
+            "ids=fig5c;quick=1",
+            "ids=fig5c;quick=maybe;ttl_ms=1",
+            "ids=;quick=1;ttl_ms=1",
+            "ids=fig5c;quick=1;ttl_ms=soon",
+            "ids=fig5c;quick=1;ttl_ms=1;extra=2",
             "nonsense",
         ] {
             assert!(parse_spec(bad).is_err(), "{bad:?} must be rejected");
@@ -948,36 +1112,110 @@ mod tests {
 
     #[test]
     fn duplicate_results_are_idempotent() {
-        let mut chunks = vec![Chunk {
-            range: 0..2,
-            state: ChunkState::Pending {
-                not_before: Instant::now(),
-                attempt: 0,
-            },
-            csv: None,
-        }];
-        assert_eq!(
-            accept_result(&mut chunks, 1, 0..2, "x\ny\n".to_string()),
-            Ok(2)
-        );
+        let mut table = LeaseTable::new(2, 2);
+        assert_eq!(table.accept(1, 0..2, "x\ny\n".to_string()), Ok(2));
+        assert!(table.finished());
         // A slow worker's late duplicate contributes nothing and leaves
         // the stored bytes untouched.
-        assert_eq!(
-            accept_result(&mut chunks, 2, 0..2, "x\ny\n".to_string()),
-            Ok(0)
-        );
-        assert_eq!(chunks[0].csv.as_deref(), Some("x\ny\n"));
+        assert_eq!(table.accept(2, 0..2, "z\nz\n".to_string()), Ok(0));
+        assert_eq!(table.join(), format!("{STUDY_CSV_HEADER}\nx\ny\n"));
         // Wrong line counts and unknown ranges are protocol errors.
-        assert!(accept_result(&mut chunks, 3, 0..2, "x\n".to_string()).is_ok());
-        let mut fresh = vec![Chunk {
-            range: 4..6,
-            state: ChunkState::Pending {
-                not_before: Instant::now(),
-                attempt: 0,
-            },
-            csv: None,
-        }];
-        assert!(accept_result(&mut fresh, 4, 4..6, "x\n".to_string()).is_err());
-        assert!(accept_result(&mut fresh, 5, 0..2, "x\ny\n".to_string()).is_err());
+        let mut fresh = LeaseTable::new(6, 2);
+        assert!(fresh.accept(4, 4..6, "x\n".to_string()).is_err());
+        assert!(fresh.accept(5, 1..3, "x\ny\n".to_string()).is_err());
+        assert!(fresh.accept(6, 6..8, "x\ny\n".to_string()).is_err());
+        assert_eq!(fresh.done, 0);
+    }
+
+    #[test]
+    fn grants_go_lowest_start_first_and_released_ranges_cool_off() {
+        let cfg = CoordinatorConfig {
+            backoff: Duration::from_secs(3600),
+            ..CoordinatorConfig::default()
+        };
+        let mut table = LeaseTable::new(7, 2);
+        let far = Instant::now() + cfg.ttl;
+        let grant = |table: &mut LeaseTable, conn, lease_id| {
+            let idx = table.next_ready()?;
+            table.lease(idx, conn, lease_id, far);
+            Some(idx)
+        };
+        assert_eq!(grant(&mut table, 0, 1), Some(0));
+        assert_eq!(grant(&mut table, 0, 2), Some(1));
+        assert!(table.holds(1, 0, 2));
+        assert!(!table.holds(1, 0, 1));
+        table.release(0, &cfg).unwrap();
+        // The released range backs off; the next grant skips it.
+        table.promote(Instant::now());
+        assert_eq!(grant(&mut table, 1, 3), Some(2));
+        // Once its backoff ends it is the lowest ready range again.
+        table.promote(Instant::now() + 2 * cfg.backoff);
+        assert_eq!(grant(&mut table, 1, 4), Some(0));
+        assert_eq!(table.chunks[0].attempt, 1);
+    }
+
+    #[test]
+    fn a_late_result_for_a_released_range_takes_it_off_the_ready_set() {
+        let cfg = CoordinatorConfig {
+            backoff: Duration::ZERO,
+            max_retries: 1,
+            ..CoordinatorConfig::default()
+        };
+        let mut table = LeaseTable::new(4, 2);
+        let now = Instant::now();
+        table.lease(0, 0, 1, now);
+        table.release(0, &cfg).unwrap();
+        table.promote(Instant::now());
+        assert_eq!(table.next_ready(), Some(0));
+        assert_eq!(table.accept(1, 0..2, "a\nb\n".to_string()), Ok(2));
+        // Range 0 is done, so the next grant is range 1, and range 1
+        // is the last one to grant.
+        assert_eq!(table.next_ready(), Some(1));
+        table.lease(1, 1, 2, now);
+        assert_eq!(table.next_ready(), None);
+        // A second release of range 1 exceeds the retry budget.
+        table.release(1, &cfg).unwrap();
+        table.promote(Instant::now());
+        table.lease(1, 1, 4, now);
+        assert_eq!(
+            table.release(1, &cfg),
+            Err(ServeError::LeaseExhausted {
+                start: 2,
+                end: 4,
+                attempts: 2
+            })
+        );
+    }
+
+    #[test]
+    fn a_v1_peer_is_answered_with_a_bye_naming_v2() {
+        use crate::comm::Loopback;
+        let (coord_end, mut worker_end) = Loopback::pair();
+        let mut hello = Frame::Hello {
+            role: Role::Worker,
+            ident: "old".to_string(),
+            detail: "{}".to_string(),
+        }
+        .encode();
+        hello[4] = 1;
+        worker_end.send_raw(hello).unwrap();
+        let (tx, rx) = mpsc::channel::<Box<dyn Communicator>>();
+        tx.send(Box::new(coord_end)).unwrap();
+        drop(tx);
+        let cfg = CoordinatorConfig {
+            ids: vec!["fig5c".to_string()],
+            quick: true,
+            deadline: Some(Duration::from_secs(60)),
+            ..CoordinatorConfig::default()
+        };
+        // The only worker is refused, so nobody can serve the grid.
+        assert_eq!(run(rx, &cfg).unwrap_err(), ServeError::NoWorkers);
+        match worker_end.recv_timeout(Duration::from_secs(5)) {
+            Ok(Some(Frame::Bye { reason })) => {
+                assert!(reason.contains("protocol version 1"), "{reason}");
+                assert!(reason.contains("v2"), "{reason}");
+            }
+            other => panic!("expected a Bye, got {other:?}"),
+        }
     }
 }

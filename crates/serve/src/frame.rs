@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     payload length N, u32 LE (0 ..= MAX_PAYLOAD)
-//! 4       1     protocol version (PROTOCOL_VERSION = 1)
+//! 4       1     protocol version (PROTOCOL_VERSION = 2)
 //! 5       1     frame tag (1=Hello 2=Lease 3=Result 4=Heartbeat 5=Bye)
 //! 6       2     reserved, must be zero
 //! 8       N     payload (per-tag field layout, ints LE, strings
@@ -40,9 +40,10 @@ use std::fmt;
 /// The wire-protocol version this build speaks. Stamped into every
 /// frame header; decoders reject anything else with
 /// [`FrameError::BadVersion`], which the coordinator answers with a
-/// `Bye` naming its own version (the v1 negotiation rule: there is
-/// nothing to negotiate *to*, so mismatches part ways loudly).
-pub const PROTOCOL_VERSION: u8 = 1;
+/// `Bye` naming its own version (there is nothing to negotiate *to*,
+/// so mismatches part ways loudly); `DESIGN.md` lists what version 2
+/// changed.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Fixed header length in bytes (length + version + tag + reserved).
 pub const HEADER_LEN: usize = 8;
@@ -91,9 +92,10 @@ impl Role {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// Session opener, sent once by each side. The worker's `detail` is
-    /// its one-line `perfport-manifest/1` JSON; the coordinator replies
-    /// with the study spec (`ids=...;quick=0|1`) so both sides
-    /// enumerate the identical grid.
+    /// its one-line `perfport-manifest/1` JSON, the only copy of it the
+    /// session carries; the coordinator replies with the study spec
+    /// (`ids=...;quick=0|1;ttl_ms=N`) so both sides enumerate the
+    /// identical grid and the worker knows when to heartbeat.
     Hello {
         /// Which side is speaking.
         role: Role,
@@ -127,12 +129,11 @@ pub enum Frame {
         /// canonical order — exactly the bytes `--shard` mode would
         /// print for these indices.
         csv: String,
-        /// The worker's one-line `perfport-manifest/1` JSON, embedded
-        /// into the joined artifact's trailer.
-        manifest: String,
     },
     /// Worker → coordinator liveness: `done` points of the lease are
-    /// finished. Each heartbeat pushes the lease deadline out by one
+    /// finished. Sent only after a point that ends at least `ttl / 2`
+    /// after the worker's previous frame. Like every worker frame, it
+    /// pushes the deadline of each lease the worker holds out by one
     /// TTL; a lease that misses its deadline is re-leased.
     Heartbeat {
         /// The lease being worked.
@@ -380,13 +381,11 @@ impl Frame {
                 start,
                 end,
                 csv,
-                manifest,
             } => {
                 w.u64(*lease_id);
                 w.u64(*start);
                 w.u64(*end);
                 w.string(csv);
-                w.string(manifest);
             }
             Frame::Heartbeat { lease_id, done } => {
                 w.u64(*lease_id);
@@ -495,14 +494,12 @@ impl Frame {
                 let start = r.u64("start")?;
                 let end = r.u64("end")?;
                 let csv = r.string("csv")?;
-                let manifest = r.string("manifest")?;
                 r.finish()?;
                 Ok(Frame::Result {
                     lease_id,
                     start,
                     end,
                     csv,
-                    manifest,
                 })
             }
             TAG_HEARTBEAT => {
@@ -549,7 +546,6 @@ mod tests {
                 start: 0,
                 end: 2,
                 csv: "fig5c,AmpereAltra,KokkosOmp,FP32,1024,1.0,2e-1,Compute,0e0,ok\n".to_string(),
-                manifest: "{}".to_string(),
             },
             Frame::Heartbeat {
                 lease_id: 1,
@@ -630,10 +626,12 @@ mod tests {
             reason: "ok".to_string(),
         }
         .encode();
-        bytes[4] = 2; // future version
+        bytes[4] = PROTOCOL_VERSION + 1; // future version
         assert_eq!(
             Frame::decode_exact(&bytes),
-            Err(FrameError::BadVersion { got: 2 })
+            Err(FrameError::BadVersion {
+                got: PROTOCOL_VERSION + 1
+            })
         );
         bytes[4] = PROTOCOL_VERSION;
         bytes[5] = 77; // unknown tag
@@ -647,6 +645,25 @@ mod tests {
             Frame::decode_exact(&bytes),
             Err(FrameError::BadReserved { .. })
         ));
+    }
+
+    #[test]
+    fn a_v1_header_is_refused_with_its_version() {
+        // A v1 `Result` still carried the manifest; whatever the payload,
+        // the version byte alone refuses it.
+        let mut bytes = Frame::Bye {
+            reason: "complete".to_string(),
+        }
+        .encode();
+        bytes[4] = 1;
+        assert_eq!(
+            Frame::decode_exact(&bytes),
+            Err(FrameError::BadVersion { got: 1 })
+        );
+        assert_eq!(
+            Frame::decode_step(&bytes),
+            Err(FrameError::BadVersion { got: 1 })
+        );
     }
 
     #[test]

@@ -6,17 +6,18 @@
 //! concatenating shard outputs reproduces the single-shot artifact byte
 //! for byte. This crate lifts that contract over the wire: a
 //! [`coordinator`] enumerates the grid, leases contiguous index ranges
-//! to [`worker`]s, re-leases ranges whose workers miss heartbeats, and
-//! reassembles the per-point CSV in canonical panel → curve → size
-//! order. The acceptance contract is PR 5's, across machines instead of
-//! threads:
+//! to [`worker`]s (up to two outstanding per worker, so the next range
+//! is queued before the current one finishes), re-leases ranges whose
+//! workers go silent past the TTL, and reassembles the per-point CSV in
+//! canonical panel → curve → size order. The acceptance contract is
+//! the sharded runner's, across machines instead of threads:
 //!
 //! > For any worker count, any lease size, and any kill/retry schedule,
 //! > stripping the `#`-prefixed trailer from the joined artifact yields
 //! > bytes identical to the `--shard 0/1` single-shot artifact.
 //!
-//! Each worker stamps its `perfport-manifest/1` (ISA, caches,
-//! scheduler, telemetry mode) into its `Result` frames; the coordinator
+//! Each worker sends its `perfport-manifest/1` (ISA, caches,
+//! scheduler, telemetry mode) once, in its `Hello`; the coordinator
 //! embeds every worker's manifest into the joined artifact's trailer,
 //! so cross-machine provenance survives the join.
 //!
@@ -25,11 +26,11 @@
 //! in-process loopback transport for tests and [`comm::tcp_v1`] for
 //! real sockets — is specified, not just implemented: `DESIGN.md`
 //! § "perfport-serve wire protocol" carries the normative frame
-//! grammar, the lease lifecycle state machine, the heartbeat/re-lease
-//! rules, and the byte-identity proof obligation. The `serve_coordinator`
-//! and `serve_worker` binaries are the deployable faces; the
-//! coordinator's `--local N` flag runs the whole service in-process as
-//! a self-test.
+//! grammar (version 2), the lease lifecycle state machine, the credit
+//! window, the heartbeat/re-lease rules, and the byte-identity proof
+//! obligation. The `serve_coordinator` and `serve_worker` binaries are
+//! the deployable faces; the coordinator's `--local N` flag runs the
+//! whole service in-process as a self-test.
 //!
 //! # Examples
 //!
@@ -58,6 +59,8 @@
 
 pub mod comm;
 pub mod coordinator;
+#[cfg(test)]
+mod fault;
 pub mod frame;
 pub mod local;
 pub mod worker;

@@ -1,14 +1,18 @@
 //! The worker side of the protocol: introduce yourself with a
-//! provenance manifest, enumerate the same grid the coordinator serves,
-//! then loop executing leases — one heartbeat per finished point, one
-//! `Result` per finished range — until the coordinator says `Bye`.
+//! provenance manifest (the session's only copy of it), enumerate the
+//! same grid the coordinator serves, then execute leases in the order
+//! they arrive — one `Result` per finished range — until the coordinator
+//! says `Bye`. The coordinator may queue a second lease behind the one
+//! being computed; the transport holds it, so the worker needs no queue
+//! of its own.
 //!
-//! Heartbeats ride the point boundary on purpose: the worker stays
-//! single-threaded (no timer thread racing the compute), and the
-//! heartbeat cadence self-tunes to the workload — a lease of k points
-//! emits k heartbeats. The coordinator's TTL therefore has to exceed
-//! the slowest *single point*, not the whole lease, which `DESIGN.md`
-//! states as the protocol's one timing obligation.
+//! Heartbeats ride the point boundary: the worker stays single-threaded
+//! (no timer thread racing the compute) and sends a `Heartbeat` after a
+//! point only when at least `ttl / 2` has passed since its last frame.
+//! Any worker frame refreshes the deadline of every lease the worker
+//! holds, so fast points send none at all. The slowest single point
+//! must stay under `ttl / 2`, which `DESIGN.md` states as the
+//! protocol's one timing obligation.
 
 use crate::comm::Communicator;
 use crate::coordinator::{parse_spec, validate_ids};
@@ -17,6 +21,7 @@ use crate::ServeError;
 use perfport_core::{render_study_csv, shard::run_grid_point, study_grid, StudyConfig};
 use perfport_telemetry::Counter;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 static WORKER_POINTS: Counter = Counter::new("serve/worker_points");
 
@@ -56,8 +61,8 @@ pub struct WorkerSummary {
 }
 
 /// The worker's one-line provenance manifest: `perfport-manifest/1`
-/// JSON with newlines removed, suitable for `Hello`/`Result` frames and
-/// the joined artifact's one-line-per-worker trailer.
+/// JSON with newlines removed, suitable for the `Hello` frame and the
+/// joined artifact's one-line-per-worker trailer.
 ///
 /// Collected once per process: collection runs `git` and `rustc`, which
 /// costs tens of milliseconds, and nothing it records changes while the
@@ -82,7 +87,6 @@ pub fn manifest_line() -> String {
 /// lease beyond the grid), and [`ServeError::FaultInjected`] when the
 /// configured `fail_after` drill triggers.
 pub fn run(comm: &mut dyn Communicator, cfg: &WorkerConfig) -> Result<WorkerSummary, ServeError> {
-    let manifest = manifest_line();
     let progress = |msg: &str| {
         if cfg.verbose {
             eprintln!("worker {}: {msg}", cfg.ident);
@@ -91,10 +95,11 @@ pub fn run(comm: &mut dyn Communicator, cfg: &WorkerConfig) -> Result<WorkerSumm
     comm.send(&Frame::Hello {
         role: Role::Worker,
         ident: cfg.ident.clone(),
-        detail: manifest.clone(),
+        detail: manifest_line(),
     })?;
+    let mut last_sent = Instant::now();
 
-    let (ids, quick) = match comm.recv()? {
+    let spec = match comm.recv()? {
         Frame::Hello {
             role: Role::Coordinator,
             detail,
@@ -112,8 +117,9 @@ pub fn run(comm: &mut dyn Communicator, cfg: &WorkerConfig) -> Result<WorkerSumm
             )))
         }
     };
-    let id_refs = validate_ids(&ids).map_err(ServeError::Protocol)?;
-    let study_cfg = if quick {
+    let id_refs = validate_ids(&spec.ids).map_err(ServeError::Protocol)?;
+    let beat_after = spec.ttl / 2;
+    let study_cfg = if spec.quick {
         StudyConfig::quick()
     } else {
         StudyConfig::default()
@@ -162,18 +168,21 @@ pub fn run(comm: &mut dyn Communicator, cfg: &WorkerConfig) -> Result<WorkerSumm
                     results.push(run_grid_point(&grid[idx], &study_cfg));
                     summary.points += 1;
                     WORKER_POINTS.add(1);
-                    comm.send(&Frame::Heartbeat {
-                        lease_id,
-                        done: (done + 1) as u64,
-                    })?;
+                    if last_sent.elapsed() >= beat_after {
+                        comm.send(&Frame::Heartbeat {
+                            lease_id,
+                            done: (done + 1) as u64,
+                        })?;
+                        last_sent = Instant::now();
+                    }
                 }
                 comm.send(&Frame::Result {
                     lease_id,
                     start: start as u64,
                     end: end as u64,
                     csv: render_study_csv(&results, false),
-                    manifest: manifest.clone(),
                 })?;
+                last_sent = Instant::now();
                 summary.leases += 1;
             }
             Frame::Bye { reason } => {

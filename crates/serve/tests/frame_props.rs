@@ -30,12 +30,12 @@ fn build_frame(kind: usize, a: u64, b: u64, c: u64, coord: bool, s1: String, s2:
             start: b,
             end: c,
         },
+        // The v2 `Result`: the manifest travels only in `Hello`.
         2 => Frame::Result {
             lease_id: a,
             start: b,
             end: c,
-            csv: s1,
-            manifest: s2,
+            csv: s2,
         },
         3 => Frame::Heartbeat {
             lease_id: a,

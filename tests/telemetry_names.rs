@@ -5,8 +5,11 @@
 
 use perfport::gemm::{batch, tuned, Layout, Matrix, Problem};
 use perfport::pool::ThreadPool;
-use perfport::serve::coordinator::CoordinatorConfig;
+use perfport::serve::coordinator::{self, CoordinatorConfig};
 use perfport::serve::local::run_local;
+use perfport::serve::worker::{self, WorkerConfig};
+use perfport::serve::{Communicator, Frame, Loopback, Role};
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// Counters every workload's per-layer numbers are read from.
@@ -25,6 +28,47 @@ const HISTOGRAMS: &[&str] = &["gemm/pack_ns", "gemm/compute_ns"];
 /// The per-bucket service-time family serve-batch and serve-single sum
 /// by prefix.
 const SERVICE_NS: &str = "batch/service_ns/";
+
+/// Serves `cfg` to a hand-driven peer that takes a lease, sends one
+/// `Heartbeat` and leaves, then to a real worker that finishes the
+/// grid. A worker heartbeats only after a point slower than half the
+/// TTL, which no quick grid point is, so the heartbeat path needs a
+/// peer that sends one on purpose.
+fn serve_with_one_heartbeat(cfg: &CoordinatorConfig) {
+    let (beat_coord_end, mut beat_end) = Loopback::pair();
+    let (live_coord_end, mut live_end) = Loopback::pair();
+    let (tx, rx) = mpsc::channel::<Box<dyn Communicator>>();
+    tx.send(Box::new(beat_coord_end)).unwrap();
+    tx.send(Box::new(live_coord_end)).unwrap();
+    drop(tx);
+    let peers = std::thread::spawn(move || {
+        beat_end
+            .send(&Frame::Hello {
+                role: Role::Worker,
+                ident: "beat".to_string(),
+                detail: "{}".to_string(),
+            })
+            .unwrap();
+        assert!(matches!(beat_end.recv().unwrap(), Frame::Hello { .. }));
+        let Frame::Lease { lease_id, .. } = beat_end.recv().unwrap() else {
+            panic!("the only introduced worker gets a lease");
+        };
+        beat_end
+            .send(&Frame::Heartbeat { lease_id, done: 0 })
+            .unwrap();
+        beat_end
+            .send(&Frame::Bye {
+                reason: "leaving".to_string(),
+            })
+            .unwrap();
+        worker::run(&mut live_end, &WorkerConfig::new("live"))
+    });
+    coordinator::run(rx, cfg).expect("the live worker finishes the grid");
+    peers
+        .join()
+        .unwrap()
+        .expect("the live worker leaves cleanly");
+}
 
 #[test]
 fn every_name_the_benchmark_reads_is_recorded() {
@@ -64,6 +108,7 @@ fn every_name_the_benchmark_reads_is_recorded() {
         verbose: false,
     };
     run_local(&cfg, 1, None).expect("a loopback study session completes");
+    serve_with_one_heartbeat(&cfg);
 
     let delta = perfport_telemetry::snapshot().delta_since(&before);
     for name in COUNTERS {
