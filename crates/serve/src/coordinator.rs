@@ -505,11 +505,6 @@ struct Conn {
     out: Option<Sender<Option<Frame>>>,
     driver: Option<JoinHandle<()>>,
     ident: Option<String>,
-    /// Mirrors the driver's turn: `true` while the worker holds it
-    /// (before its `Hello`, and while it holds a lease). Only a
-    /// connection whose worker does not hold the turn gets a grant
-    /// outside a reply.
-    worker_turn: bool,
     /// Set when this worker misses a lease deadline: a suspect worker
     /// receives no further grants (the range would just bounce back to
     /// the silent peer until retries ran out) until it proves it is
@@ -528,6 +523,14 @@ struct Conn {
 impl Conn {
     fn alive(&self) -> bool {
         self.out.is_some()
+    }
+
+    /// Mirrors the driver's turn: `true` while the worker holds it
+    /// (before its `Hello`, and while it holds a lease). Only a
+    /// connection whose worker does not hold the turn gets a grant
+    /// outside a reply.
+    fn worker_turn(&self) -> bool {
+        self.ident.is_none() || !self.held.is_empty()
     }
 
     /// Queues `entry` for the driver (`None` ends the coordinator's
@@ -763,8 +766,7 @@ fn reply(
             );
         }
     }
-    conn.worker_turn = !conn.held.is_empty();
-    if conn.worker_turn && !conn.queue(None) {
+    if conn.worker_turn() && !conn.queue(None) {
         return conn.kill(table, i, cfg);
     }
     Ok(())
@@ -843,7 +845,7 @@ fn serve(
                 break;
             }
             let conn = &conns[i];
-            if conn.alive() && !conn.worker_turn && conn.ident.is_some() {
+            if conn.alive() && !conn.worker_turn() {
                 reply(conns, i, table, &mut next_lease_id, cfg)?;
             }
         }
@@ -881,7 +883,6 @@ fn serve(
                     out: driver.is_ok().then_some(out),
                     driver: driver.ok(),
                     ident: None,
-                    worker_turn: true,
                     suspect: false,
                     held: Vec::new(),
                     window: 1,
@@ -1118,6 +1119,9 @@ mod tests {
         // A slow worker's late duplicate contributes nothing and leaves
         // the stored bytes untouched.
         assert_eq!(table.accept(2, 0..2, "z\nz\n".to_string()), Ok(0));
+        // A duplicate for a range already Done is ignored before its
+        // lines are counted, so even a malformed one is harmless.
+        assert_eq!(table.accept(3, 0..2, "x\n".to_string()), Ok(0));
         assert_eq!(table.join(), format!("{STUDY_CSV_HEADER}\nx\ny\n"));
         // Wrong line counts and unknown ranges are protocol errors.
         let mut fresh = LeaseTable::new(6, 2);

@@ -8,14 +8,18 @@
 //! [`Faulty`] wraps one [`Loopback`] end and corrupts what it *sends*;
 //! wrapping both ends of a pair covers both directions. Each frame is
 //! hit by a fault with probability `rate`, the fault drawn uniformly
-//! from [`Fault`], all from one seeded generator, so a failing schedule
-//! replays exactly from its seed.
+//! from a menu of [`Fault`]s, all from one seeded generator, so a
+//! failing schedule replays exactly from its seed. Every link of a run
+//! records the faults that fired in one shared [`Fired`], so the verdict
+//! can demand more of a run that no fault could have stalled.
 
 use crate::comm::{CommError, Communicator, Loopback};
 use crate::coordinator::{self, strip_trailer, CoordinatorConfig};
 use crate::frame::Frame;
 use crate::worker::{self, WorkerConfig};
 use proptest::test_runner::TestRng;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What the link does to one sent frame.
@@ -45,8 +49,39 @@ const FAULTS: [Fault; 6] = [
     Fault::Close,
 ];
 
+/// Every fault but [`Fault::Drop`]. None of these leaves a live link
+/// silent: each frame arrives, or its loss ends the connection, which
+/// both ends notice. Only a dropped frame can stall a run until its
+/// deadline.
+const LOUD_FAULTS: [Fault; 5] = [
+    Fault::Delay,
+    Fault::Duplicate,
+    Fault::Truncate,
+    Fault::Reorder,
+    Fault::Close,
+];
+
 /// Longest stall a [`Fault::Delay`] injects.
 const MAX_DELAY: Duration = Duration::from_millis(30);
+
+/// The kinds of fault that fired on any link sharing it, one bit per
+/// [`Fault`].
+#[derive(Clone, Default)]
+struct Fired(Arc<AtomicU8>);
+
+impl Fired {
+    fn record(&self, fault: Fault) {
+        self.0.fetch_or(1 << fault as u8, Ordering::Relaxed);
+    }
+
+    fn any(&self) -> bool {
+        self.0.load(Ordering::Relaxed) != 0
+    }
+
+    fn has(&self, fault: Fault) -> bool {
+        self.0.load(Ordering::Relaxed) & (1 << fault as u8) != 0
+    }
+}
 
 /// A [`Loopback`] end whose sends pass through a seeded fault schedule.
 struct Faulty {
@@ -54,15 +89,19 @@ struct Faulty {
     inner: Option<Loopback>,
     rng: TestRng,
     rate: f64,
+    menu: &'static [Fault],
+    fired: Fired,
     held: Option<Vec<u8>>,
 }
 
 impl Faulty {
-    fn new(inner: Loopback, seed: u64, rate: f64) -> Faulty {
+    fn new(inner: Loopback, seed: u64, rate: f64, menu: &'static [Fault], fired: Fired) -> Faulty {
         Faulty {
             inner: Some(inner),
             rng: TestRng::from_seed(seed),
             rate,
+            menu,
+            fired,
             held: None,
         }
     }
@@ -88,7 +127,9 @@ impl Communicator for Faulty {
         self.link()?;
         let bytes = frame.encode();
         let fault = if self.rng.unit_f64() < self.rate {
-            Some(FAULTS[(self.rng.next_u64() % FAULTS.len() as u64) as usize])
+            let fault = self.menu[(self.rng.next_u64() % self.menu.len() as u64) as usize];
+            self.fired.record(fault);
+            Some(fault)
         } else {
             None
         };
@@ -158,13 +199,17 @@ mod tests {
     }
 
     /// Serves the quick grid to `workers` workers over faulty links,
-    /// joining every worker before it returns the coordinator's verdict.
+    /// joining every worker before it returns the coordinator's verdict
+    /// and the faults that fired. `silent` adds [`Fault::Drop`] to the
+    /// menu; only then does the run get a deadline, since only a
+    /// dropped frame can leave it waiting on a link that stays quiet.
     fn serve_faulty(
         workers: usize,
         lease_points: usize,
         seed: u64,
         rate: f64,
-    ) -> Result<coordinator::JoinedArtifact, ServeError> {
+        silent: bool,
+    ) -> (Result<coordinator::JoinedArtifact, ServeError>, Fired) {
         let cfg = CoordinatorConfig {
             ids: IDS.iter().map(|s| s.to_string()).collect(),
             quick: true,
@@ -173,16 +218,18 @@ mod tests {
             backoff: Duration::from_millis(5),
             max_retries: RETRIES,
             // Joining the drivers afterwards adds at most one more TTL.
-            deadline: Some(TTL * RETRIES as u32),
+            deadline: silent.then_some(TTL * RETRIES as u32),
             verbose: false,
         };
+        let menu: &'static [Fault] = if silent { &FAULTS } else { &LOUD_FAULTS };
+        let fired = Fired::default();
         let (tx, rx) = mpsc::channel::<Box<dyn Communicator>>();
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers as u64 {
             let (coord_end, worker_end) = Loopback::pair();
-            tx.send(Box::new(Faulty::new(coord_end, seed ^ (2 * w), rate)))
-                .expect("the receiver is alive");
-            let mut link = Faulty::new(worker_end, seed ^ (2 * w + 1), rate);
+            let coord_end = Faulty::new(coord_end, seed ^ (2 * w), rate, menu, fired.clone());
+            tx.send(Box::new(coord_end)).expect("the receiver is alive");
+            let mut link = Faulty::new(worker_end, seed ^ (2 * w + 1), rate, menu, fired.clone());
             handles.push(std::thread::spawn(move || {
                 // A worker error is the link's doing; only the
                 // coordinator's verdict is judged.
@@ -194,36 +241,50 @@ mod tests {
         for handle in handles {
             handle.join().expect("no worker panics");
         }
-        outcome
+        (outcome, fired)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// A run ends within the bound in the byte-identical join or a
+        /// typed error. It must reach the join when no fault fired, and
+        /// only a dropped frame excuses reaching the deadline; without
+        /// `silent` there is no deadline, so the protocol alone must end
+        /// the run in time.
         #[test]
         fn faulty_links_end_in_the_join_or_a_typed_error(
             workers in 1usize..4,
             lease_points in 1usize..5,
             seed in 0u64..u64::MAX,
             rate in 0.0f64..0.12,
+            silent in proptest::bool::ANY,
         ) {
             let expected = single_shot();
+            // Collected once per process, by running `git` and `rustc`:
+            // warm it so that cost never counts against a run's deadline.
+            worker::manifest_line();
             let (done_tx, done_rx) = mpsc::channel();
             let started = Instant::now();
             std::thread::spawn(move || {
-                let _ = done_tx.send(serve_faulty(workers, lease_points, seed, rate));
+                let _ = done_tx.send(serve_faulty(workers, lease_points, seed, rate, silent));
             });
             let bound = TTL * (RETRIES as u32 + 1) + SLACK;
             let case = format!(
-                "workers={workers} lease_points={lease_points} seed={seed} rate={rate}"
+                "workers={workers} lease_points={lease_points} seed={seed} rate={rate} silent={silent}"
             );
             match done_rx.recv_timeout(bound) {
-                Ok(Ok(joined)) => {
+                Ok((Ok(joined), _)) => {
                     prop_assert_eq!(joined.csv.as_str(), expected, "{}", case);
                     prop_assert_eq!(strip_trailer(&joined.render()), expected, "{}", case);
                 }
-                // Any typed error is an acceptable end for a faulty link.
-                Ok(Err(_)) => {}
+                Ok((Err(ServeError::DeadlineExceeded), fired)) => prop_assert!(
+                    fired.has(Fault::Drop),
+                    "{case}: the deadline ended a run no dropped frame could stall"
+                ),
+                Ok((Err(e), fired)) => {
+                    prop_assert!(fired.any(), "{case}: {e} with no fault injected")
+                }
                 Err(RecvTimeoutError::Timeout) => {
                     prop_assert!(false, "{case}: no verdict within {bound:?}")
                 }
