@@ -31,6 +31,7 @@
 //! `--quick` restricts every precision to the smallest size (the CI
 //! smoke configuration; its cells are a subset of the full sweep's).
 
+use perfport_bench::diff::{rounded, snapshot_json, SnapshotPoint};
 use perfport_bench::{HarnessArgs, Manifest};
 use perfport_gemm::{
     gpu_gemm_mixed, gpu_gemm_tiled_mixed, GpuVariant, Layout, Matrix, Scalar, TILE, TILE_SMEM_ELEMS,
@@ -40,7 +41,7 @@ use perfport_half::F16;
 use perfport_machines::{
     steady_state_gflops, tensor_core_gflops, GpuKernelProfile, GpuMachine, Precision,
 };
-use std::fmt::Write as _;
+use perfport_trace::json::Json;
 use std::time::Instant;
 
 /// The paper's GPU block shape (32×32 threads).
@@ -300,102 +301,63 @@ fn final_headroom(points: &[SizePoint]) -> Vec<(&'static str, Vec<(&'static str,
     out
 }
 
+/// The snapshot cells of `p`, rounded to the four decimals written.
+fn cells(p: &SizePoint) -> SnapshotPoint {
+    let cells = |f: fn(&Measured) -> f64| {
+        p.rows
+            .iter()
+            .map(|r| (r.name.to_string(), rounded(f(&r.measured), 4)))
+            .collect()
+    };
+    SnapshotPoint {
+        n: p.n as u64,
+        precision: p.precision.to_string(),
+        gflops: cells(|m| m.gflops),
+        spread: cells(|m| m.spread),
+    }
+}
+
 fn json_snapshot(
     points: &[SizePoint],
     manifest: &Manifest,
-    epoch: &perfport_bench::TelemetryEpoch,
+    telemetry: &perfport_telemetry::Snapshot,
     reps: usize,
     quick: bool,
 ) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"perfport-bench-gpu/1\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"manifest\":");
-    let _ = writeln!(out, "{},", manifest.to_json(2));
-    let _ = writeln!(
-        out,
-        "  \"protocol\": {{\"reps\": {reps}, \"warmup_runs\": 1, \"metric\": \"sim_gflops\", \"spread\": \"rel_half_range\"}},"
+    let headroom =
+        |pairs: &[(&str, f64)]| Json::object(pairs.iter().map(|&(k, h)| (k, rounded(h, 4).into())));
+    let written = points
+        .iter()
+        .map(|p| {
+            let rows = |f: fn(&VariantRow) -> f64| {
+                Json::object(p.rows.iter().map(|r| (r.name, f(r).into())))
+            };
+            let own = vec![
+                ("device_gflops", rows(|r| rounded(r.device_gflops, 1))),
+                ("occupancy", rows(|r| rounded(r.occupancy, 4))),
+                ("headroom", headroom(&p.headroom)),
+                ("best_naive", p.best_naive().name.into()),
+            ];
+            (cells(p), own)
+        })
+        .collect();
+    let mut doc = snapshot_json(
+        "perfport-bench-gpu/1",
+        quick,
+        manifest,
+        reps,
+        "sim_gflops",
+        telemetry,
+        written,
     );
-    let _ = writeln!(out, "  \"telemetry\":");
-    let _ = writeln!(
-        out,
-        "{},",
-        perfport_bench::telemetry_json_since(epoch, "  ")
-    );
-    out.push_str("  \"devices\": {");
-    for (i, t) in targets().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}\": \"{}\"", t.key, t.machine.name);
-    }
-    out.push_str("},\n");
-    out.push_str("  \"headroom\": {");
-    for (i, (key, precs)) in final_headroom(points).iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{key}\": {{");
-        for (j, (prec, h)) in precs.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{prec}\": {h:.4}");
-        }
-        out.push('}');
-    }
-    out.push_str("},\n");
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"n\": {}, \"precision\": \"{}\",",
-            p.n, p.precision
-        );
-        let fields = |f: &dyn Fn(&VariantRow) -> String| {
-            let mut s = String::from("{");
-            for (j, r) in p.rows.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "\"{}\": {}", r.name, f(r));
-            }
-            s.push('}');
-            s
-        };
-        let _ = writeln!(
-            out,
-            "     \"gflops\": {},",
-            fields(&|r| format!("{:.4}", r.measured.gflops))
-        );
-        let _ = writeln!(
-            out,
-            "     \"spread\": {},",
-            fields(&|r| format!("{:.4}", r.measured.spread))
-        );
-        let _ = writeln!(
-            out,
-            "     \"device_gflops\": {},",
-            fields(&|r| format!("{:.1}", r.device_gflops))
-        );
-        let _ = writeln!(
-            out,
-            "     \"occupancy\": {},",
-            fields(&|r| format!("{:.4}", r.occupancy))
-        );
-        out.push_str("     \"headroom\": {");
-        for (j, (key, h)) in p.headroom.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{key}\": {h:.4}");
-        }
-        out.push_str("},\n");
-        let _ = write!(out, "     \"best_naive\": \"{}\"}}", p.best_naive().name);
-        out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let devices = targets().map(|t| (t.key, t.machine.name.into()));
+    doc.insert("devices".to_string(), Json::object(devices));
+    let final_headroom = final_headroom(points);
+    let final_headroom = final_headroom
+        .iter()
+        .map(|(key, precs)| (*key, headroom(precs)));
+    doc.insert("headroom".to_string(), Json::object(final_headroom));
+    format!("{}\n", Json::Object(doc).pretty())
 }
 
 fn main() {
@@ -410,7 +372,7 @@ fn main() {
     );
     // Telemetry epoch: everything stamped into the snapshot is a delta
     // from here.
-    let epoch = perfport_bench::telemetry_epoch();
+    let epoch = perfport_telemetry::snapshot();
 
     println!("== gpusim kernels under the bench protocol ==");
     let fp64_sizes: &[usize] = if args.quick { &[64] } else { &[64, 96, 128] };
@@ -440,7 +402,8 @@ fn main() {
         println!();
     }
 
-    let json = json_snapshot(&points, &manifest, &epoch, reps, args.quick);
+    let telemetry = perfport_telemetry::snapshot().delta_since(&epoch);
+    let json = json_snapshot(&points, &manifest, &telemetry, reps, args.quick);
     let path = "BENCH_gpu.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
@@ -451,5 +414,53 @@ fn main() {
     }
     if let Some(trace) = trace {
         trace.finish();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use perfport_bench::diff::parse_snapshot;
+
+    #[test]
+    fn a_written_point_reads_back_unchanged() {
+        let row = |name, naive, gflops| VariantRow {
+            name,
+            device: "a100",
+            naive,
+            measured: Measured {
+                gflops,
+                spread: 0.031_234_5,
+            },
+            device_gflops: 2417.66,
+            occupancy: 1.0,
+        };
+        let point = SizePoint {
+            n: 64,
+            precision: "FP64",
+            rows: vec![
+                row("cuda", true, 0.081_234_5),
+                row("tiled-nvidia", false, 0.05),
+            ],
+            headroom: vec![("a100", 4.012_345)],
+        };
+        let text = json_snapshot(
+            std::slice::from_ref(&point),
+            &Manifest::collect(1),
+            &perfport_telemetry::Snapshot::default(),
+            3,
+            true,
+        );
+        let snap = parse_snapshot(&text).expect("the written snapshot parses");
+        assert_eq!(snap.points, vec![cells(&point)]);
+        assert_eq!(snap.points[0].gflops["cuda"], 0.0812);
+        let doc = perfport_trace::json::parse(&text).expect("valid JSON");
+        let written = &doc.get("points").and_then(Json::as_array).expect("points")[0];
+        assert_eq!(
+            written.get("best_naive").and_then(Json::as_str),
+            Some("cuda")
+        );
+        let device = written.get("device_gflops").and_then(|d| d.get("cuda"));
+        assert_eq!(device.and_then(Json::as_f64), Some(2417.7));
     }
 }

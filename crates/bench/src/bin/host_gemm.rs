@@ -21,12 +21,13 @@
 //! `--quick` restricts the sweep to the headline 1024² size; the
 //! tuned-over-best-naive ratio is printed either way.
 
+use perfport_bench::diff::{rounded, snapshot_json, SnapshotPoint};
 use perfport_bench::{HarnessArgs, Manifest};
 use perfport_gemm::serial::gemm_loop_order;
 use perfport_gemm::{gemm_flops, par_gemm, tuned, CpuVariant, Layout, LoopOrder, Matrix, Scalar};
 use perfport_half::F16;
 use perfport_pool::{Schedule, ThreadPool};
-use std::fmt::Write as _;
+use perfport_trace::json::Json;
 use std::time::Instant;
 
 /// One timed kernel: mean rate and rep noise.
@@ -172,58 +173,49 @@ fn print_points(points: &[SizePoint], csv: bool) {
     }
 }
 
+/// The snapshot cells of `p`, rounded to the four decimals written.
+fn cells(p: &SizePoint) -> SnapshotPoint {
+    let cells = |f: fn(&Measured) -> f64| {
+        p.all()
+            .map(|(name, m)| (name.to_string(), rounded(f(m), 4)))
+            .collect()
+    };
+    SnapshotPoint {
+        n: p.n as u64,
+        precision: p.precision.to_string(),
+        gflops: cells(|m| m.gflops),
+        spread: cells(|m| m.spread),
+    }
+}
+
 fn json_snapshot(
     points: &[SizePoint],
     manifest: &Manifest,
-    epoch: &perfport_bench::TelemetryEpoch,
+    telemetry: &perfport_telemetry::Snapshot,
     reps: usize,
     quick: bool,
 ) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"perfport-bench-gemm/3\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"manifest\":");
-    let _ = writeln!(out, "{},", manifest.to_json(2));
-    let _ = writeln!(
-        out,
-        "  \"protocol\": {{\"reps\": {reps}, \"warmup_runs\": 1, \"metric\": \"gflops\", \"spread\": \"rel_half_range\"}},"
+    let points = points
+        .iter()
+        .map(|p| {
+            let (bn_name, bn) = p.best_naive();
+            let own = vec![
+                ("best_naive", bn_name.into()),
+                ("vendor_over_naive", rounded(p.vendor.gflops / bn, 4).into()),
+            ];
+            (cells(p), own)
+        })
+        .collect();
+    let doc = snapshot_json(
+        "perfport-bench-gemm/3",
+        quick,
+        manifest,
+        reps,
+        "gflops",
+        telemetry,
+        points,
     );
-    let _ = writeln!(out, "  \"telemetry\":");
-    let _ = writeln!(
-        out,
-        "{},",
-        perfport_bench::telemetry_json_since(epoch, "  ")
-    );
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let (bn_name, bn) = p.best_naive();
-        let _ = writeln!(
-            out,
-            "    {{\"n\": {}, \"precision\": \"{}\",",
-            p.n, p.precision
-        );
-        let fields = |f: &dyn Fn(&Measured) -> f64| {
-            let mut s = String::from("{");
-            for (j, (name, m)) in p.all().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "\"{name}\": {:.4}", f(m));
-            }
-            s.push('}');
-            s
-        };
-        let _ = writeln!(out, "     \"gflops\": {},", fields(&|m| m.gflops));
-        let _ = writeln!(out, "     \"spread\": {},", fields(&|m| m.spread));
-        let _ = write!(
-            out,
-            "     \"best_naive\": \"{bn_name}\", \"vendor_over_naive\": {:.4}}}",
-            p.vendor.gflops / bn
-        );
-        out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    format!("{}\n", Json::Object(doc).pretty())
 }
 
 fn main() {
@@ -243,7 +235,7 @@ fn main() {
     );
     // Telemetry epoch: everything stamped into the snapshot is a delta
     // from here, so pool construction above stays out of the evidence.
-    let epoch = perfport_bench::telemetry_epoch();
+    let epoch = perfport_telemetry::snapshot();
 
     if !args.quick {
         let n = 256;
@@ -288,7 +280,8 @@ fn main() {
         headline.n
     );
 
-    let json = json_snapshot(&points, &manifest, &epoch, reps, args.quick);
+    let telemetry = perfport_telemetry::snapshot().delta_since(&epoch);
+    let json = json_snapshot(&points, &manifest, &telemetry, reps, args.quick);
     let path = "BENCH_gemm.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
@@ -299,5 +292,36 @@ fn main() {
     }
     if let Some(trace) = trace {
         trace.finish();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use perfport_bench::diff::parse_snapshot;
+
+    #[test]
+    fn a_written_point_reads_back_unchanged() {
+        let m = |gflops| Measured {
+            gflops,
+            spread: 0.012_345,
+        };
+        let point = SizePoint {
+            n: 1024,
+            precision: "FP64",
+            naive: vec![("c-openmp", m(3.456_789)), ("julia", m(3.5))],
+            vendor: m(30.123_456),
+        };
+        let text = json_snapshot(
+            std::slice::from_ref(&point),
+            &Manifest::collect(1),
+            &perfport_telemetry::Snapshot::default(),
+            3,
+            true,
+        );
+        let snap = parse_snapshot(&text).expect("the written snapshot parses");
+        assert_eq!(snap.points, vec![cells(&point)]);
+        assert_eq!(snap.points[0].gflops["vendor"], 30.1235);
+        assert_eq!(snap.points[0].spread["julia"], 0.0123);
     }
 }

@@ -1,14 +1,16 @@
-//! Point-by-point comparison of two `BENCH_gemm.json` snapshots with
-//! noise-aware thresholds — the regression sentinel behind the
-//! `bench_diff` binary.
+//! The bench snapshot format, written by [`snapshot_json`] and read by
+//! [`parse_snapshot`], and the point-by-point comparison of two
+//! snapshots with noise-aware thresholds — the regression sentinel
+//! behind the `bench_diff` binary.
 //!
 //! A bench point is only as trustworthy as its repetition spread, so the
 //! tolerance for each `(n, precision, variant)` cell is derived from the
 //! *committed* spreads rather than a blanket percentage: a cell whose
 //! reps scattered ±8% must not fail CI on a 6% dip, while a rock-steady
-//! cell should. Cells with no spread evidence at all (schema `/1` files,
-//! single-rep runs) fall back to the blanket [`SPREADLESS_FLOOR`].
+//! cell should. Cells with no spread evidence at all (single-rep runs,
+//! hand-edited zeros) fall back to the blanket [`SPREADLESS_FLOOR`].
 
+use crate::Manifest;
 use perfport_trace::json::{self, Json};
 use std::collections::BTreeMap;
 
@@ -36,7 +38,7 @@ impl SnapshotKind {
 
 /// One `(n, precision)` bench point: GFLOP/s per variant plus the
 /// relative rep spread (half-range over mean) per variant when the
-/// snapshot recorded it (schema `/2`).
+/// snapshot recorded it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotPoint {
     /// Matrix dimension.
@@ -45,7 +47,8 @@ pub struct SnapshotPoint {
     pub precision: String,
     /// Variant name → measured GFLOP/s.
     pub gflops: BTreeMap<String, f64>,
-    /// Variant name → relative rep spread (0.04 = ±4%); empty for `/1`.
+    /// Variant name → relative rep spread (0.04 = ±4%); empty when the
+    /// snapshot recorded none.
     pub spread: BTreeMap<String, f64>,
 }
 
@@ -56,7 +59,7 @@ impl SnapshotPoint {
     }
 }
 
-/// A parsed bench snapshot (either schema version).
+/// A parsed bench snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// The `schema` string, e.g. `perfport-bench-gemm/2`.
@@ -78,9 +81,6 @@ pub struct Snapshot {
     pub points: Vec<SnapshotPoint>,
 }
 
-/// Fields of a `/1` point object that are not variant measurements.
-const V1_META_KEYS: [&str; 4] = ["n", "precision", "best_naive", "vendor_over_naive"];
-
 fn parse_point(obj: &Json) -> Result<SnapshotPoint, String> {
     let n = obj
         .get("n")
@@ -91,41 +91,20 @@ fn parse_point(obj: &Json) -> Result<SnapshotPoint, String> {
         .and_then(Json::as_str)
         .ok_or("point missing 'precision'")?
         .to_string();
-    let mut gflops = BTreeMap::new();
-    let mut spread = BTreeMap::new();
-    match obj.get("gflops") {
-        // Schema /2: nested objects.
-        Some(Json::Object(map)) => {
-            for (k, v) in map {
-                let v = v
-                    .as_f64()
-                    .ok_or_else(|| format!("gflops.{k} not a number"))?;
-                gflops.insert(k.clone(), v);
-            }
-            if let Some(Json::Object(map)) = obj.get("spread") {
-                for (k, v) in map {
-                    let v = v
-                        .as_f64()
-                        .ok_or_else(|| format!("spread.{k} not a number"))?;
-                    spread.insert(k.clone(), v);
-                }
-            }
-        }
-        Some(_) => return Err("'gflops' must be an object".to_string()),
-        // Schema /1: variant rates are flat numeric fields on the point.
-        None => {
-            if let Json::Object(map) = obj {
-                for (k, v) in map {
-                    if V1_META_KEYS.contains(&k.as_str()) {
-                        continue;
-                    }
-                    if let Some(v) = v.as_f64() {
-                        gflops.insert(k.clone(), v);
-                    }
-                }
-            }
-        }
-    }
+    let cells = |key: &str| -> Result<BTreeMap<String, f64>, String> {
+        let Some(Json::Object(map)) = obj.get(key) else {
+            return Ok(BTreeMap::new());
+        };
+        map.iter()
+            .map(|(k, v)| {
+                Ok((
+                    k.clone(),
+                    v.as_f64().ok_or(format!("{key}.{k} not a number"))?,
+                ))
+            })
+            .collect()
+    };
+    let gflops = cells("gflops")?;
     if gflops.is_empty() {
         return Err(format!("point n={n} {precision} has no measurements"));
     }
@@ -133,50 +112,65 @@ fn parse_point(obj: &Json) -> Result<SnapshotPoint, String> {
         n,
         precision,
         gflops,
-        spread,
+        spread: cells("spread")?,
     })
 }
 
-/// Parses a snapshot's optional `telemetry` block back into a
-/// [`perfport_telemetry::Snapshot`]. Any structural surprise — missing
-/// sub-map, non-numeric value, out-of-range bucket index — yields
-/// `None` for the whole block: older snapshots and hand-edited files
-/// must keep diffing on their measured points.
-fn parse_telemetry(doc: &Json) -> Option<perfport_telemetry::Snapshot> {
-    let block = doc.get("telemetry")?;
-    let mut snap = perfport_telemetry::Snapshot::default();
-    let Some(Json::Object(counters)) = block.get("counters") else {
-        return None;
-    };
-    for (k, v) in counters {
-        snap.counters.insert(k.clone(), v.as_f64()? as u64);
-    }
-    let Some(Json::Object(gauges)) = block.get("gauges") else {
-        return None;
-    };
-    for (k, v) in gauges {
-        snap.gauges.insert(k.clone(), v.as_f64()? as u64);
-    }
-    let Some(Json::Object(histograms)) = block.get("histograms") else {
-        return None;
-    };
-    for (k, h) in histograms {
-        let mut hist = perfport_telemetry::HistogramSnapshot::empty();
-        hist.count = h.get("count")?.as_f64()? as u64;
-        hist.sum = h.get("sum")?.as_f64()? as u64;
-        for entry in h.get("buckets")?.as_array()? {
-            let pair = entry.as_array()?;
-            let index = pair.first()?.as_f64()? as usize;
-            let count = pair.get(1)?.as_f64()? as u64;
-            *hist.buckets.get_mut(index)? = count;
-        }
-        snap.histograms.insert(k.clone(), hist);
-    }
-    Some(snap)
+/// `x` rounded to `places` decimals, as the bench binaries write their
+/// cells.
+pub fn rounded(x: f64, places: i32) -> f64 {
+    let scale = 10f64.powi(places);
+    (x * scale).round() / scale
 }
 
-/// Parses a snapshot: any `perfport-bench-gemm/*` version or a
-/// `perfport-bench-gpu/*` simulator run (same points shape). Any other
+/// Builds a bench snapshot, the document [`parse_snapshot`] reads: the
+/// envelope every kind shares (`schema`, `quick`, `manifest`, the
+/// measurement `protocol` of `reps` after one warm-up run, `telemetry`,
+/// `points`) and each point's `n`, `precision`, `gflops` and `spread`.
+/// Each point comes with its binary's own fields; the binary adds its
+/// own top-level fields to the returned map.
+pub fn snapshot_json(
+    schema: &str,
+    quick: bool,
+    manifest: &Manifest,
+    reps: usize,
+    metric: &str,
+    telemetry: &perfport_telemetry::Snapshot,
+    points: Vec<(SnapshotPoint, Vec<(&str, Json)>)>,
+) -> BTreeMap<String, Json> {
+    let cells =
+        |map: BTreeMap<String, f64>| Json::object(map.into_iter().map(|(k, v)| (k, v.into())));
+    let points = points.into_iter().map(|(p, own)| {
+        let core = [
+            ("n", p.n.into()),
+            ("precision", p.precision.into()),
+            ("gflops", cells(p.gflops)),
+            ("spread", cells(p.spread)),
+        ];
+        Json::object(own.into_iter().chain(core))
+    });
+    let protocol = Json::object([
+        ("reps", reps.into()),
+        ("warmup_runs", 1u64.into()),
+        ("metric", metric.into()),
+        ("spread", "rel_half_range".into()),
+    ]);
+    [
+        ("schema", schema.into()),
+        ("quick", Json::Bool(quick)),
+        ("manifest", manifest.json()),
+        ("protocol", protocol),
+        ("telemetry", telemetry.to_json()),
+        ("points", Json::Array(points.collect())),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v))
+    .collect()
+}
+
+/// Parses a snapshot written by [`snapshot_json`]: a
+/// `perfport-bench-gemm/*` host run (from `/2` on, whose points nest
+/// their cells) or a `perfport-bench-gpu/*` simulator run. Any other
 /// schema, including the retired `perfport-bench-serve/*`, is an error.
 /// The `telemetry` block carried by `gemm/3` / `gpu/1` snapshots is
 /// parsed warn-only into [`Snapshot::telemetry`].
@@ -193,7 +187,9 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
         .and_then(|m| m.get("simd_isa"))
         .and_then(Json::as_str)
         .map(str::to_string);
-    let telemetry = parse_telemetry(&doc);
+    let telemetry = doc
+        .get("telemetry")
+        .and_then(perfport_telemetry::Snapshot::from_json);
     let kind = if schema.starts_with("perfport-bench-gemm/") {
         SnapshotKind::Gemm
     } else if schema.starts_with("perfport-bench-gpu/") {
@@ -219,9 +215,9 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
 }
 
 /// Blanket relative tolerance for cells with **no** spread evidence in
-/// either snapshot (schema `/1` files, single-rep runs, hand-edited
-/// zeros). Without it, `--floor 0` plus an evidence-free cell makes the
-/// noise-aware gate infinitely strict — any dip fails. The documented 5%
+/// either snapshot (single-rep runs, hand-edited zeros). Without it,
+/// `--floor 0` plus an evidence-free cell makes the noise-aware gate
+/// infinitely strict — any dip fails. The documented 5%
 /// blanket applies instead; an explicitly configured floor above it
 /// still wins.
 pub const SPREADLESS_FLOOR: f64 = 0.05;
@@ -332,12 +328,13 @@ pub fn diff(base: &Snapshot, cand: &Snapshot, cfg: &DiffConfig) -> Vec<DiffEntry
 mod tests {
     use super::*;
 
-    const V1: &str = r#"{
-      "schema": "perfport-bench-gemm/1",
+    /// A point with no `spread` map: no cell has noise evidence.
+    const SPREADLESS: &str = r#"{
+      "schema": "perfport-bench-gemm/2",
       "quick": false,
       "points": [
-        {"n": 1024, "precision": "FP64", "c-openmp": 5.0, "julia": 4.0,
-         "vendor": 9.0, "best_naive": "c-openmp", "vendor_over_naive": 1.8}
+        {"n": 1024, "precision": "FP64",
+         "gflops": {"c-openmp": 5.0, "julia": 4.0, "vendor": 9.0}}
       ]
     }"#;
 
@@ -352,15 +349,7 @@ mod tests {
     }"#;
 
     #[test]
-    fn parses_both_schema_versions() {
-        let v1 = parse_snapshot(V1).unwrap();
-        assert_eq!(v1.schema, "perfport-bench-gemm/1");
-        assert_eq!(v1.points.len(), 1);
-        assert_eq!(v1.points[0].gflops["vendor"], 9.0);
-        assert!(v1.points[0].spread.is_empty());
-        // /1 meta fields must not be mistaken for variants.
-        assert!(!v1.points[0].gflops.contains_key("vendor_over_naive"));
-
+    fn parses_nested_points() {
         let v2 = parse_snapshot(V2).unwrap();
         assert!(v2.quick);
         assert_eq!(v2.points[0].gflops["julia"], 4.0);
@@ -410,7 +399,7 @@ mod tests {
 
     #[test]
     fn telemetry_blocks_parse_into_snapshots() {
-        // Snapshots without the block (schema /1 and /2 files) read None.
+        // Snapshots without the block (schema /2 files) read None.
         assert!(parse_snapshot(V2).unwrap().telemetry.is_none());
         let snap = parse_snapshot(&with_block(TELEMETRY)).unwrap();
         let t = snap.telemetry.expect("well-formed telemetry must parse");
@@ -500,9 +489,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_baselines_use_the_floor() {
-        let base = parse_snapshot(V1).unwrap();
-        let cand = with_vendor(V1, 8.1); // -10% with no recorded spread
+    fn spreadless_baselines_use_the_floor() {
+        let base = parse_snapshot(SPREADLESS).unwrap();
+        assert!(base.points[0].spread.is_empty());
+        let cand = with_vendor(SPREADLESS, 8.1); // -10% with no recorded spread
         let entries = diff(&base, &cand, &DiffConfig::default());
         let vendor = entries.iter().find(|e| e.variant == "vendor").unwrap();
         assert!((vendor.threshold - 0.05).abs() < 1e-12);
@@ -511,21 +501,21 @@ mod tests {
 
     #[test]
     fn spreadless_cells_get_the_blanket_floor_even_at_floor_zero() {
-        // A /1-era baseline has no spread evidence; with `--floor 0` the
+        // A spreadless baseline has no noise evidence; with `--floor 0` the
         // old threshold was exactly 0, so *any* dip failed. The blanket
         // percentage must apply instead.
         let zero_floor = DiffConfig {
             floor: 0.0,
             spread_factor: 2.0,
         };
-        let base = parse_snapshot(V1).unwrap();
-        let cand = with_vendor(V1, 8.73); // -3%: within the 5% blanket
+        let base = parse_snapshot(SPREADLESS).unwrap();
+        let cand = with_vendor(SPREADLESS, 8.73); // -3%: within the 5% blanket
         let entries = diff(&base, &cand, &zero_floor);
         let vendor = entries.iter().find(|e| e.variant == "vendor").unwrap();
         assert!((vendor.threshold - SPREADLESS_FLOOR).abs() < 1e-12);
         assert_eq!(vendor.verdict, Verdict::Ok);
         // Past the blanket it still regresses.
-        let cand = with_vendor(V1, 8.1); // -10%
+        let cand = with_vendor(SPREADLESS, 8.1); // -10%
         let entries = diff(&base, &cand, &zero_floor);
         let vendor = entries.iter().find(|e| e.variant == "vendor").unwrap();
         assert_eq!(vendor.verdict, Verdict::Regressed);
@@ -543,8 +533,8 @@ mod tests {
             floor: 0.20,
             spread_factor: 2.0,
         };
-        let base = parse_snapshot(V1).unwrap();
-        let cand = with_vendor(V1, 8.1);
+        let base = parse_snapshot(SPREADLESS).unwrap();
+        let cand = with_vendor(SPREADLESS, 8.1);
         let entries = diff(&base, &cand, &wide);
         let vendor = entries.iter().find(|e| e.variant == "vendor").unwrap();
         assert!((vendor.threshold - 0.20).abs() < 1e-12);
@@ -563,6 +553,31 @@ mod tests {
         let entries = diff(&base, &cand, &zero_floor);
         let vendor = entries.iter().find(|e| e.variant == "vendor").unwrap();
         assert!((vendor.threshold - 0.04).abs() < 1e-12);
+    }
+
+    #[test]
+    fn written_snapshots_read_back_unchanged() {
+        let point = parse_snapshot(V2).unwrap().points.remove(0);
+        let mut telemetry = perfport_telemetry::Snapshot::default();
+        telemetry.counters.insert("pool/regions".to_string(), 12);
+        let mut manifest = Manifest::collect(2);
+        manifest.simd_isa = "avx512".to_string();
+        let own = vec![("best_naive", Json::from("vendor"))];
+        let doc = snapshot_json(
+            "perfport-bench-gemm/3",
+            true,
+            &manifest,
+            3,
+            "gflops",
+            &telemetry,
+            vec![(point.clone(), own)],
+        );
+        let snap = parse_snapshot(&Json::Object(doc).pretty()).unwrap();
+        assert_eq!(snap.schema, "perfport-bench-gemm/3");
+        assert!(snap.quick);
+        assert_eq!(snap.simd_isa.as_deref(), Some("avx512"));
+        assert_eq!(snap.telemetry, Some(telemetry));
+        assert_eq!(snap.points, vec![point]);
     }
 
     const GPU: &str = r#"{

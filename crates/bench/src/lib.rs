@@ -323,32 +323,6 @@ impl TraceOutput {
     }
 }
 
-/// The telemetry snapshot captured at a measurement phase boundary.
-///
-/// Telemetry counters only grow for the process lifetime, so a binary
-/// that stamps them directly over-reports whenever warm-up,
-/// verification, or an earlier phase ran in the same process. Capture
-/// an epoch when measurement starts and stamp the delta
-/// ([`telemetry_json_since`]) instead.
-pub struct TelemetryEpoch {
-    telemetry: perfport_telemetry::Snapshot,
-}
-
-/// Captures the current telemetry as a [`TelemetryEpoch`].
-pub fn telemetry_epoch() -> TelemetryEpoch {
-    TelemetryEpoch {
-        telemetry: perfport_telemetry::snapshot(),
-    }
-}
-
-/// The merged telemetry recorded since `epoch`, serialized as the
-/// snapshot `telemetry` block (see [`perfport_telemetry::Snapshot::to_json`]).
-pub fn telemetry_json_since(epoch: &TelemetryEpoch, indent: &str) -> String {
-    perfport_telemetry::snapshot()
-        .delta_since(&epoch.telemetry)
-        .to_json(indent)
-}
-
 fn parse_thread_count(s: &str) -> Result<usize, String> {
     match s.parse::<usize>() {
         Ok(n) if n > 0 => Ok(n),

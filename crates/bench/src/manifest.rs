@@ -11,14 +11,15 @@
 //! build mode of the run that produced it.
 
 use perfport_pool::CacheInfo;
-use std::fmt::Write as _;
+use perfport_trace::json::Json;
+use perfport_trace::Value;
 use std::process::Command;
 
 /// Schema identifier stamped on every manifest object.
 pub const MANIFEST_SCHEMA: &str = "perfport-manifest/1";
 
-/// Provenance of one bench run. Field order is fixed so emitted JSON is
-/// diff-stable.
+/// Provenance of one bench run. Its JSON keys come out sorted, so
+/// emitted JSON is diff-stable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// Short git revision of the working tree, `+dirty` when it differs
@@ -136,87 +137,70 @@ impl Manifest {
         self
     }
 
-    /// Renders the manifest as one JSON object, indented by `indent`
-    /// spaces per line (no trailing newline).
+    /// The manifest as one `perfport-manifest/1` JSON object: the one
+    /// list of its fields, which [`Manifest::to_json`] and
+    /// [`Manifest::trace_args`] both derive from. Absent optional fields
+    /// are explicit `null`s, keeping the schema stable.
+    pub fn json(&self) -> Json {
+        let cache = Json::object([
+            ("l1d_bytes", self.cache.l1d_bytes.into()),
+            ("l2_bytes", self.cache.l2_bytes.into()),
+            ("l3_bytes", self.cache.l3_bytes.into()),
+            ("source", self.cache.source.to_string().into()),
+        ]);
+        Json::object([
+            ("schema", MANIFEST_SCHEMA.into()),
+            ("git_sha", self.git_sha.as_str().into()),
+            ("rustc", self.rustc.as_str().into()),
+            ("cpu_model", self.cpu_model.as_str().into()),
+            ("os", self.os.as_str().into()),
+            ("arch", self.arch.as_str().into()),
+            ("threads", self.threads.into()),
+            ("simd_isa", self.simd_isa.as_str().into()),
+            ("simd_rejected", self.simd_rejected.as_deref().into()),
+            ("shard", self.shard.as_deref().into()),
+            ("jobs", self.jobs.into()),
+            ("baseline", self.baseline.as_deref().into()),
+            ("cache", cache),
+            ("telemetry", self.telemetry.as_str().into()),
+        ])
+    }
+
+    /// Renders [`Manifest::json`] one member per line, every line
+    /// indented by a further `indent` spaces (no trailing newline).
     pub fn to_json(&self, indent: usize) -> String {
         let pad = " ".repeat(indent);
-        let esc = perfport_trace::json::escape;
-        let mut out = String::new();
-        let _ = writeln!(out, "{pad}{{");
-        let _ = writeln!(out, "{pad}  \"schema\": \"{MANIFEST_SCHEMA}\",");
-        let _ = writeln!(out, "{pad}  \"git_sha\": \"{}\",", esc(&self.git_sha));
-        let _ = writeln!(out, "{pad}  \"rustc\": \"{}\",", esc(&self.rustc));
-        let _ = writeln!(out, "{pad}  \"cpu_model\": \"{}\",", esc(&self.cpu_model));
-        let _ = writeln!(
-            out,
-            "{pad}  \"os\": \"{}\", \"arch\": \"{}\", \"threads\": {},",
-            esc(&self.os),
-            esc(&self.arch),
-            self.threads
-        );
-        let _ = writeln!(out, "{pad}  \"simd_isa\": \"{}\",", esc(&self.simd_isa));
-        let rejected = match &self.simd_rejected {
-            Some(isa) => format!("\"{}\"", esc(isa)),
-            None => "null".to_string(),
-        };
-        let _ = writeln!(out, "{pad}  \"simd_rejected\": {rejected},");
-        let shard = match &self.shard {
-            Some(s) => format!("\"{}\"", esc(s)),
-            None => "null".to_string(),
-        };
-        let jobs = match self.jobs {
-            Some(j) => j.to_string(),
-            None => "null".to_string(),
-        };
-        let _ = writeln!(out, "{pad}  \"shard\": {shard}, \"jobs\": {jobs},");
-        let baseline = match &self.baseline {
-            Some(b) => format!("\"{}\"", esc(b)),
-            None => "null".to_string(),
-        };
-        let _ = writeln!(out, "{pad}  \"baseline\": {baseline},");
-        let _ = writeln!(
-            out,
-            "{pad}  \"cache\": {{\"l1d_bytes\": {}, \"l2_bytes\": {}, \"l3_bytes\": {}, \"source\": \"{}\"}},",
-            self.cache.l1d_bytes, self.cache.l2_bytes, self.cache.l3_bytes, self.cache.source
-        );
-        let _ = writeln!(out, "{pad}  \"telemetry\": \"{}\"", esc(&self.telemetry));
-        let _ = write!(out, "{pad}}}");
-        out
+        format!(
+            "{pad}{}",
+            self.json().pretty().replace('\n', &format!("\n{pad}"))
+        )
     }
 
     /// The manifest as trace-event arguments, so `--trace` artifacts
-    /// carry the same provenance (emitted as one instant event).
-    pub fn trace_args(&self) -> Vec<(String, perfport_trace::Value)> {
-        use perfport_trace::Value;
-        let mut args = vec![
-            ("schema".to_string(), Value::from(MANIFEST_SCHEMA)),
-            ("git_sha".to_string(), Value::from(self.git_sha.clone())),
-            ("rustc".to_string(), Value::from(self.rustc.clone())),
-            ("cpu_model".to_string(), Value::from(self.cpu_model.clone())),
-            ("os".to_string(), Value::from(self.os.clone())),
-            ("arch".to_string(), Value::from(self.arch.clone())),
-            ("simd_isa".to_string(), Value::from(self.simd_isa.clone())),
-            ("threads".to_string(), Value::from(self.threads)),
-            ("l1d_bytes".to_string(), Value::from(self.cache.l1d_bytes)),
-            ("l2_bytes".to_string(), Value::from(self.cache.l2_bytes)),
-            ("l3_bytes".to_string(), Value::from(self.cache.l3_bytes)),
-            (
-                "cache_source".to_string(),
-                Value::from(self.cache.source.to_string()),
-            ),
-            ("telemetry".to_string(), Value::from(self.telemetry.clone())),
-        ];
-        if let Some(isa) = &self.simd_rejected {
-            args.push(("simd_rejected".to_string(), Value::from(isa.clone())));
+    /// carry the same provenance (emitted as one instant event): the
+    /// fields of [`Manifest::json`] with `cache` flattened to
+    /// `cache_<field>`, and its `null`s left out.
+    pub fn trace_args(&self) -> Vec<(String, Value)> {
+        fn value(j: Json) -> Option<Value> {
+            match j {
+                Json::String(s) => Some(Value::from(s)),
+                Json::Number(n) => Some(Value::U64(n as u64)),
+                _ => None,
+            }
         }
-        if let Some(shard) = &self.shard {
-            args.push(("shard".to_string(), Value::from(shard.clone())));
-        }
-        if let Some(jobs) = self.jobs {
-            args.push(("jobs".to_string(), Value::from(jobs)));
-        }
-        if let Some(baseline) = &self.baseline {
-            args.push(("baseline".to_string(), Value::from(baseline.clone())));
+        let Json::Object(fields) = self.json() else {
+            unreachable!("a manifest is an object")
+        };
+        let mut args = Vec::new();
+        for (key, field) in fields {
+            match field {
+                Json::Object(cache) => args.extend(
+                    cache
+                        .into_iter()
+                        .filter_map(|(k, v)| Some((format!("{key}_{k}"), value(v)?))),
+                ),
+                field => args.extend(value(field).map(|v| (key, v))),
+            }
         }
         args
     }
@@ -320,6 +304,8 @@ mod tests {
             "telemetry",
             "threads",
             "simd_isa",
+            "cache_l1d_bytes",
+            "cache_source",
         ] {
             assert!(keys.contains(&key), "missing {key}");
         }

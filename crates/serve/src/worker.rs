@@ -60,21 +60,17 @@ pub struct WorkerSummary {
     pub points: usize,
 }
 
-/// The worker's one-line provenance manifest: `perfport-manifest/1`
-/// JSON with newlines removed, suitable for the `Hello` frame and the
-/// joined artifact's one-line-per-worker trailer.
+/// The worker's one-line provenance manifest: the compact render of
+/// its `perfport-manifest/1` JSON, for the `Hello` frame and the joined
+/// artifact's one-line-per-worker trailer.
 ///
 /// Collected once per process: collection runs `git` and `rustc`, which
 /// costs tens of milliseconds, and nothing it records changes while the
 /// process lives.
 pub fn manifest_line() -> String {
     static LINE: OnceLock<String> = OnceLock::new();
-    LINE.get_or_init(|| {
-        perfport_bench::Manifest::collect(1)
-            .to_json(0)
-            .replace('\n', "")
-    })
-    .clone()
+    LINE.get_or_init(|| perfport_bench::Manifest::collect(1).json().to_string())
+        .clone()
 }
 
 /// Runs one worker session over an established connection: `Hello`

@@ -4,6 +4,7 @@
 //! study, usage errors exit 2, and the fault-injection drill exits 3.
 
 use perfport_core::{render_study_csv, run_study_sharded, Shard, StudyConfig};
+use perfport_trace::json::{self, Json};
 use std::io::BufRead;
 use std::process::{Command, Stdio};
 
@@ -21,6 +22,22 @@ fn strip_comment_lines(rendered: &str) -> String {
         .filter(|line| !line.starts_with('#'))
         .map(|line| format!("{line}\n"))
         .collect()
+}
+
+/// Asserts that each `# worker-manifest <ident> leases=<n> <payload>`
+/// trailer line carries one `perfport-manifest/1` JSON object.
+fn assert_manifests_parse(rendered: &str) {
+    let lines: Vec<&str> = rendered
+        .lines()
+        .filter_map(|line| line.strip_prefix("# worker-manifest "))
+        .collect();
+    assert!(!lines.is_empty(), "no worker manifests in:\n{rendered}");
+    for line in lines {
+        let payload = line.splitn(3, ' ').nth(2).expect("ident, leases, payload");
+        let doc = json::parse(payload).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let schema = doc.get("schema").and_then(Json::as_str);
+        assert_eq!(schema, Some("perfport-manifest/1"), "{line}");
+    }
 }
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -54,6 +71,7 @@ fn local_self_test_writes_the_joined_artifact() {
     assert!(rendered.contains("# perfport-serve/1 join trailer"));
     assert!(rendered.contains("# worker-manifest w0 "));
     assert!(rendered.contains("# worker-manifest w1 "));
+    assert_manifests_parse(&rendered);
 }
 
 #[test]
@@ -77,6 +95,7 @@ fn local_kill_drill_is_byte_identical() {
     assert_eq!(strip_comment_lines(&rendered), single_shot());
     // The killed worker's provenance is still embedded.
     assert!(rendered.contains("# worker-manifest w1 "));
+    assert_manifests_parse(&rendered);
 }
 
 #[test]
@@ -157,6 +176,7 @@ fn tcp_pairing_with_fault_injection_is_byte_identical() {
     assert_eq!(strip_comment_lines(&rendered), single_shot());
     assert!(rendered.contains("# worker-manifest tcp-healthy "));
     assert!(rendered.contains("# worker-manifest tcp-doomed leases=0 "));
+    assert_manifests_parse(&rendered);
 }
 
 #[test]

@@ -22,7 +22,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use perfport_trace::json::escape;
+use perfport_trace::json::Json;
 use perfport_trace::log::{self, Record, Stamp};
 use perfport_trace::EventKind;
 
@@ -74,14 +74,13 @@ impl FlightEvent {
         })
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"ts_ns\": {}, \"worker\": \"{}\", \"kind\": \"{}\", \"detail\": \"{}\"}}",
-            self.ts_ns,
-            escape(&self.worker),
-            escape(&self.kind),
-            escape(&self.detail)
-        )
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("ts_ns", self.ts_ns.into()),
+            ("worker", self.worker.as_str().into()),
+            ("kind", self.kind.as_str().into()),
+            ("detail", self.detail.as_str().into()),
+        ])
     }
 }
 
@@ -130,17 +129,16 @@ pub fn dump(trigger_kind: &str, trigger_detail: &str) -> Option<PathBuf> {
     let mut merged: Vec<FlightEvent> = stamped.into_iter().map(|(_, ev)| ev).collect();
     merged.push(trigger.clone());
 
-    let mut body = String::new();
-    body.push_str("{\n");
-    body.push_str(&format!("  \"schema\": \"{FLIGHT_SCHEMA}\",\n"));
-    body.push_str(&format!("  \"pid\": {},\n", std::process::id()));
-    body.push_str(&format!("  \"trigger\": {},\n", trigger.to_json()));
-    body.push_str("  \"events\": [\n");
-    for (i, ev) in merged.iter().enumerate() {
-        let sep = if i + 1 == merged.len() { "" } else { "," };
-        body.push_str(&format!("    {}{sep}\n", ev.to_json()));
-    }
-    body.push_str("  ]\n}\n");
+    let doc = Json::object([
+        ("schema", FLIGHT_SCHEMA.into()),
+        ("pid", u64::from(std::process::id()).into()),
+        ("trigger", trigger.to_json()),
+        (
+            "events",
+            Json::Array(merged.iter().map(FlightEvent::to_json).collect()),
+        ),
+    ]);
+    let body = format!("{}\n", doc.pretty());
 
     let dir = std::env::var_os("PERFPORT_FLIGHT_DIR")
         .map(PathBuf::from)
@@ -196,7 +194,7 @@ mod tests {
             kind: "task_panic".into(),
             detail: "said \"boom\"".into(),
         };
-        let json = ev.to_json();
+        let json = ev.to_json().to_string();
         assert!(json.contains("\\\"boom\\\""));
         assert!(json.contains("\"ts_ns\": 1"));
     }

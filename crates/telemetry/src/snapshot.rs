@@ -2,7 +2,8 @@
 //!
 //! [`Snapshot`] is plain data: three sorted maps (counters, gauges,
 //! histograms) keyed by metric name. It is what the bench snapshots
-//! embed as their `telemetry` block, what `telemetry_report` renders
+//! embed as their `telemetry` block ([`Snapshot::to_json`] writes it,
+//! [`Snapshot::from_json`] reads it back), what `telemetry_report` renders
 //! as Prometheus text, and — because counters and histograms are
 //! monotonic — what [`Snapshot::delta_since`] subtracts to isolate one
 //! run from everything else the process has done.
@@ -10,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use crate::histogram::{bucket_upper_bound, HistogramSnapshot};
-use perfport_trace::json::escape;
+use perfport_trace::json::Json;
 
 /// A merged, immutable view of all shards at one instant.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -62,72 +63,70 @@ impl Snapshot {
         }
     }
 
-    /// Serializes the snapshot as a JSON object, each line prefixed
-    /// with `indent`, in the same hand-rolled style as the bench
-    /// snapshots. Histograms embed their exact count/sum, three
-    /// headline quantile estimates, and a sparse `[bucket, count]`
-    /// list so empty buckets cost nothing on disk.
-    pub fn to_json(&self, indent: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{indent}{{");
-        let inner = format!("{indent}  ");
-        let close = |first: bool| {
-            if first {
-                String::new()
-            } else {
-                format!("\n{inner}")
-            }
+    /// The snapshot as the bench snapshots' `telemetry` block: the
+    /// three maps by name. Histograms carry their exact count/sum,
+    /// three headline quantile estimates, and a sparse `[bucket, count]`
+    /// list, so empty buckets cost nothing on disk.
+    pub fn to_json(&self) -> Json {
+        let values = |map: &BTreeMap<String, u64>| {
+            Json::object(map.iter().map(|(name, &v)| (name.clone(), v.into())))
         };
+        let histograms = self.histograms.iter().map(|(name, hist)| {
+            let buckets = hist.buckets.iter().enumerate().filter(|(_, &c)| c != 0);
+            let buckets = buckets.map(|(i, &c)| Json::Array(vec![i.into(), c.into()]));
+            let fields = [
+                ("count", hist.count.into()),
+                ("sum", hist.sum.into()),
+                ("p50", hist.quantile(0.50).into()),
+                ("p95", hist.quantile(0.95).into()),
+                ("p99", hist.quantile(0.99).into()),
+                ("buckets", Json::Array(buckets.collect())),
+            ];
+            (name.clone(), Json::object(fields))
+        });
+        Json::object([
+            ("counters", values(&self.counters)),
+            ("gauges", values(&self.gauges)),
+            ("histograms", Json::object(histograms)),
+        ])
+    }
 
-        let _ = write!(out, "{inner}\"counters\": {{");
-        let mut first = true;
-        for (name, value) in &self.counters {
-            let sep = if first { "" } else { "," };
-            let _ = write!(out, "{sep}\n{inner}  \"{}\": {value}", escape(name));
-            first = false;
-        }
-        let _ = writeln!(out, "{}}},", close(first));
-
-        let _ = write!(out, "{inner}\"gauges\": {{");
-        let mut first = true;
-        for (name, value) in &self.gauges {
-            let sep = if first { "" } else { "," };
-            let _ = write!(out, "{sep}\n{inner}  \"{}\": {value}", escape(name));
-            first = false;
-        }
-        let _ = writeln!(out, "{}}},", close(first));
-
-        let _ = write!(out, "{inner}\"histograms\": {{");
-        let mut first = true;
-        for (name, hist) in &self.histograms {
-            let sep = if first { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n{inner}  \"{}\": {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [",
-                escape(name),
-                hist.count,
-                hist.sum,
-                hist.quantile(0.50),
-                hist.quantile(0.95),
-                hist.quantile(0.99),
-            );
-            let mut first_bucket = true;
-            for (i, &c) in hist.buckets.iter().enumerate() {
-                if c == 0 {
-                    continue;
+    /// Reads a block written by [`Snapshot::to_json`]; the quantiles
+    /// are derived, so they are not read. Any structural surprise (a
+    /// missing map, a non-numeric value, a bucket index past the range)
+    /// yields `None` for the whole block: telemetry is supporting
+    /// evidence, and older or hand-edited files must still be usable.
+    pub fn from_json(block: &Json) -> Option<Snapshot> {
+        let values = |key: &str| -> Option<BTreeMap<String, u64>> {
+            let Json::Object(map) = block.get(key)? else {
+                return None;
+            };
+            map.iter()
+                .map(|(name, v)| Some((name.clone(), v.as_f64()? as u64)))
+                .collect()
+        };
+        let Some(Json::Object(histograms)) = block.get("histograms") else {
+            return None;
+        };
+        let histograms = histograms
+            .iter()
+            .map(|(name, h)| {
+                let mut hist = HistogramSnapshot::empty();
+                hist.count = h.get("count")?.as_f64()? as u64;
+                hist.sum = h.get("sum")?.as_f64()? as u64;
+                for entry in h.get("buckets")?.as_array()? {
+                    let pair = entry.as_array()?;
+                    let index = pair.first()?.as_f64()? as usize;
+                    *hist.buckets.get_mut(index)? = pair.get(1)?.as_f64()? as u64;
                 }
-                let sep = if first_bucket { "" } else { ", " };
-                let _ = write!(out, "{sep}[{i}, {c}]");
-                first_bucket = false;
-            }
-            let _ = write!(out, "]}}");
-            first = false;
-        }
-        let _ = writeln!(out, "{}}}", close(first));
-
-        let _ = write!(out, "{indent}}}");
-        out
+                Some((name.clone(), hist))
+            })
+            .collect::<Option<_>>()?;
+        Some(Snapshot {
+            counters: values("counters")?,
+            gauges: values("gauges")?,
+            histograms,
+        })
     }
 
     /// Renders the snapshot as Prometheus text exposition (the
@@ -207,25 +206,22 @@ mod tests {
 
     #[test]
     fn json_round_trips_braces_and_fields() {
-        let json = sample().to_json("  ");
-        assert!(json.contains("\"counters\""));
-        assert!(json.contains("\"pool/regions\": 3"));
-        assert!(json.contains("\"queue/depth\": 7"));
-        assert!(json.contains("\"serve/latency_ns\""));
-        assert!(json.contains("\"buckets\": [[10, 2], [12, 1]]"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces in:\n{json}"
-        );
+        let json = sample().to_json();
+        assert_eq!(Snapshot::from_json(&json), Some(sample()));
+        let text = json.pretty();
+        assert!(text.contains("\"pool/regions\": 3"), "{text}");
+        let read = perfport_trace::json::parse(&text).expect("valid JSON");
+        assert_eq!(Snapshot::from_json(&read), Some(sample()));
     }
 
     #[test]
     fn empty_snapshot_serializes_to_empty_maps() {
-        let json = Snapshot::default().to_json("");
-        assert!(json.contains("\"counters\": {}"));
-        assert!(json.contains("\"gauges\": {}"));
-        assert!(json.contains("\"histograms\": {}"));
+        let json = Snapshot::default().to_json();
+        assert_eq!(
+            json.to_string(),
+            r#"{"counters": {}, "gauges": {}, "histograms": {}}"#
+        );
+        assert_eq!(Snapshot::from_json(&json), Some(Snapshot::default()));
     }
 
     #[test]

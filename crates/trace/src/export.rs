@@ -1,5 +1,10 @@
-//! Exporters: JSONL event logs and Chrome `trace_event` JSON, plus the
-//! inverse (`import_chrome`) used by the `trace_report` tool.
+//! The Chrome `trace_event` exporter and its inverse (`import_chrome`),
+//! which the `trace_report` tool reads traces back with.
+//!
+//! `chrome` streams event by event through [`json::escape`] and
+//! [`json::number`] instead of building one [`Json`] value: a trace
+//! holds up to 100,000 events, and its `u64` arguments must stay exact,
+//! which `Json::Number(f64)` cannot promise above 2^53.
 
 use crate::event::{Event, EventKind, Value};
 use crate::json::{self, Json};
@@ -24,25 +29,6 @@ fn args_json(args: &[(String, Value)]) -> String {
         let _ = write!(out, "\"{}\":{}", json::escape(k), value_json(v));
     }
     out.push('}');
-    out
-}
-
-/// One event per line as a self-describing JSON object. Greppable and
-/// streamable; field order is fixed.
-pub fn jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"{}\",\"cat\":\"{}\",\"name\":\"{}\",\"ts_ns\":{},\"tid\":{},\"args\":{}}}",
-            e.kind.phase(),
-            json::escape(&e.cat),
-            json::escape(&e.name),
-            e.ts_ns,
-            e.tid,
-            args_json(&e.args),
-        );
-    }
     out
 }
 
@@ -245,16 +231,6 @@ mod tests {
         let end = &imported[2];
         assert_eq!(end.arg("n"), Some(&Value::U64(4096)));
         assert_eq!(end.arg("sched"), Some(&Value::Str("static".into())));
-    }
-
-    #[test]
-    fn jsonl_emits_one_parseable_line_per_event() {
-        let text = jsonl(&sample());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in lines {
-            json::parse(line).unwrap();
-        }
     }
 
     #[test]

@@ -1,8 +1,13 @@
-//! Minimal JSON support: enough to emit trace files and to read a
-//! Chrome trace back in (`trace_report`). No external dependencies.
+//! Minimal JSON support, with no external dependencies: the one writer
+//! and the one parser of every document the workspace writes. A
+//! document is built as a [`Json`] value and written with its
+//! `Display` (one line) or [`Json::pretty`] (one member per line);
+//! [`parse`] reads it back. Only the Chrome trace streamer
+//! (`export::chrome`) writes event by event through [`escape`] and
+//! [`number`], because its `u64` arguments must stay exact above 2^53.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,6 +65,94 @@ impl Json {
             Json::Bool(b) => Some(*b),
             _ => None,
         }
+    }
+
+    /// An object of `pairs`; a repeated key keeps its last value.
+    pub fn object<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// The document indented: one member per line, two spaces per
+    /// level, no trailing newline. [`Display`](fmt::Display) writes the
+    /// same document on one line.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        let _ = self.write_to(&mut out, Some(0));
+        out
+    }
+
+    /// Writes `self` on one line when `indent` is `None`, otherwise one
+    /// member per line, nested from `indent` levels deep. Items are
+    /// separated by `", "` on one line, keys followed by `": "`, and an
+    /// empty container is `[]` or `{}` either way.
+    fn write_to(&self, out: &mut dyn fmt::Write, indent: Option<usize>) -> fmt::Result {
+        let (open, close, items): (_, _, Vec<(Option<&String>, &Json)>) = match self {
+            Json::Null => return out.write_str("null"),
+            Json::Bool(b) => return write!(out, "{b}"),
+            Json::Number(n) => return out.write_str(&number(*n)),
+            Json::String(s) => return write!(out, "\"{}\"", escape(s)),
+            Json::Array(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Object(map) => ('{', '}', map.iter().map(|(k, v)| (Some(k), v)).collect()),
+        };
+        let newline = |out: &mut dyn fmt::Write, level: Option<usize>| match level {
+            Some(level) => write!(out, "\n{:1$}", "", 2 * level),
+            None => Ok(()),
+        };
+        let inner = indent.map(|level| level + 1);
+        out.write_char(open)?;
+        for (i, (key, value)) in items.iter().enumerate() {
+            if i > 0 {
+                out.write_str(if indent.is_some() { "," } else { ", " })?;
+            }
+            newline(out, inner)?;
+            if let Some(key) = key {
+                write!(out, "\"{}\": ", escape(key))?;
+            }
+            value.write_to(out, inner)?;
+        }
+        if !items.is_empty() {
+            newline(out, indent)?;
+        }
+        out.write_char(close)
+    }
+}
+
+/// The document on one line (see [`Json::pretty`] for the indented
+/// form).
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f, None)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::String(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::String(s)
+    }
+}
+
+/// Numbers. A JSON number is an `f64`, so integers are exact up to 2^53.
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Number(n as f64)
+            }
+        }
+    )*};
+}
+from_number!(f64, u64, usize);
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
     }
 }
 
@@ -119,10 +212,21 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a complete JSON document.
+/// Arrays and objects nested deeper than this are a [`ParseError`],
+/// not a stack overflow. The deepest document the workspace writes, a
+/// bench snapshot's histogram bucket, sits six levels down.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document. Total: any input returns, and input
+/// nested past [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text: input,
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -133,8 +237,13 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes; `pos` indexes both, always at a character
+    /// boundary.
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -175,8 +284,11 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -184,6 +296,16 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -287,12 +409,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash at
+                    // once: both are ASCII, so the run ends on a
+                    // character boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -343,6 +467,110 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Finite JSON values nested up to the given depth, with strings
+    /// full of characters that need escaping.
+    struct AnyJson(u32);
+
+    fn any_string(rng: &mut TestRng) -> String {
+        const CHARS: [char; 12] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', 'é', '😀',
+        ];
+        let len = rng.next_u64() % 6;
+        (0..len)
+            .map(|_| CHARS[(rng.next_u64() % CHARS.len() as u64) as usize])
+            .collect()
+    }
+
+    impl Strategy for AnyJson {
+        type Value = Json;
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            let kinds = if self.0 == 0 { 4 } else { 6 };
+            let len = rng.next_u64() % 4;
+            match rng.next_u64() % kinds {
+                0 => Json::Null,
+                1 => Json::Bool(rng.next_u64() & 1 == 1),
+                2 => Json::Number(match rng.next_u64() % 3 {
+                    0 => (rng.next_u64() % 2000) as f64 - 1000.0,
+                    1 => rng.unit_f64() * 1e6 - 5e5,
+                    _ => loop {
+                        let v = f64::from_bits(rng.next_u64());
+                        if v.is_finite() {
+                            break v;
+                        }
+                    },
+                }),
+                3 => Json::String(any_string(rng)),
+                4 => Json::Array(
+                    (0..len)
+                        .map(|_| AnyJson(self.0 - 1).generate(rng))
+                        .collect(),
+                ),
+                _ => Json::Object(
+                    (0..len)
+                        .map(|_| (any_string(rng), AnyJson(self.0 - 1).generate(rng)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn compact_and_pretty_renders_parse_back(v in AnyJson(4)) {
+            prop_assert_eq!(parse(&v.to_string()), Ok(v.clone()));
+            prop_assert_eq!(parse(&v.pretty()), Ok(v));
+        }
+    }
+
+    #[test]
+    fn renders_separate_items_and_indent_two_spaces() {
+        let doc = Json::object([
+            (
+                "b",
+                Json::Array(vec![1.0.into(), "x\"y".into(), Json::Null]),
+            ),
+            (
+                "a",
+                Json::object([("t", Json::Bool(true)), ("e", Json::Array(vec![]))]),
+            ),
+            ("c", Json::object::<&str>([])),
+        ]);
+        assert_eq!(
+            doc.to_string(),
+            r#"{"a": {"e": [], "t": true}, "b": [1, "x\"y", null], "c": {}}"#
+        );
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"a\": {\n    \"e\": [],\n    \"t\": true\n  },\n  \"b\": [\n    1,\n    \"x\\\"y\",\n    null\n  ],\n  \"c\": {}\n}"
+        );
+        assert_eq!(Json::from(None::<u64>).to_string(), "null");
+        assert_eq!(Json::from(Some(3usize)).pretty(), "3");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Each character once re-validated the whole rest of the input,
+        // which took minutes on a 100,000-event trace.
+        let long = "é\\\"x".repeat(1 << 20);
+        let doc = Json::Array(vec![Json::String(long.clone()), Json::String(long)]);
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&doc.to_string()), Ok(doc));
+        assert!(start.elapsed().as_secs() < 10, "took {:?}", start.elapsed());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"k\": "] {
+            let err = parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+        }
+        let nest = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+    }
 
     #[test]
     fn parses_nested_document() {

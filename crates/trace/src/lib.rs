@@ -18,9 +18,13 @@
 //! - **Observation only.** Recording never feeds back into modelled
 //!   timings: results are bit-identical with tracing on and off (the
 //!   end-to-end suite asserts this).
-//! - **Three exporters.** JSONL event logs for ad-hoc grepping, Chrome
-//!   `trace_event` JSON for `chrome://tracing`/Perfetto, and a plain
+//! - **Two exporters.** Chrome `trace_event` JSON for
+//!   `chrome://tracing`/Perfetto ([`export::chrome`]), and a plain
 //!   hierarchical text summary ([`summary::render`]).
+//! - **One JSON module.** [`json`] holds the workspace's one JSON writer
+//!   and parser: every document the crates write (bench snapshots,
+//!   manifests, telemetry blocks, flight dumps) is a [`json::Json`]
+//!   value, rendered compact or pretty and read back by [`json::parse`].
 //!
 //! # Quickstart
 //!
