@@ -21,25 +21,35 @@
 //! frame from a worker pushes the deadline of every lease it holds out
 //! by one TTL.
 //!
-//! A worker whose lease expires goes on *probation*: it is excluded
-//! from new grants until its next frame proves it alive, so an expired
-//! range migrates to a different worker instead of bouncing back to
-//! the silent one until retries run out.
+//! A worker whose lease expires goes on *probation*: while a live,
+//! introduced worker not on probation exists, it gets no new grant until
+//! its next frame proves it alive, so an expired range migrates to a
+//! different worker instead of bouncing back to the silent one until
+//! retries run out. With no such worker it is probed with a fresh grant
+//! instead: a worker whose `Result` was lost waits idle for a lease, and
+//! passing it over would leave the run to its deadline.
 //!
-//! Concurrency: each connection is owned by one *driver* thread that
-//! follows the protocol's turn rule. The worker holds the turn from
-//! adoption until its `Hello`, and whenever it holds a lease; the
-//! driver then reads and forwards every frame into one event channel.
-//! Each `Hello` or `Result` hands the turn to the coordinator, which
-//! answers on the driver's outgoing channel with its grants (or a
-//! `Bye`) and then `None` if the worker holds a lease, handing the turn
-//! back. A worker that holds no lease leaves the turn with the
-//! coordinator, so its driver blocks on the outgoing channel and a grant
-//! leaves the moment the coordinator decides it. The coordinator thread
-//! alone owns the lease table and sleeps on the event channel until the
-//! next frame, lease deadline, backoff release or run deadline — a
-//! silent worker never delays a live one. Per event it touches only what
-//! changed: the ready set, the sender's held leases and a done count.
+//! Concurrency: every rule above lives in a sans-IO core (the
+//! crate-private `lease` module) that owns the lease table and each
+//! connection's state, takes the caller's `now` with every event, and
+//! returns frames as values. [`run`] adapts it to threads, with the
+//! core under one lock. Each connection is owned by one *driver* thread
+//! that follows the protocol's turn rule. The worker holds the turn
+//! from adoption until its `Hello`, and whenever it holds a lease; the
+//! driver then reads its frames, applies each to the core and writes
+//! the reply — the coordinator's `Hello`, grants up to the window, or a
+//! `Bye` — to its own connection, so no frame passes through another
+//! thread. A worker that holds no lease leaves the turn with the
+//! coordinator: its driver blocks on its mailbox. The run thread adopts
+//! connections and ticks the core at the next Hello window, lease
+//! deadline, backoff release or run deadline. A tick posts grants to
+//! the mailboxes of idle workers and of workers whose leases expired,
+//! closes connections silent since adoption, and the run's end posts
+//! every live worker its `Bye`. Drivers wake the run thread only when a
+//! frame ends or fails the run or a connection is dropped, which starts
+//! its ranges' backoff — a silent worker never delays a live one. Per
+//! event the core touches only what changed: the ready set, the
+//! sender's held leases and a done count.
 //!
 //! Determinism: the joined artifact is assembled from per-range CSV
 //! fragments keyed by range start and emitted in range order, so worker
@@ -66,26 +76,16 @@
 //! ```
 
 use crate::comm::{CommError, Communicator};
-use crate::frame::{Frame, Role, PROTOCOL_VERSION};
+use crate::frame::Frame;
+use crate::lease::{Action, Core, Turn};
 use crate::ServeError;
-use perfport_core::{figure_specs, study_grid, StudyConfig, STUDY_CSV_HEADER};
-use perfport_telemetry::{Counter, Gauge};
-use std::collections::{BTreeMap, BTreeSet};
+use perfport_core::{figure_specs, StudyConfig};
+use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-static WORKERS_CONNECTED: Gauge = Gauge::new("serve/workers_connected");
-static LEASES_GRANTED: Counter = Counter::new("serve/leases_granted");
-static LEASES_EXPIRED: Counter = Counter::new("serve/leases_expired");
-static LEASES_COMPLETED: Counter = Counter::new("serve/leases_completed");
-static HEARTBEATS: Counter = Counter::new("serve/heartbeats");
-static POINTS_DONE: Counter = Counter::new("serve/points_done");
-
-/// Leases one worker may hold at once: the one it computes and the one
-/// queued behind it. A protocol constant, not a tuning knob.
-const LEASE_WINDOW: usize = 2;
 
 /// Everything the coordinator needs to run one distributed study.
 #[derive(Debug, Clone)]
@@ -312,338 +312,255 @@ pub fn strip_trailer(rendered: &str) -> String {
         .collect()
 }
 
-enum ChunkState {
-    /// Grantable: listed in [`LeaseTable::ready`], or in
-    /// [`LeaseTable::cooling`] until its backoff ends.
-    Pending,
-    Leased {
-        conn: usize,
-        lease_id: u64,
-        deadline: Instant,
-    },
-    /// Finished, holding the range's CSV fragment.
-    Done(String),
-}
-
-struct Chunk {
-    range: Range<usize>,
-    /// Times the range has been released (expired or its worker lost).
-    attempt: usize,
-    state: ChunkState,
-}
-
-/// The grid's lease ranges plus the indexes that keep each event's work
-/// proportional to what it changes: no event scans every range.
-struct LeaseTable {
-    chunks: Vec<Chunk>,
-    /// Points per range; a range's index is its start divided by this.
-    step: usize,
-    /// Pending ranges ready for a grant. Ordered by index, which is
-    /// start order, so grants go lowest start first.
-    ready: BTreeSet<usize>,
-    /// Pending ranges still backing off, with the instant each becomes
-    /// ready. Only released ranges pass through here, so it stays short.
-    cooling: Vec<(Instant, usize)>,
-    done: usize,
-}
-
-impl LeaseTable {
-    fn new(total: usize, lease_points: usize) -> LeaseTable {
-        let chunks: Vec<Chunk> = lease_ranges(total, lease_points)
-            .into_iter()
-            .map(|range| Chunk {
-                range,
-                attempt: 0,
-                state: ChunkState::Pending,
-            })
-            .collect();
-        LeaseTable {
-            ready: (0..chunks.len()).collect(),
-            chunks,
-            step: lease_points.max(1),
-            cooling: Vec::new(),
-            done: 0,
-        }
-    }
-
-    fn finished(&self) -> bool {
-        self.done == self.chunks.len()
-    }
-
-    /// Moves every range whose backoff has ended into `ready`.
-    fn promote(&mut self, now: Instant) {
-        let ready = &mut self.ready;
-        self.cooling.retain(|&(at, idx)| {
-            let cooled = at <= now;
-            if cooled {
-                ready.insert(idx);
-            }
-            !cooled
-        });
-    }
-
-    /// `true` while range `idx` is leased to `conn` as `lease_id`.
-    fn holds(&self, idx: usize, conn: usize, lease_id: u64) -> bool {
-        matches!(self.chunks[idx].state,
-            ChunkState::Leased { conn: c, lease_id: id, .. } if c == conn && id == lease_id)
-    }
-
-    fn deadline(&self, idx: usize) -> Option<Instant> {
-        match self.chunks[idx].state {
-            ChunkState::Leased { deadline, .. } => Some(deadline),
-            _ => None,
-        }
-    }
-
-    /// The lowest ready range: grants go lowest start first.
-    fn next_ready(&self) -> Option<usize> {
-        self.ready.first().copied()
-    }
-
-    /// Leases ready range `idx` to `conn`.
-    fn lease(&mut self, idx: usize, conn: usize, lease_id: u64, deadline: Instant) {
-        self.ready.remove(&idx);
-        self.chunks[idx].state = ChunkState::Leased {
-            conn,
-            lease_id,
-            deadline,
-        };
-    }
-
-    fn refresh(&mut self, idx: usize, until: Instant) {
-        if let ChunkState::Leased { deadline, .. } = &mut self.chunks[idx].state {
-            *deadline = until;
-        }
-    }
-
-    /// Returns leased range `idx` to `Pending` with its attempt count
-    /// bumped and a linear backoff, or aborts the run once retries are
-    /// exhausted.
-    fn release(&mut self, idx: usize, cfg: &CoordinatorConfig) -> Result<(), ServeError> {
-        LEASES_EXPIRED.add(1);
-        let chunk = &mut self.chunks[idx];
-        chunk.attempt += 1;
-        if chunk.attempt > cfg.max_retries {
-            return Err(ServeError::LeaseExhausted {
-                start: chunk.range.start,
-                end: chunk.range.end,
-                attempts: chunk.attempt,
-            });
-        }
-        chunk.state = ChunkState::Pending;
-        self.cooling
-            .push((Instant::now() + cfg.backoff * chunk.attempt as u32, idx));
-        Ok(())
-    }
-
-    /// Accepts a `Result` frame. Returns the number of fresh points it
-    /// contributed (0 for a duplicate of an already-`Done` range — late
-    /// results from slow-but-alive workers are idempotent because the
-    /// study is deterministic).
-    fn accept(&mut self, lease_id: u64, range: Range<usize>, csv: String) -> Result<usize, String> {
-        let idx = range.start / self.step;
-        let chunk = self
-            .chunks
-            .get_mut(idx)
-            .filter(|c| c.range == range)
-            .ok_or_else(|| format!("lease {lease_id} names unknown range {range:?}"))?;
-        if matches!(chunk.state, ChunkState::Done(_)) {
-            return Ok(0);
-        }
-        let lines = csv.lines().count();
-        if lines != chunk.range.len() {
-            return Err(format!(
-                "range {range:?} carries {lines} CSV lines, expected {}",
-                chunk.range.len()
-            ));
-        }
-        if matches!(chunk.state, ChunkState::Pending) {
-            // A late result for a range that expired and awaits a grant.
-            self.ready.remove(&idx);
-            self.cooling.retain(|&(_, i)| i != idx);
-        }
-        chunk.state = ChunkState::Done(csv);
-        self.done += 1;
-        Ok(lines)
-    }
-
-    /// The joined CSV body: the header, then every fragment in range
-    /// order.
-    fn join(&self) -> String {
-        let mut csv = String::from(STUDY_CSV_HEADER);
-        csv.push('\n');
-        for chunk in &self.chunks {
-            match &chunk.state {
-                ChunkState::Done(fragment) => csv.push_str(fragment),
-                _ => unreachable!("the run joins only a finished table"),
-            }
-        }
-        csv
-    }
-}
-
-/// What a driver thread or the connection forwarder tells the
-/// coordinator. Everything the coordinator reacts to arrives on one
-/// channel of these.
+/// What the run thread waits on.
 enum Event {
     /// A worker connection arrived from the connection source.
     Connect(Box<dyn Communicator>),
     /// The connection source hung up: no further worker can arrive.
     SourceClosed,
-    /// Connection `conn` delivered `frame`.
-    Frame { conn: usize, frame: Frame },
-    /// Connection `conn`'s driver gave up on it for the reason `why`
-    /// and dropped its communicator.
-    Lost { conn: usize, why: String },
+    /// A driver's event ended or failed the run, or dropped a
+    /// connection, which releases its ranges into backoff.
+    Wake,
 }
 
-/// The coordinator's view of one adopted connection.
-struct Conn {
-    /// Frames for this connection's driver, `None` ending the
-    /// coordinator's turn; the sender is dropped with the connection,
-    /// which lets the driver exit.
-    out: Option<Sender<Option<Frame>>>,
-    driver: Option<JoinHandle<()>>,
-    ident: Option<String>,
-    /// Set when this worker misses a lease deadline: a suspect worker
-    /// receives no further grants (the range would just bounce back to
-    /// the silent peer until retries ran out) until it proves it is
-    /// alive by sending any frame.
-    suspect: bool,
-    /// Leases sent on this connection whose `Result` has not arrived,
-    /// oldest first, as `(lease_id, range index)`. An entry outlives its
-    /// lease's expiry, because the worker still computes the range, so
-    /// its length is what the credit window bounds.
-    held: Vec<(u64, usize)>,
-    /// Leases this worker may hold: one until its first `Result`, then
-    /// [`LEASE_WINDOW`].
-    window: usize,
+/// The lease core, plus what drivers leave for the run thread, under
+/// one lock.
+struct Shared {
+    core: Core,
+    /// The first error a driver's event raised: the run fails with it.
+    failed: Option<ServeError>,
+    /// Set once the run thread has ended the run; drivers then stop
+    /// feeding the core and wait for the run's last word.
+    over: bool,
 }
 
-impl Conn {
-    fn alive(&self) -> bool {
-        self.out.is_some()
-    }
-
-    /// Mirrors the driver's turn: `true` while the worker holds it
-    /// (before its `Hello`, and while it holds a lease). Only a
-    /// connection whose worker does not hold the turn gets a grant
-    /// outside a reply.
-    fn worker_turn(&self) -> bool {
-        self.ident.is_none() || !self.held.is_empty()
-    }
-
-    /// Queues `entry` for the driver (`None` ends the coordinator's
-    /// turn); `false` when the driver is gone.
-    fn queue(&self, entry: Option<Frame>) -> bool {
-        self.out.as_ref().is_some_and(|out| out.send(entry).is_ok())
-    }
-
-    fn send(&self, frame: Frame) -> bool {
-        self.queue(Some(frame))
-    }
-
-    /// Drops the connection and releases every range it still holds.
-    fn kill(
-        &mut self,
-        table: &mut LeaseTable,
-        me: usize,
-        cfg: &CoordinatorConfig,
-    ) -> Result<(), ServeError> {
-        self.out = None;
-        for (lease_id, idx) in self.held.drain(..) {
-            if table.holds(idx, me, lease_id) {
-                table.release(idx, cfg)?;
-            }
-        }
-        Ok(())
-    }
+fn lock(shared: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
+    shared
+        .lock()
+        .expect("a thread panicked while applying an event to the lease core")
 }
 
-/// Body of connection `conn`'s driver thread: owns `comm` and follows
-/// the turn rule until the connection ends (see the module docs).
-fn drive(
+/// One connection's driver thread: owns the connection and follows the
+/// turn rule until it ends (see the module docs).
+struct Driver {
     conn: usize,
-    mut comm: Box<dyn Communicator>,
-    out: Receiver<Option<Frame>>,
+    comm: Box<dyn Communicator>,
+    /// Batches of frames the run thread addresses to this connection.
+    /// The run thread drops the sender to close the connection.
+    mailbox: Receiver<Vec<Frame>>,
+    shared: Arc<Mutex<Shared>>,
     events: Sender<Event>,
     ttl: Duration,
-) {
-    let lost = |why: String| {
-        let _ = events.send(Event::Lost { conn, why });
-    };
-    let mut introduced = false;
-    loop {
-        // The worker holds the turn: forward its frames until one of
-        // them hands the turn back.
+}
+
+impl Driver {
+    fn run(mut self) {
+        // The worker holds the turn from adoption until its Hello.
+        let mut turn = Turn::Worker;
         loop {
-            let frame = match comm.recv_timeout(ttl) {
-                Ok(Some(frame)) => frame,
-                Ok(None) if !introduced => {
-                    return lost(format!("no hello within {ttl:?}; dropping connection"));
-                }
-                // A silent worker's lease expires on the coordinator's
-                // clock; here only a pending shutdown matters.
-                Ok(None) => {
-                    if shut_down(comm.as_mut(), &out) {
-                        return;
+            let next = match turn {
+                Turn::Worker => self.read(),
+                // A batch posted while the coordinator holds the turn is
+                // grants, which hand it back, or the run's final Bye.
+                Turn::Coordinator => match self.mailbox.recv() {
+                    Ok(batch) => {
+                        self.send(&batch)
+                            .map(|bye| if bye { Turn::Closed } else { Turn::Worker })
                     }
-                    continue;
-                }
-                Err(CommError::Closed) => return lost("disconnected".to_string()),
-                Err(e) => {
-                    // On a framing error, tell the peer why before
-                    // giving up on the stream (best effort).
-                    if let CommError::Frame(fe) = &e {
-                        let _ = comm.send(&Frame::Bye {
-                            reason: format!("protocol error: {fe} (speaking v{PROTOCOL_VERSION})"),
-                        });
-                    }
-                    return lost(format!("{e}; dropping connection"));
-                }
+                    Err(_) => Ok(Turn::Closed),
+                },
+                Turn::Closed => return,
             };
-            let hands_back = !matches!(frame, Frame::Heartbeat { .. });
-            let bye = matches!(frame, Frame::Bye { .. });
-            introduced |= matches!(frame, Frame::Hello { .. });
-            if events.send(Event::Frame { conn, frame }).is_err() || bye {
-                return;
-            }
-            if hands_back {
-                break;
-            }
-            if shut_down(comm.as_mut(), &out) {
-                return;
-            }
+            turn = match next {
+                Ok(turn) => turn,
+                Err(cause) => return self.lost(&cause),
+            };
         }
-        // The coordinator holds the turn: send what it queues until
-        // `None` hands the turn back.
+    }
+
+    /// Reads the worker's next frame, applies it to the core and sends
+    /// the reply. On one TTL of silence only the mailbox matters: the
+    /// worker's leases expire on the run thread's tick.
+    fn read(&mut self) -> Result<Turn, CommError> {
+        let Some(frame) = self.comm.recv_timeout(self.ttl)? else {
+            return self.drain();
+        };
+        let (now, conn) = (Instant::now(), self.conn);
+        let Some(reply) = self.apply(
+            |core| core.on_frame(now, conn, frame),
+            |reply, core| reply.turn == Turn::Closed || core.finished(),
+        ) else {
+            return self.last_word();
+        };
+        self.send(&reply.frames)?;
+        match reply.turn {
+            Turn::Worker => self.drain(),
+            turn => Ok(turn),
+        }
+    }
+
+    /// Sends every batch already posted while the worker holds the
+    /// turn: a grant to a worker whose leases expired (its `Result` may
+    /// have been lost, leaving it idle), or the run's last word.
+    fn drain(&mut self) -> Result<Turn, CommError> {
         loop {
-            let frame = match out.recv() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(_) => return,
-            };
-            if let Err(e) = comm.send(&frame) {
-                return lost(format!("send failed: {e}"));
-            }
-            if matches!(frame, Frame::Bye { .. }) {
-                return;
+            match self.mailbox.try_recv() {
+                Ok(batch) => {
+                    if self.send(&batch)? {
+                        return Ok(Turn::Closed);
+                    }
+                }
+                Err(TryRecvError::Empty) => return Ok(Turn::Worker),
+                Err(TryRecvError::Disconnected) => return Ok(Turn::Closed),
             }
         }
     }
+
+    /// Waits out a run that has ended or failed: sends its `Bye`, if
+    /// it posts one, and ends.
+    fn last_word(&mut self) -> Result<Turn, CommError> {
+        while let Ok(batch) = self.mailbox.recv() {
+            if self.send(&batch)? {
+                break;
+            }
+        }
+        Ok(Turn::Closed)
+    }
+
+    /// Sends `frames` in order; `true` once a `Bye` has gone out.
+    fn send(&mut self, frames: &[Frame]) -> Result<bool, CommError> {
+        for frame in frames {
+            self.comm.send(frame)?;
+            if matches!(frame, Frame::Bye { .. }) {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Tells the core the connection failed with `cause`, and sends
+    /// the peer the `Bye` the core answers with, if any (best effort).
+    fn lost(&mut self, cause: &CommError) {
+        let (now, conn) = (Instant::now(), self.conn);
+        if let Some(Some(bye)) = self.apply(|core| core.on_lost(now, conn, cause), |_, _| true) {
+            let _ = self.comm.send(&bye);
+        }
+    }
+
+    /// Applies one event to the core under the lock, unless the run is
+    /// over. Wakes the run thread when the event fails the run or
+    /// `wake` holds after it. `None` when the run is over or failed.
+    fn apply<T>(
+        &self,
+        event: impl FnOnce(&mut Core) -> Result<T, ServeError>,
+        wake: impl FnOnce(&T, &Core) -> bool,
+    ) -> Option<T> {
+        let mut shared = lock(&self.shared);
+        if shared.over {
+            return None;
+        }
+        let (out, woke) = match event(&mut shared.core) {
+            Ok(out) => {
+                let woke = wake(&out, &shared.core);
+                (Some(out), woke)
+            }
+            Err(e) => {
+                shared.failed.get_or_insert(e);
+                (None, true)
+            }
+        };
+        drop(shared);
+        if woke {
+            let _ = self.events.send(Event::Wake);
+        }
+        out
+    }
 }
 
-/// While the worker holds the turn the coordinator queues nothing but
-/// its final `Bye`. Sends that `Bye` if one is queued; `true` once the
-/// connection should end.
-fn shut_down(comm: &mut dyn Communicator, out: &Receiver<Option<Frame>>) -> bool {
-    match out.try_recv() {
-        Ok(Some(bye)) => {
-            let _ = comm.send(&bye);
-            true
+/// The run thread's side of [`run`]: the drivers it started and each
+/// connection's mailbox, indexed like the core's connections.
+struct Adapter {
+    shared: Arc<Mutex<Shared>>,
+    events: Sender<Event>,
+    /// `None` once the connection is closed or its driver never started.
+    mailboxes: Vec<Option<Sender<Vec<Frame>>>>,
+    drivers: Vec<JoinHandle<()>>,
+    ttl: Duration,
+}
+
+impl Adapter {
+    /// Adopts `comm` into `core` and starts its driver, which applies
+    /// nothing until the caller releases the lock on `core`.
+    fn adopt(&mut self, core: &mut Core, comm: Box<dyn Communicator>) {
+        let now = Instant::now();
+        let conn = core.on_connect(now, &comm.peer());
+        let (mailbox, posted) = mpsc::channel();
+        let driver = Driver {
+            conn,
+            comm,
+            mailbox: posted,
+            shared: Arc::clone(&self.shared),
+            events: self.events.clone(),
+            ttl: self.ttl,
+        };
+        let spawned = std::thread::Builder::new()
+            .name(format!("serve-conn-{conn}"))
+            .spawn(move || driver.run());
+        match spawned {
+            Ok(handle) => {
+                self.mailboxes.push(Some(mailbox));
+                self.drivers.push(handle);
+            }
+            Err(e) => {
+                self.mailboxes.push(None);
+                // A connection that never held a lease releases nothing.
+                let cause = CommError::Io(format!("cannot start a driver thread: {e}"));
+                let _ = core.on_lost(now, conn, &cause);
+            }
         }
-        Err(TryRecvError::Disconnected) => true,
-        Ok(None) | Err(TryRecvError::Empty) => false,
+    }
+
+    /// The run thread's loop: ticks the core, carries out its actions
+    /// and sleeps until the core's next wake, a new connection or a
+    /// driver's wake-up, until the run is finished or failed. It wakes
+    /// at least once per TTL, so a lease a driver grants while it
+    /// sleeps never outlives its deadline unseen.
+    fn serve(&mut self, events: &Receiver<Event>) -> Result<(), ServeError> {
+        let shared = Arc::clone(&self.shared);
+        loop {
+            let now = Instant::now();
+            let mut guard = lock(&shared);
+            if let Some(e) = guard.failed.take() {
+                return Err(e);
+            }
+            for action in guard.core.on_tick(now)? {
+                match action {
+                    Action::Send { conn, frames } => {
+                        let posted = self.mailboxes[conn]
+                            .as_ref()
+                            .is_some_and(|mailbox| mailbox.send(frames).is_ok());
+                        if !posted {
+                            guard.core.on_lost(now, conn, &CommError::Closed)?;
+                        }
+                    }
+                    Action::Close { conn } => self.mailboxes[conn] = None,
+                }
+            }
+            if guard.core.finished() {
+                return Ok(());
+            }
+            let wait = guard
+                .core
+                .next_wake()
+                .map_or(self.ttl, |at| at.saturating_duration_since(now))
+                .min(self.ttl);
+            drop(guard);
+            match events.recv_timeout(wait) {
+                Ok(Event::Connect(comm)) => self.adopt(&mut lock(&shared).core, comm),
+                Ok(Event::SourceClosed) => lock(&shared).core.on_source_closed(),
+                Ok(Event::Wake) | Err(_) => {}
+            }
+        }
     }
 }
 
@@ -652,19 +569,19 @@ fn shut_down(comm: &mut dyn Communicator, out: &Receiver<Option<Frame>>) -> bool
 /// `Done` and every live worker has said `Hello`, then assembles the
 /// joined artifact.
 ///
-/// Each adopted connection moves into its own driver thread; this
-/// thread keeps sole ownership of the lease table and blocks on one
-/// event channel until a frame arrives or the earliest lease deadline,
-/// backoff release or run deadline passes (see the module docs). A
-/// connection that says nothing for `ttl` after adoption is dropped; a
-/// worker whose `Hello` arrives after the last range is done is
-/// answered with `Hello` and then `Bye`, so it leaves cleanly with no
-/// lease. Connections already queued when `run` starts are adopted
-/// before any frame is read, so a fast peer cannot finish the grid
-/// without them. On success every live worker gets a `Bye`; on failure
-/// every connection is closed. Either way every driver is joined before
-/// `run` returns, which a worker silent mid-lease delays by at most one
-/// `ttl`. Connections arriving after the run are closed unread.
+/// This is the lease core's thread adapter (see the module docs): each
+/// adopted connection moves into its own driver thread, which applies
+/// its frames to the core and sends the replies itself, while this
+/// thread ticks the core's deadlines. A connection that says nothing
+/// for `ttl` after adoption is dropped; a worker whose `Hello` arrives
+/// after the last range is done is answered with `Hello` and then
+/// `Bye`, so it leaves cleanly with no lease. Connections already
+/// queued when `run` starts are adopted before any frame is applied, so
+/// a fast peer cannot finish the grid without them. On success every
+/// live worker gets a `Bye`; on failure every connection is closed.
+/// Either way every driver is joined before `run` returns, which a
+/// worker silent mid-lease delays by at most one `ttl`. Connections
+/// arriving after the run are closed unread.
 ///
 /// # Errors
 ///
@@ -677,363 +594,80 @@ pub fn run(
     conn_rx: Receiver<Box<dyn Communicator>>,
     cfg: &CoordinatorConfig,
 ) -> Result<JoinedArtifact, ServeError> {
-    let id_refs = validate_ids(&cfg.ids).map_err(ServeError::BadSpec)?;
-    let total = study_grid(&id_refs, &cfg.study_config()).len();
-
+    let core = Core::new(cfg, Instant::now())?;
     let (events_tx, events) = mpsc::channel::<Event>();
-    // Connections queued before the run are adopted ahead of any frame.
-    // Left to the forwarder below, a descheduled forwarder could hand
-    // one over only after its peers had finished the grid, and the run
-    // would close it unread.
-    while let Ok(comm) = conn_rx.try_recv() {
-        let _ = events_tx.send(Event::Connect(comm));
-    }
-    let forward = events_tx.clone();
+    let shared = Arc::new(Mutex::new(Shared {
+        core,
+        failed: None,
+        over: false,
+    }));
+    let mut adapter = Adapter {
+        shared: Arc::clone(&shared),
+        events: events_tx.clone(),
+        mailboxes: Vec::new(),
+        drivers: Vec::new(),
+        ttl: cfg.ttl,
+    };
+    // Connections queued before the run are adopted under one lock,
+    // ahead of any frame. Left to the forwarder below, a descheduled
+    // forwarder could hand one over only after its peers had finished
+    // the grid, and the run would close it unread.
+    let source_open = {
+        let mut guard = lock(&shared);
+        loop {
+            match conn_rx.try_recv() {
+                Ok(comm) => adapter.adopt(&mut guard.core, comm),
+                Err(TryRecvError::Empty) => break true,
+                Err(TryRecvError::Disconnected) => {
+                    guard.core.on_source_closed();
+                    break false;
+                }
+            }
+        }
+    };
     // Left detached: it blocks on the connection source, which may
     // outlive the run (a TCP accept loop). After the run it exits on the
     // next connection, dropping it, or when the source closes.
-    std::thread::Builder::new()
-        .name("serve-accept".to_string())
-        .spawn(move || {
-            for comm in conn_rx {
-                if forward.send(Event::Connect(comm)).is_err() {
-                    return;
+    if source_open {
+        std::thread::Builder::new()
+            .name("serve-accept".to_string())
+            .spawn(move || {
+                for comm in conn_rx {
+                    if events_tx.send(Event::Connect(comm)).is_err() {
+                        return;
+                    }
                 }
-            }
-            let _ = forward.send(Event::SourceClosed);
-        })
-        .map_err(|e| ServeError::Comm(CommError::Io(format!("spawn: {e}"))))?;
-
-    let mut conns = Vec::new();
-    let mut table = LeaseTable::new(total, cfg.lease_points);
-    let outcome = serve(cfg, &mut table, &mut conns, &events_tx, &events);
-    for conn in &mut conns {
-        if outcome.is_ok() {
-            conn.send(Frame::Bye {
-                reason: "complete".to_string(),
-            });
-        }
-        conn.out = None;
+                let _ = events_tx.send(Event::SourceClosed);
+            })
+            .map_err(|e| ServeError::Comm(CommError::Io(format!("spawn: {e}"))))?;
     }
-    for driver in conns.iter_mut().filter_map(|c| c.driver.take()) {
+
+    let outcome = adapter.serve(&events);
+    let joined = {
+        let mut guard = lock(&shared);
+        guard.over = true;
+        outcome.map(|()| {
+            for mailbox in adapter.mailboxes.iter().flatten() {
+                let _ = mailbox.send(vec![Frame::Bye {
+                    reason: "complete".to_string(),
+                }]);
+            }
+            guard.core.join()
+        })
+    };
+    adapter.mailboxes.clear();
+    for driver in adapter.drivers.drain(..) {
         if let Err(panic) = driver.join() {
             std::panic::resume_unwind(panic);
         }
     }
-    let manifests = outcome?;
-    Ok(JoinedArtifact {
-        csv: table.join(),
-        manifests,
-    })
-}
-
-/// Grants connection `i` ready ranges up to its window, lowest start
-/// first, then hands the turn back to the worker if it holds a lease.
-/// Called only while the coordinator holds the turn on `i`.
-fn reply(
-    conns: &mut [Conn],
-    i: usize,
-    table: &mut LeaseTable,
-    next_lease_id: &mut u64,
-    cfg: &CoordinatorConfig,
-) -> Result<(), ServeError> {
-    let conn = &mut conns[i];
-    while !conn.suspect && conn.held.len() < conn.window {
-        let Some(idx) = table.next_ready() else {
-            break;
-        };
-        let lease_id = *next_lease_id + 1;
-        let range = table.chunks[idx].range.clone();
-        let lease = Frame::Lease {
-            lease_id,
-            start: range.start as u64,
-            end: range.end as u64,
-        };
-        if !conn.send(lease) {
-            return conn.kill(table, i, cfg);
-        }
-        *next_lease_id = lease_id;
-        table.lease(idx, i, lease_id, Instant::now() + cfg.ttl);
-        conn.held.push((lease_id, idx));
-        LEASES_GRANTED.add(1);
-        if cfg.verbose {
-            eprintln!(
-                "coordinator: leased points {}..{} to worker {} (lease {lease_id}, attempt {})",
-                range.start,
-                range.end,
-                conn.ident.as_deref().unwrap_or("?"),
-                table.chunks[idx].attempt,
-            );
-        }
-    }
-    if conn.worker_turn() && !conn.queue(None) {
-        return conn.kill(table, i, cfg);
-    }
-    Ok(())
-}
-
-/// The event loop of [`run`]: adopts connections into `conns`, grants
-/// and re-leases ranges until `table` is finished, and returns every
-/// worker's provenance.
-fn serve(
-    cfg: &CoordinatorConfig,
-    table: &mut LeaseTable,
-    conns: &mut Vec<Conn>,
-    events_tx: &Sender<Event>,
-    events: &Receiver<Event>,
-) -> Result<BTreeMap<String, WorkerProvenance>, ServeError> {
-    let spec = cfg.spec_string();
-    let started = Instant::now();
-    let run_deadline = cfg.deadline.map(|cap| started + cap);
-    let total = table.chunks.last().map_or(0, |c| c.range.end);
-    let mut manifests: BTreeMap<String, WorkerProvenance> = BTreeMap::new();
-    let mut next_lease_id: u64 = 0;
-    let mut points_done: usize = 0;
-    let mut source_open = true;
-
-    let progress = |msg: &str| {
-        if cfg.verbose {
-            eprintln!("coordinator: {msg}");
-        }
-    };
-    progress(&format!(
-        "serving {} grid points as {} lease(s) of ≤{} points",
-        total,
-        table.chunks.len(),
-        table.step
-    ));
-
-    loop {
-        let live = conns.iter().filter(|c| c.alive()).count();
-        WORKERS_CONNECTED.set(live as u64);
-        // A worker adopted but not yet introduced may still be on its
-        // way in: finishing now would drop it mid-handshake.
-        if table.finished() && conns.iter().all(|c| !c.alive() || c.ident.is_some()) {
-            break;
-        }
-        if live == 0 && !source_open {
-            return Err(ServeError::NoWorkers);
-        }
-        let now = Instant::now();
-        if run_deadline.is_some_and(|at| now > at) {
-            return Err(ServeError::DeadlineExceeded);
-        }
-
-        // Expire leases whose workers missed their deadline. The worker
-        // may be slow rather than dead: its connection stays (a late
-        // Result is still welcome) and its held entry with it, but the
-        // range is freed for someone else and the silent worker goes on
-        // probation so the range is not granted straight back to it.
-        for (i, conn) in conns.iter_mut().enumerate() {
-            for &(lease_id, idx) in &conn.held {
-                if table.holds(idx, i, lease_id) && table.deadline(idx).is_some_and(|d| now >= d) {
-                    let range = &table.chunks[idx].range;
-                    progress(&format!(
-                        "lease over points {}..{} missed its deadline; re-leasing",
-                        range.start, range.end
-                    ));
-                    conn.suspect = true;
-                    table.release(idx, cfg)?;
-                }
-            }
-        }
-
-        // Grant ready ranges to idle, introduced workers.
-        table.promote(Instant::now());
-        for i in 0..conns.len() {
-            if table.ready.is_empty() {
-                break;
-            }
-            let conn = &conns[i];
-            if conn.alive() && !conn.worker_turn() {
-                reply(conns, i, table, &mut next_lease_id, cfg)?;
-            }
-        }
-
-        // Sleep until the next event or the next instant the lease
-        // table can change on its own.
-        let wake = conns
-            .iter()
-            .flat_map(|c| &c.held)
-            .filter_map(|&(_, idx)| table.deadline(idx))
-            .chain(table.cooling.iter().map(|&(at, _)| at))
-            .chain(run_deadline)
-            .min();
-        let event = match wake {
-            Some(at) => events.recv_timeout(at.saturating_duration_since(now)),
-            None => events.recv().map_err(RecvTimeoutError::from),
-        };
-        let (i, frame) = match event {
-            Err(_) => continue,
-            Ok(Event::Connect(comm)) => {
-                progress(&format!("worker connected from {}", comm.peer()));
-                let conn = conns.len();
-                let (out, out_rx) = mpsc::channel();
-                let events = events_tx.clone();
-                let ttl = cfg.ttl;
-                let driver = std::thread::Builder::new()
-                    .name(format!("serve-conn-{conn}"))
-                    .spawn(move || drive(conn, comm, out_rx, events, ttl));
-                if let Err(e) = &driver {
-                    progress(&format!(
-                        "cannot start a driver thread ({e}); dropping connection"
-                    ));
-                }
-                conns.push(Conn {
-                    out: driver.is_ok().then_some(out),
-                    driver: driver.ok(),
-                    ident: None,
-                    suspect: false,
-                    held: Vec::new(),
-                    window: 1,
-                });
-                continue;
-            }
-            Ok(Event::SourceClosed) => {
-                source_open = false;
-                continue;
-            }
-            Ok(Event::Lost { conn: i, why }) => {
-                let conn = &mut conns[i];
-                if conn.alive() {
-                    progress(&format!(
-                        "worker {}: {why}",
-                        conn.ident.as_deref().unwrap_or("?")
-                    ));
-                    conn.kill(table, i, cfg)?;
-                }
-                continue;
-            }
-            Ok(Event::Frame { conn, frame }) => (conn, frame),
-        };
-        let conn = &mut conns[i];
-        if !conn.alive() {
-            // A frame the driver forwarded before its connection was
-            // dropped.
-            continue;
-        }
-        // Any frame proves the worker alive: every lease it holds gets
-        // a fresh deadline.
-        let until = Instant::now() + cfg.ttl;
-        for &(lease_id, idx) in &conn.held {
-            if table.holds(idx, i, lease_id) {
-                table.refresh(idx, until);
-            }
-        }
-        // Set when the frame hands the coordinator its turn to reply.
-        let mut answer = false;
-        match frame {
-            Frame::Hello {
-                role: Role::Worker,
-                ident,
-                detail,
-            } if conn.ident.is_none() => {
-                progress(&format!("hello from worker {ident}"));
-                let entry = manifests.entry(ident.clone()).or_insert(WorkerProvenance {
-                    manifest: String::new(),
-                    leases: 0,
-                });
-                entry.manifest = detail;
-                conn.ident = Some(ident);
-                let hello = Frame::Hello {
-                    role: Role::Coordinator,
-                    ident: "coordinator".to_string(),
-                    detail: spec.clone(),
-                };
-                answer = conn.send(hello);
-                if !answer {
-                    conn.kill(table, i, cfg)?;
-                }
-            }
-            // A worker speaks first; anything else before its Hello is
-            // a protocol violation like any unexpected frame below.
-            Frame::Heartbeat { .. } if conn.ident.is_some() => {
-                HEARTBEATS.add(1);
-                conn.suspect = false;
-            }
-            Frame::Result {
-                lease_id,
-                start,
-                end,
-                csv,
-            } if conn.ident.is_some() => {
-                conn.suspect = false;
-                let range = start as usize..end as usize;
-                let entry = conn.held.iter().position(|&(id, _)| id == lease_id);
-                let verdict = match entry {
-                    Some(at) if table.chunks[conn.held[at].1].range != range => Err(format!(
-                        "lease {lease_id} was granted for points {:?}, not {range:?}",
-                        table.chunks[conn.held[at].1].range
-                    )),
-                    _ => table.accept(lease_id, range, csv),
-                };
-                match verdict {
-                    Ok(fresh_points) => {
-                        if let Some(at) = entry {
-                            conn.held.remove(at);
-                        }
-                        conn.window = LEASE_WINDOW;
-                        if fresh_points > 0 {
-                            points_done += fresh_points;
-                            LEASES_COMPLETED.add(1);
-                            POINTS_DONE.add(fresh_points as u64);
-                            if let Some(p) =
-                                conn.ident.as_ref().and_then(|id| manifests.get_mut(id))
-                            {
-                                p.leases += 1;
-                            }
-                            progress(&format!(
-                                "lease {lease_id} done ({points_done}/{total} points)"
-                            ));
-                        }
-                        answer = true;
-                    }
-                    Err(detail) => {
-                        progress(&format!(
-                            "worker {} sent a bad result ({detail}); dropping connection",
-                            conn.ident.as_deref().unwrap_or("?")
-                        ));
-                        conn.send(Frame::Bye {
-                            reason: format!("bad result: {detail}"),
-                        });
-                        conn.kill(table, i, cfg)?;
-                    }
-                }
-            }
-            Frame::Bye { reason } => {
-                progress(&format!(
-                    "worker {} said bye ({reason})",
-                    conn.ident.as_deref().unwrap_or("?")
-                ));
-                conn.kill(table, i, cfg)?;
-            }
-            other => {
-                progress(&format!(
-                    "unexpected {} frame from {}; dropping connection",
-                    other.name(),
-                    conn.ident.as_deref().unwrap_or("?")
-                ));
-                conn.send(Frame::Bye {
-                    reason: format!("unexpected {} frame", other.name()),
-                });
-                conn.kill(table, i, cfg)?;
-            }
-        }
-        if answer {
-            reply(conns, i, table, &mut next_lease_id, cfg)?;
-        }
-    }
-
-    progress(&format!(
-        "complete: {total} points joined from {} worker(s)",
-        manifests.len()
-    ));
-    Ok(manifests)
+    joined
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perfport_core::STUDY_CSV_HEADER;
 
     #[test]
     fn lease_ranges_tile_any_grid() {
@@ -1109,117 +743,5 @@ mod tests {
         let rendered = artifact.render();
         assert!(rendered.contains("# worker-manifest w0 leases=2"));
         assert_eq!(strip_trailer(&rendered), artifact.csv);
-    }
-
-    #[test]
-    fn duplicate_results_are_idempotent() {
-        let mut table = LeaseTable::new(2, 2);
-        assert_eq!(table.accept(1, 0..2, "x\ny\n".to_string()), Ok(2));
-        assert!(table.finished());
-        // A slow worker's late duplicate contributes nothing and leaves
-        // the stored bytes untouched.
-        assert_eq!(table.accept(2, 0..2, "z\nz\n".to_string()), Ok(0));
-        // A duplicate for a range already Done is ignored before its
-        // lines are counted, so even a malformed one is harmless.
-        assert_eq!(table.accept(3, 0..2, "x\n".to_string()), Ok(0));
-        assert_eq!(table.join(), format!("{STUDY_CSV_HEADER}\nx\ny\n"));
-        // Wrong line counts and unknown ranges are protocol errors.
-        let mut fresh = LeaseTable::new(6, 2);
-        assert!(fresh.accept(4, 4..6, "x\n".to_string()).is_err());
-        assert!(fresh.accept(5, 1..3, "x\ny\n".to_string()).is_err());
-        assert!(fresh.accept(6, 6..8, "x\ny\n".to_string()).is_err());
-        assert_eq!(fresh.done, 0);
-    }
-
-    #[test]
-    fn grants_go_lowest_start_first_and_released_ranges_cool_off() {
-        let cfg = CoordinatorConfig {
-            backoff: Duration::from_secs(3600),
-            ..CoordinatorConfig::default()
-        };
-        let mut table = LeaseTable::new(7, 2);
-        let far = Instant::now() + cfg.ttl;
-        let grant = |table: &mut LeaseTable, conn, lease_id| {
-            let idx = table.next_ready()?;
-            table.lease(idx, conn, lease_id, far);
-            Some(idx)
-        };
-        assert_eq!(grant(&mut table, 0, 1), Some(0));
-        assert_eq!(grant(&mut table, 0, 2), Some(1));
-        assert!(table.holds(1, 0, 2));
-        assert!(!table.holds(1, 0, 1));
-        table.release(0, &cfg).unwrap();
-        // The released range backs off; the next grant skips it.
-        table.promote(Instant::now());
-        assert_eq!(grant(&mut table, 1, 3), Some(2));
-        // Once its backoff ends it is the lowest ready range again.
-        table.promote(Instant::now() + 2 * cfg.backoff);
-        assert_eq!(grant(&mut table, 1, 4), Some(0));
-        assert_eq!(table.chunks[0].attempt, 1);
-    }
-
-    #[test]
-    fn a_late_result_for_a_released_range_takes_it_off_the_ready_set() {
-        let cfg = CoordinatorConfig {
-            backoff: Duration::ZERO,
-            max_retries: 1,
-            ..CoordinatorConfig::default()
-        };
-        let mut table = LeaseTable::new(4, 2);
-        let now = Instant::now();
-        table.lease(0, 0, 1, now);
-        table.release(0, &cfg).unwrap();
-        table.promote(Instant::now());
-        assert_eq!(table.next_ready(), Some(0));
-        assert_eq!(table.accept(1, 0..2, "a\nb\n".to_string()), Ok(2));
-        // Range 0 is done, so the next grant is range 1, and range 1
-        // is the last one to grant.
-        assert_eq!(table.next_ready(), Some(1));
-        table.lease(1, 1, 2, now);
-        assert_eq!(table.next_ready(), None);
-        // A second release of range 1 exceeds the retry budget.
-        table.release(1, &cfg).unwrap();
-        table.promote(Instant::now());
-        table.lease(1, 1, 4, now);
-        assert_eq!(
-            table.release(1, &cfg),
-            Err(ServeError::LeaseExhausted {
-                start: 2,
-                end: 4,
-                attempts: 2
-            })
-        );
-    }
-
-    #[test]
-    fn a_v1_peer_is_answered_with_a_bye_naming_v2() {
-        use crate::comm::Loopback;
-        let (coord_end, mut worker_end) = Loopback::pair();
-        let mut hello = Frame::Hello {
-            role: Role::Worker,
-            ident: "old".to_string(),
-            detail: "{}".to_string(),
-        }
-        .encode();
-        hello[4] = 1;
-        worker_end.send_raw(hello).unwrap();
-        let (tx, rx) = mpsc::channel::<Box<dyn Communicator>>();
-        tx.send(Box::new(coord_end)).unwrap();
-        drop(tx);
-        let cfg = CoordinatorConfig {
-            ids: vec!["fig5c".to_string()],
-            quick: true,
-            deadline: Some(Duration::from_secs(60)),
-            ..CoordinatorConfig::default()
-        };
-        // The only worker is refused, so nobody can serve the grid.
-        assert_eq!(run(rx, &cfg).unwrap_err(), ServeError::NoWorkers);
-        match worker_end.recv_timeout(Duration::from_secs(5)) {
-            Ok(Some(Frame::Bye { reason })) => {
-                assert!(reason.contains("protocol version 1"), "{reason}");
-                assert!(reason.contains("v2"), "{reason}");
-            }
-            other => panic!("expected a Bye, got {other:?}"),
-        }
     }
 }

@@ -62,7 +62,10 @@ pub mod coordinator;
 #[cfg(test)]
 mod fault;
 pub mod frame;
+mod lease;
 pub mod local;
+#[cfg(test)]
+mod sim;
 pub mod worker;
 
 pub use comm::{CommError, Communicator, Loopback};
