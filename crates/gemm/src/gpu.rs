@@ -11,7 +11,7 @@
 
 use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
-use perfport_gpusim::{Dim3, Gpu, LaunchConfig, LaunchError, LaunchStats};
+use perfport_gpusim::{Dim3, Gpu, LaunchConfig, LaunchError, LaunchOptions, LaunchStats};
 use std::fmt;
 
 /// The GPU programming models compared in the paper's Figs. 6–7.
@@ -113,6 +113,17 @@ pub fn gpu_gemm_mixed<I: Scalar, O: Scalar>(
     b: &Matrix<I>,
     block: Dim3,
 ) -> Result<(Matrix<O>, LaunchStats), LaunchError> {
+    launch_naive(gpu, variant, a, b, block, LaunchOptions::default())
+}
+
+fn launch_naive<I: Scalar, O: Scalar>(
+    gpu: &Gpu,
+    variant: GpuVariant,
+    a: &Matrix<I>,
+    b: &Matrix<I>,
+    block: Dim3,
+    opts: LaunchOptions,
+) -> Result<(Matrix<O>, LaunchStats), LaunchError> {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let (m, n, k) = (a.rows(), b.cols(), a.cols());
     let layout = variant.layout();
@@ -130,7 +141,7 @@ pub fn gpu_gemm_mixed<I: Scalar, O: Scalar>(
         Layout::ColMajor => LaunchConfig::cover2d(m as u32, n as u32, block),
     };
 
-    let stats = gpu.launch(cfg, |t| match layout {
+    let stats = gpu.launch_with(cfg, opts, |t| match layout {
         Layout::RowMajor => {
             let (col, row) = t.grid2();
             if row < m && col < n {
@@ -169,6 +180,7 @@ pub fn gpu_gemm_mixed<I: Scalar, O: Scalar>(
 mod tests {
     use super::*;
     use crate::serial::{gemm_flops, gemm_reference_f64};
+    use perfport_gpusim::DeviceClass;
     use perfport_half::F16;
 
     const BLOCK: Dim3 = Dim3::d2(16, 16);
@@ -268,6 +280,71 @@ mod tests {
         assert_eq!(row.loads, col.loads);
         assert_eq!(row.load_transactions, col.load_transactions);
         assert_eq!(row.stores, col.stores);
+    }
+
+    /// Every `LaunchStats` field but the host wall time.
+    fn counters(stats: LaunchStats) -> LaunchStats {
+        LaunchStats {
+            sim_time: Default::default(),
+            ..stats
+        }
+    }
+
+    #[test]
+    fn race_detection_counts_what_a_plain_launch_counts() {
+        // A ragged edge, so some warps diverge. The race detector keeps
+        // every thread's access log beside the warp tally; the counts
+        // must come out as they do without it.
+        let (m, k, n) = (37usize, 13usize, 45usize);
+        let a = Matrix::<f64>::random(m, k, Layout::RowMajor, 11);
+        let b = Matrix::<f64>::random(k, n, Layout::RowMajor, 12);
+        for v in GpuVariant::ALL {
+            let gpu = Gpu::new(v.device_class());
+            let run = |detect_races| {
+                let opts = LaunchOptions {
+                    detect_races,
+                    ..Default::default()
+                };
+                let (c, stats): (Matrix<f64>, _) =
+                    launch_naive(&gpu, v, &a, &b, BLOCK, opts).unwrap();
+                (c, counters(stats))
+            };
+            let (checked, checked_stats) = run(true);
+            let (plain, plain_stats) = run(false);
+            assert!(plain_stats.divergent_warps > 0, "{v}");
+            assert_eq!(checked.as_slice(), plain.as_slice(), "{v}");
+            assert_eq!(checked_stats, plain_stats, "{v}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Serial ≡ parallel for plain launches: every naive kernel gives
+        /// the same output and the same counters, `sim_time` aside, on
+        /// one host thread and on three.
+        #[test]
+        fn naive_host_parallelism_invariance(
+            m in 1usize..50, n in 1usize..50, k in 1usize..40,
+            variant in 0usize..GpuVariant::ALL.len(),
+            amd in proptest::bool::ANY, seed in 0u64..1000,
+        ) {
+            let v = GpuVariant::ALL[variant];
+            let class = if amd { DeviceClass::AmdLike } else { DeviceClass::NvidiaLike };
+            let gpu = Gpu::new(class);
+            let a = Matrix::<f64>::random(m, k, Layout::RowMajor, seed);
+            let b = Matrix::<f64>::random(k, n, Layout::RowMajor, seed + 1);
+            let run = |host_threads| {
+                let opts = LaunchOptions { host_threads, ..Default::default() };
+                let (c, stats): (Matrix<f64>, _) =
+                    launch_naive(&gpu, v, &a, &b, BLOCK, opts).unwrap();
+                (c, counters(stats))
+            };
+            let (serial, serial_stats) = run(1);
+            let (parallel, parallel_stats) = run(3);
+            proptest::prop_assert_eq!(serial.as_slice(), parallel.as_slice());
+            proptest::prop_assert_eq!(serial_stats, parallel_stats);
+        }
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
     ///
     /// Panics on out-of-bounds access — the simulator's equivalent of
     /// `CUDA_ERROR_ILLEGAL_ADDRESS`.
-    #[inline]
+    #[inline(always)]
     pub fn read(&self, ctx: &ThreadCtx, idx: usize) -> T {
         assert!(
             idx < self.data.len(),
@@ -167,7 +167,7 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
     /// # Panics
     ///
     /// Panics on out-of-bounds access.
-    #[inline]
+    #[inline(always)]
     pub fn write(&self, ctx: &ThreadCtx, idx: usize, value: T) {
         assert!(
             idx < self.data.len(),

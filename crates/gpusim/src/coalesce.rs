@@ -3,11 +3,12 @@
 //! Real GPUs service a warp's memory instruction with one transaction per
 //! distinct cache line the lanes touch: 32 adjacent `f32` loads coalesce
 //! into a single 128-byte transaction, while a column-strided pattern
-//! needs one transaction per lane. The simulator reconstructs this from
-//! the per-thread access logs: accesses are grouped by *ordinal* (the
-//! n-th access of each lane corresponds to the same static instruction,
-//! valid because SIMT lanes execute the kernel in lockstep), and each
-//! group is billed `distinct cache lines` transactions.
+//! needs one transaction per lane. The simulator counts this as each
+//! access happens: the n-th access of every lane belongs to the same
+//! static instruction (valid because SIMT lanes execute the kernel in
+//! lockstep), so each access adds its cache line to its *ordinal*'s load
+//! or store lines, and each ordinal is billed its distinct lines when the
+//! warp ends.
 
 use crate::ctx::Access;
 
@@ -35,66 +36,201 @@ pub struct WarpSummary {
 }
 
 /// Analyses the access streams of one warp's lanes (empty streams are
-/// inactive lanes).
+/// inactive lanes), fed into a [`WarpTally`] in lane order.
 pub fn analyze_warp(lanes: &[Vec<Access>], line_bytes: u64) -> WarpSummary {
-    Coalescer::default().analyze(lanes, line_bytes)
+    let mut tally = WarpTally::new(line_bytes, false);
+    for lane in lanes {
+        for a in lane {
+            tally.record(a.addr, a.bytes, a.store, a.atomic);
+        }
+        tally.end_lane();
+    }
+    tally.finish()
 }
 
-/// [`analyze_warp`] with its per-ordinal line buffers kept between warps,
-/// so the engines analyse every warp without allocating.
-#[derive(Debug, Default)]
-pub(crate) struct Coalescer {
-    loads: Lines,
-    stores: Lines,
+/// One warp's global accesses, counted as its lanes make them. The
+/// engines keep one tally per host thread and reuse it for every warp.
+#[derive(Debug)]
+pub(crate) struct WarpTally {
+    line_bytes: u64,
+    /// `log2(line_bytes)` when that is a power of two.
+    line_shift: Option<u32>,
+    /// Per ordinal, the lines its loads and its stores touched.
+    ordinals: Ordinals<[Lines; 2]>,
+    /// Accesses of the shortest finished lane.
+    min_len: usize,
+    summary: WarpSummary,
+    atomics: u64,
+    /// Every access of the running thread, kept for the race detector.
+    log: Option<Vec<Access>>,
 }
 
-impl Coalescer {
-    /// One pass per ordinal sorts each lane's access into the load or the
-    /// store lines; each kind is billed its distinct lines.
-    pub(crate) fn analyze(&mut self, lanes: &[Vec<Access>], line_bytes: u64) -> WarpSummary {
+impl WarpTally {
+    /// A tally for `line_bytes`-byte transactions that keeps each
+    /// thread's accesses when `keep_log` is set.
+    pub(crate) fn new(line_bytes: u64, keep_log: bool) -> Self {
         assert!(line_bytes > 0, "cache line size must be positive");
-        let mut summary = WarpSummary::default();
-        let (min_len, max_len) = lanes.iter().fold((usize::MAX, 0), |(lo, hi), l| {
-            (lo.min(l.len()), hi.max(l.len()))
-        });
-        if max_len == 0 {
-            return summary;
+        WarpTally {
+            line_bytes,
+            line_shift: line_bytes
+                .is_power_of_two()
+                .then(|| line_bytes.trailing_zeros()),
+            ordinals: Ordinals::default(),
+            min_len: usize::MAX,
+            summary: WarpSummary::default(),
+            atomics: 0,
+            log: keep_log.then(Vec::new),
         }
-        summary.active = true;
-        // Divergence: a lane whose stream is shorter than the longest
-        // (masked off by a guard), or an ordinal where some lanes load
-        // and others store.
-        summary.divergent = min_len != max_len;
+    }
 
-        let shift = line_bytes.trailing_zeros();
-        let pow2 = line_bytes.is_power_of_two();
-        for ordinal in 0..max_len {
-            self.loads.clear();
-            self.stores.clear();
-            for a in lanes.iter().filter_map(|lane| lane.get(ordinal)) {
-                let line = if pow2 {
-                    a.addr >> shift
-                } else {
-                    a.addr / line_bytes
-                };
-                if a.store {
-                    self.stores.push(line);
-                    summary.stores += 1;
-                    summary.store_bytes += a.bytes as u64;
-                } else {
-                    self.loads.push(line);
-                    summary.loads += 1;
-                    summary.load_bytes += a.bytes as u64;
-                }
-            }
-            if !self.loads.is_empty() && !self.stores.is_empty() {
-                summary.divergent = true;
-            }
-            summary.load_transactions += self.loads.distinct();
-            summary.store_transactions += self.stores.distinct();
+    /// Empties the tally, forgetting a warp left unfinished (one whose
+    /// lane failed partway).
+    pub(crate) fn clear(&mut self) {
+        self.ordinals.clear(|[loads, stores]| {
+            loads.clear();
+            stores.clear();
+        });
+        self.min_len = usize::MAX;
+        self.summary = WarpSummary::default();
+        self.atomics = 0;
+        if let Some(log) = &mut self.log {
+            log.clear();
         }
+    }
+
+    /// Counts the running lane's next access. This runs inside every
+    /// kernel load and store, so only the common case stays inline: an
+    /// ordinal some lane has opened, a line the previous lane touched.
+    #[inline(always)]
+    pub(crate) fn record(&mut self, addr: u64, bytes: u8, store: bool, atomic: bool) {
+        let line = match self.line_shift {
+            Some(shift) => addr >> shift,
+            None => addr / self.line_bytes,
+        };
+        let [loads, stores] = self.ordinals.next();
+        let s = &mut self.summary;
+        if store {
+            stores.push(line);
+            s.stores += 1;
+            s.store_bytes += bytes as u64;
+        } else {
+            loads.push(line);
+            s.loads += 1;
+            s.load_bytes += bytes as u64;
+        }
+        self.atomics += atomic as u64;
+        if let Some(log) = &mut self.log {
+            push_cold(
+                log,
+                Access {
+                    addr,
+                    bytes,
+                    store,
+                    atomic,
+                },
+            );
+        }
+    }
+
+    /// Closes the running lane.
+    #[inline]
+    pub(crate) fn end_lane(&mut self) {
+        self.min_len = self.min_len.min(self.ordinals.next_lane());
+    }
+
+    /// Takes the running thread's access log (empty unless kept).
+    pub(crate) fn take_log(&mut self) -> Vec<Access> {
+        self.log.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Atomic operations counted since the last [`WarpTally::finish`].
+    pub(crate) fn atomics(&self) -> u64 {
+        self.atomics
+    }
+
+    /// Bills each ordinal its distinct lines, returns the warp's summary
+    /// and leaves the tally empty for the next warp.
+    pub(crate) fn finish(&mut self) -> WarpSummary {
+        let mut summary = self.summary;
+        let in_use = self.ordinals.in_use();
+        if !in_use.is_empty() {
+            summary.active = true;
+            // A lane shorter than the longest was masked off by a guard.
+            summary.divergent |= self.min_len != in_use.len();
+            for [loads, stores] in in_use {
+                // Some lanes loading and others storing at one ordinal
+                // took different paths.
+                summary.divergent |= !loads.is_empty() && !stores.is_empty();
+                summary.load_transactions += loads.distinct();
+                summary.store_transactions += stores.distinct();
+            }
+        }
+        self.clear();
         summary
     }
+}
+
+/// Per-instruction state of one warp. SIMT lanes run a kernel in
+/// lockstep, so the n-th access of every lane is the warp's n-th
+/// instruction, its *ordinal*. Lanes run one after another; the slots
+/// are kept between warps, so a warp allocates only when it is longer
+/// than any before it.
+#[derive(Debug, Default)]
+pub(crate) struct Ordinals<T> {
+    slots: Vec<T>,
+    /// Slots in use: the longest lane so far.
+    used: usize,
+    /// Accesses of the running lane.
+    lane_len: usize,
+}
+
+impl<T: Default> Ordinals<T> {
+    /// The slot of the running lane's next access.
+    #[inline(always)]
+    pub(crate) fn next(&mut self) -> &mut T {
+        let ordinal = self.lane_len;
+        self.lane_len += 1;
+        if ordinal == self.used {
+            self.open();
+        }
+        &mut self.slots[ordinal]
+    }
+
+    /// Puts the next slot in use, for the first lane to reach it.
+    #[cold]
+    #[inline(never)]
+    fn open(&mut self) {
+        if self.used == self.slots.len() {
+            self.slots.push(T::default());
+        }
+        self.used += 1;
+    }
+
+    /// Closes the running lane and returns its number of accesses; the
+    /// next access starts a lane at ordinal 0.
+    #[inline]
+    pub(crate) fn next_lane(&mut self) -> usize {
+        std::mem::take(&mut self.lane_len)
+    }
+
+    /// The slots the warp has used so far.
+    pub(crate) fn in_use(&mut self) -> &mut [T] {
+        &mut self.slots[..self.used]
+    }
+
+    /// Applies `reset` to every slot in use and starts a new warp.
+    pub(crate) fn clear(&mut self, reset: impl FnMut(&mut T)) {
+        self.in_use().iter_mut().for_each(reset);
+        self.used = 0;
+        self.lane_len = 0;
+    }
+}
+
+/// Appends an access to a race-detection log, out of the kernel's line.
+#[cold]
+#[inline(never)]
+fn push_cold(log: &mut Vec<Access>, access: Access) {
+    log.push(access);
 }
 
 /// The cache lines one access kind touched at one ordinal, with repeats
@@ -103,21 +239,27 @@ impl Coalescer {
 #[derive(Debug, Default)]
 struct Lines {
     runs: Vec<u64>,
-    ascending: bool,
+    unsorted: bool,
 }
 
 impl Lines {
     fn clear(&mut self) {
         self.runs.clear();
-        self.ascending = true;
+        self.unsorted = false;
     }
 
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, line: u64) {
-        match self.runs.last() {
-            Some(&last) if last == line => return,
-            Some(&last) if last > line => self.ascending = false,
-            _ => {}
+        if self.runs.last() != Some(&line) {
+            self.push_new(line);
+        }
+    }
+
+    /// A line other than the previous one: rarer, and kept out of line.
+    #[inline(never)]
+    fn push_new(&mut self, line: u64) {
+        if self.runs.last().is_some_and(|&last| last > line) {
+            self.unsorted = true;
         }
         self.runs.push(line);
     }
@@ -128,7 +270,7 @@ impl Lines {
 
     /// Number of distinct lines.
     fn distinct(&mut self) -> u64 {
-        if !self.ascending {
+        if self.unsorted {
             self.runs.sort_unstable();
             self.runs.dedup();
         }
@@ -271,7 +413,7 @@ mod tests {
 }
 
 /// The analysis before its single-pass rewrite, kept verbatim as the
-/// oracle the rewrite must match on arbitrary lane streams.
+/// oracle the per-access tally must match on arbitrary lane streams.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -394,20 +536,60 @@ mod oracle {
         (0usize..3).prop_map(|i| [64, 128, 96][i])
     }
 
+    /// Feeds `lanes` into `tally` one lane at a time, as the engines do.
+    fn feed(tally: &mut WarpTally, lanes: &[Vec<Access>]) {
+        for lane in lanes {
+            for a in lane {
+                tally.record(a.addr, a.bytes, a.store, a.atomic);
+            }
+            tally.end_lane();
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
         fn single_pass_matches_the_reference(
-            lanes in warp(),
+            first in warp(),
+            second in warp(),
             line_bytes in line_bytes(),
         ) {
-            let expected = reference_analyze_warp(&lanes, line_bytes);
-            prop_assert_eq!(analyze_warp(&lanes, line_bytes), expected);
-            // A reused coalescer carries nothing over between warps.
-            let mut reused = Coalescer::default();
-            reused.analyze(&lanes, line_bytes);
-            prop_assert_eq!(reused.analyze(&lanes, line_bytes), expected);
+            prop_assert_eq!(
+                analyze_warp(&first, line_bytes),
+                reference_analyze_warp(&first, line_bytes)
+            );
+            // One tally serves both warps, as it serves every warp of a
+            // host thread.
+            let mut tally = WarpTally::new(line_bytes, false);
+            for lanes in [&first, &second] {
+                feed(&mut tally, lanes);
+                prop_assert_eq!(tally.finish(), reference_analyze_warp(lanes, line_bytes));
+            }
+        }
+
+        #[test]
+        fn an_abandoned_warp_leaves_nothing_behind(
+            first in warp(),
+            cut in 0usize..64,
+            second in warp(),
+            line_bytes in line_bytes(),
+        ) {
+            // The first warp stops partway through lane `cut`, as when a
+            // lane fails; the engine clears the tally before its next warp.
+            let mut tally = WarpTally::new(line_bytes, true);
+            let cut = cut.min(first.len());
+            feed(&mut tally, &first[..cut]);
+            if let Some(lane) = first.get(cut) {
+                for a in &lane[..lane.len() / 2] {
+                    tally.record(a.addr, a.bytes, a.store, a.atomic);
+                }
+            }
+            tally.clear();
+            prop_assert!(tally.take_log().is_empty());
+            prop_assert_eq!(tally.atomics(), 0);
+            feed(&mut tally, &second);
+            prop_assert_eq!(tally.finish(), reference_analyze_warp(&second, line_bytes));
         }
     }
 }

@@ -12,6 +12,7 @@
 //! [`LaunchError::BarrierDivergence`].
 
 use crate::buffer::DeviceCopy;
+use crate::coalesce::Ordinals;
 use crate::ctx::ThreadCtx;
 use crate::driver::{drive_blocks, host_threads, WarpLanes};
 use crate::launch::{Gpu, LaunchConfig, LaunchError, LaunchOptions};
@@ -29,58 +30,46 @@ pub struct SharedMem<T> {
     data: Vec<Cell<T>>,
     loads: Cell<u64>,
     stores: Cell<u64>,
-    /// Lane currently executing (set by the engine) and that lane's
-    /// access-ordinal streams, for the bank-conflict analysis.
-    lane: Cell<usize>,
-    lane_streams: RefCell<Vec<Vec<u32>>>,
-    /// Scratch for [`bank_conflicts`].
-    bank_slots: Vec<u32>,
+    banks: RefCell<BankTally>,
 }
 
 /// Number of shared-memory banks (NVIDIA and CDNA both use 32).
 pub const SMEM_BANKS: usize = 32;
 
 impl<T: DeviceCopy> SharedMem<T> {
-    fn new(len: usize, init: T, warp: usize) -> Self {
+    fn new(len: usize, init: T) -> Self {
         SharedMem {
             data: vec![Cell::new(init); len],
             loads: Cell::new(0),
             stores: Cell::new(0),
-            lane: Cell::new(0),
-            lane_streams: RefCell::new(vec![Vec::new(); warp]),
-            bank_slots: Vec::new(),
+            banks: RefCell::new(BankTally::default()),
         }
     }
 
-    /// Returns the memory to its state at the start of a block.
+    /// Returns the memory to its state at the start of a block, and
+    /// forgets a warp left unfinished.
     fn reset(&mut self, init: T) {
         self.data.iter_mut().for_each(|x| *x.get_mut() = init);
         self.loads.set(0);
         self.stores.set(0);
-        self.lane_streams.get_mut().iter_mut().for_each(Vec::clear);
+        self.banks.get_mut().drain();
     }
 
-    fn set_lane(&self, lane: usize) {
-        self.lane.set(lane);
+    /// Starts the next lane's accesses at ordinal 0.
+    fn begin_lane(&self) {
+        self.banks.borrow_mut().ordinals.next_lane();
     }
 
-    #[inline]
+    #[inline(always)]
     fn record(&self, idx: usize) {
-        let mut streams = self.lane_streams.borrow_mut();
-        let lane = self.lane.get();
-        if lane < streams.len() {
-            streams[lane].push(idx as u32);
-        }
+        self.banks.borrow_mut().record(idx as u32);
     }
 
-    /// Analyses the recorded lane streams for bank conflicts and clears
-    /// them. Returns the number of *extra* serialised passes (degree − 1
-    /// summed over warp instructions): 0 means conflict-free.
+    /// Returns the warp's bank-conflict count and clears the tally: the
+    /// number of *extra* serialised passes (degree − 1 summed over warp
+    /// instructions), 0 when conflict-free.
     fn drain_conflicts(&mut self) -> u64 {
-        let streams = self.lane_streams.get_mut();
-        let conflicts = bank_conflicts(streams, &mut self.bank_slots);
-        streams.iter_mut().for_each(Vec::clear);
-        conflicts
+        self.banks.get_mut().drain()
     }
 
     /// Number of elements.
@@ -98,6 +87,7 @@ impl<T: DeviceCopy> SharedMem<T> {
     /// # Panics
     ///
     /// Panics out of bounds.
+    #[inline(always)]
     pub fn read(&self, idx: usize) -> T {
         self.loads.set(self.loads.get() + 1);
         self.record(idx);
@@ -109,6 +99,7 @@ impl<T: DeviceCopy> SharedMem<T> {
     /// # Panics
     ///
     /// Panics out of bounds.
+    #[inline(always)]
     pub fn write(&self, idx: usize, value: T) {
         self.stores.set(self.stores.get() + 1);
         self.record(idx);
@@ -116,33 +107,78 @@ impl<T: DeviceCopy> SharedMem<T> {
     }
 }
 
-/// Bank-conflict cost of one warp whose lanes issued `streams` of
-/// shared-memory indices, the n-th entries forming one instruction. A
-/// bank replays once per *distinct address* it must serve; lanes reading
-/// the same address are a free broadcast. An instruction's cost is its
-/// worst bank's replay count minus one. `slots` is scratch holding, per
-/// bank, the distinct addresses seen at the current ordinal.
-fn bank_conflicts(streams: &[Vec<u32>], slots: &mut Vec<u32>) -> u64 {
-    let warp = streams.len();
-    slots.resize(SMEM_BANKS * warp, 0);
-    let max_len = streams.iter().map(Vec::len).max().unwrap_or(0);
-    let mut conflicts = 0u64;
-    for ordinal in 0..max_len {
-        let mut counts = [0usize; SMEM_BANKS];
-        let mut worst = 0;
-        for &idx in streams.iter().filter_map(|s| s.get(ordinal)) {
-            let bank = idx as usize % SMEM_BANKS;
-            let seen = &mut slots[bank * warp..(bank + 1) * warp];
-            let n = &mut counts[bank];
-            if !seen[..*n].contains(&idx) {
-                seen[*n] = idx;
-                *n += 1;
-                worst = worst.max(*n);
-            }
+/// One warp's bank-conflict cost, counted as its lanes access shared
+/// memory, the n-th access of every lane forming one instruction. A bank
+/// replays once per *distinct address* it must serve; lanes reading the
+/// same address are a free broadcast. An instruction's cost is its worst
+/// bank's replay count minus one, which is the worst bank's count of
+/// distinct indices beyond its first.
+#[derive(Debug, Default)]
+struct BankTally {
+    ordinals: Ordinals<BankOrdinal>,
+    /// Sum of every ordinal's cost so far.
+    conflicts: u64,
+}
+
+/// The banks one shared-memory instruction of a warp has touched.
+#[derive(Debug, Clone, Default)]
+struct BankOrdinal {
+    /// Banks in use.
+    mask: u32,
+    /// The first index each bank in use served.
+    first: [u32; SMEM_BANKS],
+    /// Further distinct indices, any bank.
+    extras: Vec<u32>,
+    /// The most extras any one bank holds: the instruction's cost.
+    worst: u32,
+}
+
+impl BankTally {
+    /// Counts the running lane's next access, of index `idx`.
+    #[inline(always)]
+    fn record(&mut self, idx: u32) {
+        let o = self.ordinals.next();
+        let bank = idx as usize % SMEM_BANKS;
+        if o.mask & (1 << bank) == 0 {
+            o.mask |= 1 << bank;
+            o.first[bank] = idx;
+        } else if o.first[bank] != idx {
+            self.conflicts += o.add_extra(idx);
         }
-        conflicts += (worst as u64).saturating_sub(1);
     }
-    conflicts
+
+    /// Takes the cost counted so far and empties the tally.
+    fn drain(&mut self) -> u64 {
+        self.ordinals.clear(|o| {
+            o.mask = 0;
+            o.extras.clear();
+            o.worst = 0;
+        });
+        std::mem::take(&mut self.conflicts)
+    }
+}
+
+impl BankOrdinal {
+    /// Adds `idx`, a second or later index in its bank, unless already
+    /// seen; returns how much the instruction's cost grew (0 or 1).
+    #[inline(never)]
+    fn add_extra(&mut self, idx: u32) -> u64 {
+        let bank = idx % SMEM_BANKS as u32;
+        let mut in_bank = 1;
+        for &e in &self.extras {
+            if e == idx {
+                return 0;
+            }
+            in_bank += (e % SMEM_BANKS as u32 == bank) as u32;
+        }
+        self.extras.push(idx);
+        if in_bank > self.worst {
+            self.worst = in_bank;
+            1
+        } else {
+            0
+        }
+    }
 }
 
 /// A kernel whose execution is split into barrier-separated phases.
@@ -216,8 +252,8 @@ impl Gpu {
             class.transaction_bytes(),
             || {
                 (
-                    WarpLanes::new(class, cfg),
-                    SharedMem::new(smem_len, smem_init, class.warp_size() as usize),
+                    WarpLanes::new(class, cfg, false),
+                    SharedMem::new(smem_len, smem_init),
                     Vec::new(),
                 )
             },
@@ -229,8 +265,8 @@ impl Gpu {
                 loop {
                     let mut want_more = None;
                     for w in 0..lanes.warps_per_block() {
-                        lanes.run_warp(w, block_idx, local, |lane, lin, ctx| {
-                            shared.set_lane(lane);
+                        lanes.run_warp(w, block_idx, local, |lin, ctx| {
+                            shared.begin_lane();
                             let more = kernel.phase(phase, ctx, &mut states[lin as usize], shared);
                             if *want_more.get_or_insert(more) != more {
                                 return Err(LaunchError::BarrierDivergence {
@@ -566,7 +602,7 @@ mod bank_conflict_tests {
 }
 
 /// The bank-conflict count before its allocation-free rewrite, kept as
-/// the oracle the rewrite must match. The body is the old
+/// the oracle the per-access tally must match. The body is the old
 /// `SharedMem::drain_conflicts` verbatim, taking the lane streams as an
 /// argument instead of borrowing them from `self`.
 #[cfg(test)]
@@ -633,18 +669,51 @@ mod oracle {
             })
     }
 
+    /// Runs `streams` through `shared` one lane at a time, as the
+    /// cooperative engine does.
+    fn feed(shared: &SharedMem<f32>, streams: &[Vec<u32>]) {
+        for stream in streams {
+            shared.begin_lane();
+            for &idx in stream {
+                shared.read(idx as usize);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
         fn slot_count_matches_the_reference(first in streams(), second in streams()) {
-            // One scratch serves both warps, as it serves every warp of
-            // a host thread.
-            let mut slots = Vec::new();
+            // One shared memory serves both warps, as it serves every
+            // warp of a host thread.
+            let mut shared = SharedMem::new(2048, 0.0f32);
             for mut streams in [first, second] {
-                let got = bank_conflicts(&streams, &mut slots);
+                feed(&shared, &streams);
+                let got = shared.drain_conflicts();
                 prop_assert_eq!(got, reference_drain_conflicts(&mut streams));
             }
+        }
+
+        #[test]
+        fn an_abandoned_warp_leaves_nothing_behind(
+            first in streams(),
+            cut in 0usize..64,
+            mut second in streams(),
+        ) {
+            // The first warp stops partway through lane `cut`, as when a
+            // lane reports barrier divergence; the next block resets the
+            // memory before its first warp.
+            let mut shared = SharedMem::new(2048, 0.0f32);
+            let cut = cut.min(first.len());
+            feed(&shared, &first[..cut]);
+            if let Some(stream) = first.get(cut) {
+                feed(&shared, &[stream[..stream.len() / 2].to_vec()]);
+            }
+            shared.reset(0.0);
+            feed(&shared, &second);
+            let got = shared.drain_conflicts();
+            prop_assert_eq!(got, reference_drain_conflicts(&mut second));
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Per-thread kernel context: CUDA-style indices plus instrumentation.
 
+use crate::coalesce::WarpTally;
 use crate::device::DeviceClass;
 use crate::dim::Dim3;
+use crate::stats::LaunchStats;
 use std::cell::{Cell, RefCell};
 
 /// One recorded global-memory access.
@@ -18,16 +20,12 @@ pub struct Access {
     pub atomic: bool,
 }
 
-/// Per-thread non-memory observations collected during execution.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Observations {
-    pub flops: u64,
-    pub atomics: u64,
-}
-
 /// The view a kernel thread has of itself — `threadIdx`, `blockIdx`,
 /// `blockDim`, `gridDim` — plus the hooks the simulator uses to observe
-/// the thread (memory access log, flop tally).
+/// the thread (the warp's access tally, the flop count).
+///
+/// An engine keeps one context per host thread and points it at each GPU
+/// thread in turn, so the counts of a whole warp gather in one tally.
 pub struct ThreadCtx {
     /// `blockIdx`.
     pub block_idx: Dim3,
@@ -40,32 +38,27 @@ pub struct ThreadCtx {
     /// The device class executing this thread.
     pub device: DeviceClass,
     flops: Cell<u64>,
-    atomics: Cell<u64>,
-    log: RefCell<Vec<Access>>,
+    tally: RefCell<WarpTally>,
 }
 
 impl ThreadCtx {
-    /// A context that records into `log`, cleared first. The engines hand
-    /// each lane's log back in after the warp's analysis, so a log's
-    /// allocation serves every thread that lane runs.
-    pub(crate) fn with_log(
+    /// A context for the threads of a `grid_dim` × `block_dim` launch on
+    /// `device`, at thread 0 of block 0. It keeps each thread's accesses
+    /// for the race detector when `keep_log` is set.
+    pub(crate) fn new(
         device: DeviceClass,
         grid_dim: Dim3,
         block_dim: Dim3,
-        block_idx: Dim3,
-        thread_idx: Dim3,
-        mut log: Vec<Access>,
+        keep_log: bool,
     ) -> Self {
-        log.clear();
         ThreadCtx {
-            block_idx,
-            thread_idx,
+            block_idx: Dim3::at1(0),
+            thread_idx: Dim3::at1(0),
             grid_dim,
             block_dim,
             device,
             flops: Cell::new(0),
-            atomics: Cell::new(0),
-            log: RefCell::new(log),
+            tally: RefCell::new(WarpTally::new(device.transaction_bytes(), keep_log)),
         }
     }
 
@@ -126,50 +119,46 @@ impl ThreadCtx {
         self.flops.set(self.flops.get() + n);
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn record_load(&self, addr: u64, bytes: u8) {
-        self.log.borrow_mut().push(Access {
-            addr,
-            bytes,
-            store: false,
-            atomic: false,
-        });
+        self.tally.borrow_mut().record(addr, bytes, false, false);
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn record_store(&self, addr: u64, bytes: u8) {
-        self.log.borrow_mut().push(Access {
-            addr,
-            bytes,
-            store: true,
-            atomic: false,
-        });
+        self.tally.borrow_mut().record(addr, bytes, true, false);
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn record_atomic(&self, addr: u64, bytes: u8) {
-        self.atomics.set(self.atomics.get() + 1);
-        self.log.borrow_mut().push(Access {
-            addr,
-            bytes,
-            store: true,
-            atomic: true,
-        });
+        self.tally.borrow_mut().record(addr, bytes, true, true);
     }
 
-    /// A copy of the accesses recorded so far.
-    pub(crate) fn log_copy(&self) -> Vec<Access> {
-        self.log.borrow().clone()
+    /// Takes this thread's accesses: empty unless the context keeps them.
+    pub(crate) fn take_log(&self) -> Vec<Access> {
+        self.tally.borrow_mut().take_log()
     }
 
-    pub(crate) fn take_observations(self) -> (Observations, Vec<Access>) {
-        (
-            Observations {
-                flops: self.flops.get(),
-                atomics: self.atomics.get(),
-            },
-            self.log.into_inner(),
-        )
+    /// Starts a warp of `block_idx`, forgetting a warp left unfinished
+    /// (one whose lane failed).
+    pub(crate) fn begin_warp(&mut self, block_idx: Dim3) {
+        self.block_idx = block_idx;
+        self.flops.set(0);
+        self.tally.get_mut().clear();
+    }
+
+    /// Closes the current thread's lane of the warp.
+    #[inline]
+    pub(crate) fn end_lane(&mut self) {
+        self.tally.get_mut().end_lane();
+    }
+
+    /// Adds the finished warp's flops, atomics and coalescing to `stats`.
+    pub(crate) fn finish_warp(&mut self, stats: &mut LaunchStats) {
+        let tally = self.tally.get_mut();
+        stats.flops += self.flops.take();
+        stats.atomic_ops += tally.atomics();
+        stats.absorb_warp(&tally.finish());
     }
 }
 
@@ -178,14 +167,15 @@ mod tests {
     use super::*;
 
     fn ctx(block_idx: Dim3, thread_idx: Dim3) -> ThreadCtx {
-        ThreadCtx::with_log(
+        let mut c = ThreadCtx::new(
             DeviceClass::NvidiaLike,
             Dim3::d2(4, 4),
             Dim3::d2(8, 8),
-            block_idx,
-            thread_idx,
-            Vec::new(),
-        )
+            false,
+        );
+        c.block_idx = block_idx;
+        c.thread_idx = thread_idx;
+        c
     }
 
     #[test]
@@ -214,9 +204,11 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let grid = Dim3::d2(2, 2);
         let block = Dim3::d2(4, 4);
+        let mut c = ThreadCtx::new(DeviceClass::NvidiaLike, grid, block, false);
         for b in grid.iter() {
             for t in block.iter() {
-                let c = ThreadCtx::with_log(DeviceClass::NvidiaLike, grid, block, b, t, Vec::new());
+                c.block_idx = b;
+                c.thread_idx = t;
                 assert!(seen.insert(c.global_linear()));
             }
         }
@@ -225,59 +217,72 @@ mod tests {
 
     #[test]
     fn flop_tally_accumulates() {
-        let c = ctx(Dim3::at2(0, 0), Dim3::at2(0, 0));
+        let mut c = ctx(Dim3::at2(0, 0), Dim3::at2(0, 0));
+        c.begin_warp(Dim3::at2(0, 0));
         c.tally_flops(10);
         c.tally_flops(32);
-        let (obs, log) = c.take_observations();
-        assert_eq!(obs.flops, 42);
-        assert_eq!(obs.atomics, 0);
-        assert!(log.is_empty());
+        c.end_lane();
+        let mut stats = LaunchStats::default();
+        c.finish_warp(&mut stats);
+        assert_eq!(stats.flops, 42);
+        assert_eq!(stats.atomic_ops, 0);
+        assert_eq!(stats.active_warps, 0);
+    }
+
+    #[test]
+    fn a_warp_tallies_its_lanes_flops_and_accesses() {
+        let mut c = ctx(Dim3::at2(0, 0), Dim3::at2(0, 0));
+        c.begin_warp(Dim3::at2(0, 0));
+        for lane in 0..2 {
+            c.tally_flops(10);
+            c.tally_flops(11);
+            c.record_load(0x100 + lane * 8, 8);
+            c.record_atomic(0x200, 4);
+            c.end_lane();
+        }
+        let mut stats = LaunchStats::default();
+        c.finish_warp(&mut stats);
+        assert_eq!(stats.flops, 42);
+        assert_eq!(stats.atomic_ops, 2);
+        assert_eq!((stats.loads, stats.stores), (2, 2));
+        assert_eq!((stats.load_bytes, stats.store_bytes), (16, 8));
+        assert_eq!((stats.load_transactions, stats.store_transactions), (1, 1));
+        assert_eq!((stats.active_warps, stats.divergent_warps), (1, 0));
+        assert!(c.take_log().is_empty(), "no log unless kept");
+    }
+
+    #[test]
+    fn an_unfinished_warp_is_forgotten() {
+        let mut c = ctx(Dim3::at2(0, 0), Dim3::at2(0, 0));
+        c.begin_warp(Dim3::at2(0, 0));
+        c.tally_flops(5);
+        c.record_store(0x100, 8);
+        c.begin_warp(Dim3::at2(1, 0));
+        assert_eq!(c.block_idx, Dim3::at2(1, 0));
+        let mut stats = LaunchStats::default();
+        c.finish_warp(&mut stats);
+        assert_eq!(stats, LaunchStats::default());
     }
 
     #[test]
     fn access_log_preserves_order_and_kind() {
-        let c = ctx(Dim3::at2(0, 0), Dim3::at2(0, 0));
+        let c = ThreadCtx::new(DeviceClass::NvidiaLike, Dim3::d1(1), Dim3::d1(32), true);
         c.record_load(0x100, 8);
         c.record_store(0x200, 4);
-        let (_, log) = c.take_observations();
+        let log = c.take_log();
         assert_eq!(log.len(), 2);
         assert!(!log[0].store);
         assert_eq!(log[0].addr, 0x100);
         assert!(log[1].store);
         assert_eq!(log[1].bytes, 4);
-    }
-
-    #[test]
-    fn recycled_log_starts_empty_and_keeps_its_allocation() {
-        let c = ctx(Dim3::at2(0, 0), Dim3::at2(0, 0));
-        c.record_load(0x100, 8);
-        let (_, log) = c.take_observations();
-        let capacity = log.capacity();
-        let c = ThreadCtx::with_log(
-            DeviceClass::NvidiaLike,
-            Dim3::d1(1),
-            Dim3::d1(32),
-            Dim3::at1(0),
-            Dim3::at1(1),
-            log,
-        );
-        c.record_store(0x200, 4);
-        let (_, log) = c.take_observations();
-        assert_eq!(log.len(), 1);
-        assert!(log[0].store);
-        assert_eq!(log.capacity(), capacity);
+        c.record_atomic(0x300, 8);
+        assert_eq!(c.take_log().len(), 1, "each take starts a fresh log");
     }
 
     #[test]
     fn amd_wavefront_width() {
-        let c = ThreadCtx::with_log(
-            DeviceClass::AmdLike,
-            Dim3::d1(1),
-            Dim3::d1(128),
-            Dim3::at1(0),
-            Dim3::at1(100),
-            Vec::new(),
-        );
+        let mut c = ThreadCtx::new(DeviceClass::AmdLike, Dim3::d1(1), Dim3::d1(128), false);
+        c.thread_idx = Dim3::at1(100);
         assert_eq!(c.warp_in_block(), 1);
         assert_eq!(c.lane(), 36);
     }

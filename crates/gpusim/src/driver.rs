@@ -4,16 +4,22 @@
 //! launch error — stops every host thread from claiming further blocks and
 //! reaches the caller unchanged.
 
-use crate::coalesce::Coalescer;
-use crate::ctx::{Access, ThreadCtx};
+use crate::ctx::ThreadCtx;
 use crate::device::DeviceClass;
 use crate::dim::Dim3;
 use crate::launch::{LaunchConfig, LaunchError};
 use crate::stats::LaunchStats;
-use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`. No kernel runs while the driver's locks are held, and each
+/// block runs under `catch_unwind`, so a poisoned lock guards nothing
+/// broken and is taken as it is.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Host threads for a launch of `n_blocks` blocks: `requested`, or one per
 /// available core when it is 0, but never more than there are blocks.
@@ -60,75 +66,76 @@ where
     });
     let fault: Mutex<Option<Fault>> = Mutex::new(None);
 
-    std::thread::scope(|s| {
-        for _ in 0..host_threads {
-            s.spawn(|| {
-                let mut scratch = init();
-                let mut local = LaunchStats {
-                    line_bytes,
-                    ..Default::default()
-                };
-                while fault.lock().is_none() {
-                    let b = next_block.fetch_add(1, Ordering::Relaxed);
-                    if b >= n_blocks {
-                        break;
-                    }
-                    local.blocks += 1;
-                    local.threads += cfg.block.count();
-                    let block_idx = cfg.grid.delinearize(b);
-                    let failed = match catch_unwind(AssertUnwindSafe(|| {
-                        body(&mut scratch, block_idx, &mut local)
-                    })) {
-                        Ok(Ok(())) => continue,
-                        Ok(Err(err)) => Fault::Error(err),
-                        Err(payload) => Fault::Panic(payload),
-                    };
-                    fault.lock().get_or_insert(failed);
-                    return;
-                }
-                totals.lock().merge(&local);
-            });
+    // The calling thread is one of the host threads.
+    let worker = || {
+        let mut scratch = init();
+        let mut local = LaunchStats {
+            line_bytes,
+            ..Default::default()
+        };
+        while lock(&fault).is_none() {
+            let b = next_block.fetch_add(1, Ordering::Relaxed);
+            if b >= n_blocks {
+                break;
+            }
+            local.blocks += 1;
+            local.threads += cfg.block.count();
+            let block_idx = cfg.grid.delinearize(b);
+            let failed = match catch_unwind(AssertUnwindSafe(|| {
+                body(&mut scratch, block_idx, &mut local)
+            })) {
+                Ok(Ok(())) => continue,
+                Ok(Err(err)) => Fault::Error(err),
+                Err(payload) => Fault::Panic(payload),
+            };
+            lock(&fault).get_or_insert(failed);
+            return;
         }
+        lock(&totals).merge(&local);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..host_threads {
+            s.spawn(worker);
+        }
+        worker();
     });
 
-    match fault.into_inner() {
+    match fault.into_inner().unwrap_or_else(PoisonError::into_inner) {
         Some(Fault::Panic(payload)) => resume_unwind(payload),
         Some(Fault::Error(err)) => Err(err),
-        None => Ok(totals.into_inner()),
+        None => Ok(totals.into_inner().unwrap_or_else(PoisonError::into_inner)),
     }
 }
 
-/// One host thread's lane logs, recycled across every warp it runs, and
-/// the coalescing scratch that analyses them.
+/// One host thread's view of a launch's warps: the context it points at
+/// each GPU thread in turn, whose tally counts a warp as its lanes run.
 pub(crate) struct WarpLanes {
-    class: DeviceClass,
-    cfg: LaunchConfig,
+    ctx: ThreadCtx,
     /// `threadIdx` of every thread of a block, by linear index.
     thread_idx: Vec<Dim3>,
-    logs: Vec<Vec<Access>>,
-    coalescer: Coalescer,
+    warp: u64,
 }
 
 impl WarpLanes {
-    pub(crate) fn new(class: DeviceClass, cfg: LaunchConfig) -> Self {
+    /// Warp scratch for `cfg` on `class`, keeping each thread's accesses
+    /// for the race detector when `keep_log` is set.
+    pub(crate) fn new(class: DeviceClass, cfg: LaunchConfig, keep_log: bool) -> Self {
         WarpLanes {
-            class,
-            cfg,
+            ctx: ThreadCtx::new(class, cfg.grid, cfg.block, keep_log),
             thread_idx: cfg.block.iter().collect(),
-            logs: vec![Vec::new(); class.warp_size() as usize],
-            coalescer: Coalescer::default(),
+            warp: class.warp_size() as u64,
         }
     }
 
     /// Warps in one block, the last one possibly partial.
     pub(crate) fn warps_per_block(&self) -> u64 {
-        (self.thread_idx.len() as u64).div_ceil(self.logs.len() as u64)
+        (self.thread_idx.len() as u64).div_ceil(self.warp)
     }
 
-    /// Runs warp `w` of `block_idx`: `thread(lane, lin, ctx)` runs the
-    /// thread at linear index `lin` in the block, recording into `lane`'s
-    /// log. Counts the warp, its flops and atomics and its coalescing
-    /// into `local`; the first error ends the warp.
+    /// Runs warp `w` of `block_idx`: `thread(lin, ctx)` runs the thread at
+    /// linear index `lin` in the block. Counts the warp, its flops and
+    /// atomics and its coalescing into `local`; the first error ends the
+    /// warp.
     pub(crate) fn run_warp<F>(
         &mut self,
         w: u64,
@@ -137,29 +144,18 @@ impl WarpLanes {
         mut thread: F,
     ) -> Result<(), LaunchError>
     where
-        F: FnMut(usize, u64, &ThreadCtx) -> Result<(), LaunchError>,
+        F: FnMut(u64, &ThreadCtx) -> Result<(), LaunchError>,
     {
-        let warp = self.logs.len() as u64;
-        let lane_count = warp.min(self.thread_idx.len() as u64 - w * warp) as usize;
+        let first = w * self.warp;
+        let last = (first + self.warp).min(self.thread_idx.len() as u64);
         local.warps += 1;
-        for lane in 0..lane_count {
-            let lin = w * warp + lane as u64;
-            let ctx = ThreadCtx::with_log(
-                self.class,
-                self.cfg.grid,
-                self.cfg.block,
-                block_idx,
-                self.thread_idx[lin as usize],
-                std::mem::take(&mut self.logs[lane]),
-            );
-            thread(lane, lin, &ctx)?;
-            let (obs, log) = ctx.take_observations();
-            self.logs[lane] = log;
-            local.flops += obs.flops;
-            local.atomic_ops += obs.atomics;
+        self.ctx.begin_warp(block_idx);
+        for lin in first..last {
+            self.ctx.thread_idx = self.thread_idx[lin as usize];
+            thread(lin, &self.ctx)?;
+            self.ctx.end_lane();
         }
-        let line_bytes = self.class.transaction_bytes();
-        local.absorb_warp(&self.coalescer.analyze(&self.logs[..lane_count], line_bytes));
+        self.ctx.finish_warp(local);
         Ok(())
     }
 }

@@ -5,12 +5,12 @@ use crate::buffer::{DeviceBuffer, DeviceCopy};
 use crate::ctx::{Access, ThreadCtx};
 use crate::device::DeviceClass;
 use crate::dim::Dim3;
-use crate::driver::{drive_blocks, host_threads, WarpLanes};
+use crate::driver::{drive_blocks, host_threads, lock, WarpLanes};
 use crate::stats::LaunchStats;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Grid and block shape of a launch — the `<<<grid, block>>>` pair.
@@ -232,13 +232,13 @@ impl Gpu {
             cfg,
             host_threads,
             class.transaction_bytes(),
-            || WarpLanes::new(class, cfg),
+            || WarpLanes::new(class, cfg, opts.detect_races),
             |lanes, block_idx, local| {
                 for w in 0..lanes.warps_per_block() {
-                    lanes.run_warp(w, block_idx, local, |_, _, ctx| {
+                    lanes.run_warp(w, block_idx, local, |_, ctx| {
                         kernel(ctx);
                         if opts.detect_races {
-                            race_log.lock().push((ctx.global_linear(), ctx.log_copy()));
+                            lock(&race_log).push((ctx.global_linear(), ctx.take_log()));
                         }
                         Ok(())
                     })?;
@@ -248,7 +248,11 @@ impl Gpu {
         )?;
 
         if opts.detect_races {
-            check_races(&race_log.into_inner())?;
+            check_races(
+                &race_log
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner),
+            )?;
         }
 
         stats.sim_time = start.elapsed();
