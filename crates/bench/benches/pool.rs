@@ -1,11 +1,10 @@
-//! Criterion benchmarks of the work-sharing runtime: fork-join cost,
-//! schedule dispatch overhead, and barrier throughput.
+//! Criterion benchmarks of the work-sharing runtime: fork-join cost and
+//! schedule dispatch overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perfport_pool::{Schedule, SenseBarrier, ThreadPool};
+use perfport_pool::{Schedule, ThreadPool};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 fn bench_fork_join(c: &mut Criterion) {
@@ -51,35 +50,5 @@ fn bench_schedule_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_barrier(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sense_barrier_100_phases");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2));
-    for team in [2usize, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(team), &team, |b, &team| {
-            b.iter(|| {
-                let barrier = Arc::new(SenseBarrier::new(team));
-                std::thread::scope(|s| {
-                    for _ in 0..team {
-                        let barrier = barrier.clone();
-                        s.spawn(move || {
-                            for _ in 0..100 {
-                                black_box(barrier.wait());
-                            }
-                        });
-                    }
-                });
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_fork_join,
-    bench_schedule_dispatch,
-    bench_barrier
-);
+criterion_group!(benches, bench_fork_join, bench_schedule_dispatch);
 criterion_main!(benches);

@@ -3,7 +3,6 @@
 use crate::bits::{f16_bits_to_f32, f32_to_f16_bits, INF_BITS, NAN_BITS};
 use rand::distributions::{Distribution, Standard};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::{Product, Sum};
@@ -27,7 +26,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Rem, Sub, Su
 /// handful of double-rounding corner cases in addition that production
 /// soft-float half libraries share; multiplication and division of binary16
 /// operands are exact in binary32 before the final rounding.
-#[derive(Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default)]
 #[repr(transparent)]
 pub struct F16(u16);
 

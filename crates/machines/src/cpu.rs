@@ -2,11 +2,10 @@
 
 use crate::precision::Precision;
 use perfport_pool::CpuTopology;
-use serde::Serialize;
 
 /// A multicore CPU node, described by the parameters the timing model
 /// needs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CpuMachine {
     /// Marketing name, e.g. `"AMD EPYC 7A53"`.
     pub name: &'static str,

@@ -3,17 +3,15 @@
 
 use crate::precision::Precision;
 use perfport_gpusim::DeviceClass;
-use serde::Serialize;
 
 /// A GPU, described by the parameters the timing model needs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GpuMachine {
     /// Marketing name.
     pub name: &'static str,
     /// Host system in the paper.
     pub system: &'static str,
     /// Execution-semantics class for the simulator.
-    #[serde(skip)]
     pub class: DeviceClass,
     /// Streaming multiprocessors (NVIDIA) / compute units (AMD).
     pub sms: u32,

@@ -1,10 +1,9 @@
 //! The three floating-point precisions swept by the study.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Floating-point precision of a GEMM experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// IEEE binary64.
     Double,

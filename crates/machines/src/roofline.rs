@@ -1,10 +1,9 @@
 //! Roofline primitives shared by the CPU and GPU timing models.
 
-use serde::Serialize;
 use std::fmt;
 
 /// Which resource bound an estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// Floating-point throughput.
     Compute,
@@ -29,7 +28,7 @@ impl fmt::Display for Bound {
 }
 
 /// A time/throughput estimate from a timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// Predicted execution time, seconds.
     pub seconds: f64,
@@ -68,7 +67,7 @@ impl Estimate {
 }
 
 /// A classic two-ceiling roofline: peak compute and memory bandwidth.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Roofline {
     /// Peak compute, GFLOP/s.
     pub peak_gflops: f64,

@@ -1,12 +1,10 @@
 //! Efficiency matrices and the two portability aggregations.
 
-use serde::Serialize;
-
 /// Per-(platform, model) performance efficiencies.
 ///
 /// `None` marks a combination the model cannot run at all (e.g.
 /// Python/Numba on AMD GPUs) — distinct from a low efficiency.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EfficiencyMatrix {
     platforms: Vec<String>,
     models: Vec<String>,

@@ -7,10 +7,8 @@
 //! source lines, a whitespace/punctuation token count, and the number of
 //! parallelism-specific annotations.
 
-use serde::Serialize;
-
 /// Productivity measures of one kernel implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Productivity {
     /// Non-blank, non-comment-only source lines.
     pub lines: usize,

@@ -7,7 +7,7 @@
 //! `guided`, Julia `@threads :static`, Numba `prange`), and an optional
 //! thread-affinity policy (`OMP_PROC_BIND`/`OMP_PLACES`, `JULIA_EXCLUSIVE`;
 //! Numba notably has none). This crate is that substrate, built from
-//! scratch on `crossbeam` channels and `parking_lot` primitives.
+//! scratch on `std` channels, locks and atomics.
 //!
 //! Fork-join is the crate's only execution discipline: every parallel
 //! entry point (`parallel_for`, `parallel_map`, `parallel_reduce`) is a
@@ -29,13 +29,10 @@
 //!   pinning.
 //! * [`RegionStats`] — per-region instrumentation: items and chunks per
 //!   thread, load imbalance, fork-join overhead and end-barrier wait.
-//! * [`SenseBarrier`] — a reusable sense-reversing barrier.
 //! * [`DisjointSlice`] — safe disjoint mutable access for row-parallel
 //!   kernels.
-//! * [`CachePadded`] / [`CacheInfo`] — false-sharing padding for hot
-//!   shared atomics, and cache capacities for cache-aware blocking.
+//! * [`CacheInfo`] — cache capacities for cache-aware blocking.
 
-mod barrier;
 mod pad;
 mod pool;
 mod reduce;
@@ -44,8 +41,6 @@ mod slice;
 mod stats;
 mod topology;
 
-pub use barrier::SenseBarrier;
-pub use pad::CachePadded;
 pub use pool::{ForContext, ThreadPool};
 pub use schedule::{Chunk, Schedule, StaticChunks};
 pub use slice::DisjointSlice;

@@ -8,28 +8,23 @@
 //! are reading — classic false sharing. Wrapping them in [`CachePadded`]
 //! gives each its own line.
 
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 
 /// Aligns (and therefore pads) `T` to 128 bytes.
 ///
 /// 128 rather than 64 because adjacent-line prefetchers on modern x86
 /// (and the 128-byte cache lines on some Arm server cores) pull pairs
-/// of 64-byte lines; crossbeam's `CachePadded` makes the same choice.
-#[derive(Debug, Default)]
+/// of 64-byte lines.
+#[derive(Debug)]
 #[repr(align(128))]
-pub struct CachePadded<T> {
+pub(crate) struct CachePadded<T> {
     value: T,
 }
 
 impl<T> CachePadded<T> {
     /// Wraps a value in its own cache line.
-    pub const fn new(value: T) -> Self {
+    pub(crate) const fn new(value: T) -> Self {
         CachePadded { value }
-    }
-
-    /// Unwraps the value.
-    pub fn into_inner(self) -> T {
-        self.value
     }
 }
 
@@ -39,13 +34,6 @@ impl<T> Deref for CachePadded<T> {
     #[inline]
     fn deref(&self) -> &T {
         &self.value
-    }
-}
-
-impl<T> DerefMut for CachePadded<T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.value
     }
 }
 
@@ -69,11 +57,8 @@ mod tests {
     }
 
     #[test]
-    fn deref_and_into_inner() {
-        let mut padded = CachePadded::new(7usize);
-        assert_eq!(*padded, 7);
-        *padded = 9;
-        assert_eq!(padded.into_inner(), 9);
+    fn deref_reaches_the_wrapped_value() {
+        assert_eq!(*CachePadded::new(7usize), 7);
         let atomic = CachePadded::new(AtomicUsize::new(1));
         atomic.fetch_add(2, Ordering::Relaxed);
         assert_eq!(atomic.load(Ordering::Relaxed), 3);

@@ -10,17 +10,17 @@
 //! not even by unwinding, until every worker has signalled completion, so
 //! the borrowed closure outlives all uses.
 
+use crate::pad::CachePadded;
 use crate::schedule::{Chunk, DynamicCursor, Schedule, StaticChunks};
 use crate::slice::SlotCell;
 use crate::stats::RegionStats;
 use crate::topology::{place, CpuTopology, PinPolicy, Placement};
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Condvar, Mutex};
 use perfport_telemetry::{Counter, Histogram};
 use perfport_trace::log::nanos;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,7 +53,7 @@ const JOIN_SPIN_ITERS: u32 = 4096;
 /// the caller polls in its spin phase) would make each decrement evict
 /// the caller's line.
 struct RegionState {
-    remaining: crate::pad::CachePadded<AtomicUsize>,
+    remaining: CachePadded<AtomicUsize>,
     panicked: AtomicBool,
     /// Lock-free completion flag for the caller's spin phase.
     done_flag: AtomicBool,
@@ -67,7 +67,7 @@ impl RegionState {
     /// it is done from the start.
     fn new(workers: usize) -> Arc<Self> {
         Arc::new(RegionState {
-            remaining: crate::pad::CachePadded::new(AtomicUsize::new(workers)),
+            remaining: CachePadded::new(AtomicUsize::new(workers)),
             panicked: AtomicBool::new(false),
             done_flag: AtomicBool::new(workers == 0),
             done: Mutex::new(workers == 0),
@@ -80,8 +80,7 @@ impl RegionState {
         // from `wait`.
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.done_flag.store(true, Ordering::Release);
-            let mut done = self.done.lock();
-            *done = true;
+            *lock(&self.done) = true;
             self.cv.notify_all();
         }
     }
@@ -102,11 +101,18 @@ impl RegionState {
             }
             std::hint::spin_loop();
         }
-        let mut done = self.done.lock();
+        let mut done = lock(&self.done);
         while !*done {
-            self.cv.wait(&mut done);
+            done = self.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
         }
     }
+}
+
+/// Locks `m`. Member panics are caught by `run_job` and re-raised by the
+/// join protocol itself, so a poisoned lock only means a panic is already
+/// in flight, and its value is taken as it is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A type-erased pointer to a region body living on the caller's stack.
@@ -121,11 +127,6 @@ struct Job {
 // alive until all workers signalled completion; sending the pointer to
 // worker threads is exactly the `&F: Send` capability `F: Sync` grants.
 unsafe impl Send for Job {}
-
-enum Msg {
-    Run(Job),
-    Shutdown,
-}
 
 /// Calls the closure behind the erased pointer. Split out so each
 /// monomorphisation carries the concrete `F`.
@@ -190,7 +191,7 @@ fn raise_region_panic(region: Duration) -> ! {
 /// assert_eq!(sum.into_inner(), 999 * 1000 / 2);
 /// ```
 pub struct ThreadPool {
-    senders: Vec<Sender<Msg>>,
+    senders: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
     placements: Vec<Placement>,
     topology: CpuTopology,
@@ -225,24 +226,20 @@ impl ThreadPool {
         let mut senders = Vec::with_capacity(threads - 1);
         let mut handles = Vec::with_capacity(threads - 1);
         for tid in 1..threads {
-            let (tx, rx) = unbounded::<Msg>();
+            let (tx, rx) = channel::<Job>();
             senders.push(tx);
             let handle = std::thread::Builder::new()
                 .name(format!("perfport-worker-{tid}"))
                 .spawn(move || {
-                    while let Ok(msg) = rx.recv() {
-                        match msg {
-                            Msg::Run(job) => {
-                                // SAFETY: the caller keeps the closure
-                                // alive until `finish_one` has been called
-                                // by every worker.
-                                if run_job(|| unsafe { (job.call)(job.data, tid) }) {
-                                    job.state.panicked.store(true, Ordering::Release);
-                                }
-                                job.state.finish_one();
-                            }
-                            Msg::Shutdown => break,
+                    // Ends when the pool drops its sender.
+                    for job in rx {
+                        // SAFETY: the caller keeps the closure alive
+                        // until `finish_one` has been called by every
+                        // worker.
+                        if run_job(|| unsafe { (job.call)(job.data, tid) }) {
+                            job.state.panicked.store(true, Ordering::Release);
                         }
+                        job.state.finish_one();
                     }
                 })
                 .expect("failed to spawn pool worker");
@@ -303,7 +300,7 @@ impl ThreadPool {
                 call: call_body::<F>,
                 state: Arc::clone(&state),
             };
-            tx.send(Msg::Run(job)).expect("worker channel closed");
+            tx.send(job).expect("worker channel closed");
         }
         // `run_job` catches a panic in the caller's share, so the join
         // below always runs before this frame can unwind.
@@ -473,10 +470,8 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        for tx in &self.senders {
-            // Workers may already be gone if a panic tore things down.
-            let _ = tx.send(Msg::Shutdown);
-        }
+        // Closing every channel ends each worker's receive loop.
+        self.senders.clear();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -575,7 +570,7 @@ mod tests {
     fn context_reports_team_and_placement() {
         let topo = CpuTopology::new(2, 4, 1);
         let pool = ThreadPool::with_affinity(8, topo, PinPolicy::Compact);
-        let seen = parking_lot::Mutex::new(HashSet::new());
+        let seen = Mutex::new(HashSet::new());
         pool.parallel_for(8, Schedule::StaticBlock, |ctx, chunk| {
             assert_eq!(ctx.num_threads, 8);
             match ctx.placement {
@@ -585,9 +580,9 @@ mod tests {
                 }
                 Placement::Floating => panic!("compact policy must pin"),
             }
-            seen.lock().insert((ctx.thread_id, chunk.start));
+            lock(&seen).insert((ctx.thread_id, chunk.start));
         });
-        assert_eq!(seen.lock().len(), 8);
+        assert_eq!(lock(&seen).len(), 8);
     }
 
     #[test]
@@ -642,9 +637,9 @@ mod tests {
             let pool = ThreadPool::new(threads);
             assert_eq!(pool.num_threads(), threads);
             assert_eq!(pool.handles.len(), threads - 1, "the caller is not spawned");
-            let ran_on = parking_lot::Mutex::new(Vec::new());
-            pool.run_region(&|tid| ran_on.lock().push((tid, std::thread::current().id())));
-            let mut ran_on = ran_on.into_inner();
+            let ran_on = Mutex::new(Vec::new());
+            pool.run_region(&|tid| lock(&ran_on).push((tid, std::thread::current().id())));
+            let mut ran_on = ran_on.into_inner().unwrap();
             ran_on.sort_by_key(|&(tid, _)| tid);
             assert_eq!(
                 ran_on.iter().map(|&(tid, _)| tid).collect::<Vec<_>>(),
@@ -660,11 +655,11 @@ mod tests {
         }
         // A team of one runs every region on the caller alone.
         let pool = ThreadPool::new(1);
-        let ran_on = parking_lot::Mutex::new(HashSet::new());
+        let ran_on = Mutex::new(HashSet::new());
         pool.parallel_for_each(64, Schedule::Dynamic { chunk: 4 }, |_| {
-            ran_on.lock().insert(std::thread::current().id());
+            lock(&ran_on).insert(std::thread::current().id());
         });
-        assert_eq!(ran_on.into_inner(), HashSet::from([me]));
+        assert_eq!(ran_on.into_inner().unwrap(), HashSet::from([me]));
         assert_eq!(pool.regions_run(), 1);
     }
 
@@ -686,7 +681,7 @@ mod tests {
         // and what it borrows are declared before the pool, so they
         // outlive its workers either way.
         let unwinding = std::sync::Barrier::new(2);
-        let late_write = parking_lot::Mutex::new(None);
+        let late_write = Mutex::new(None);
         let body = |tid: usize| {
             if tid == 0 {
                 let _meet = MeetOnUnwind(&unwinding);
@@ -695,13 +690,12 @@ mod tests {
             }
             unwinding.wait();
             std::thread::sleep(Duration::from_millis(20));
-            *late_write.lock() = Some(std::thread::current().id());
+            *lock(&late_write) = Some(std::thread::current().id());
         };
         let pool = ThreadPool::new(2);
         let payload = catch_unwind(AssertUnwindSafe(|| pool.run_region(&body)))
             .expect_err("the caller's panic must propagate");
-        let worker = late_write
-            .lock()
+        let worker = lock(&late_write)
             .take()
             .expect("worker 1 finished before the region re-raised");
         assert_ne!(worker, me);
@@ -713,6 +707,29 @@ mod tests {
             pool.parallel_map(4, Schedule::StaticBlock, |i| i * 3),
             vec![0, 3, 6, 9]
         );
+    }
+
+    #[test]
+    fn a_dropped_pool_joins_every_worker() {
+        flight_dir_in_temp();
+        let pool = ThreadPool::new(4);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_region(&|tid| assert!(tid != 2, "boom on worker 2"));
+        }))
+        .expect_err("the worker's panic must propagate");
+        assert_eq!(
+            perfport_telemetry::panic_message(&*payload),
+            "a perfport-pool worker panicked inside a parallel region"
+        );
+        // Dropping closes every worker's channel and joins its thread; a
+        // worker that missed the close would keep the drop from returning.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(pool);
+            tx.send(()).expect("the test thread is waiting");
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("dropping the pool joined every worker");
     }
 
     #[test]
@@ -728,9 +745,9 @@ mod tests {
     fn single_thread_pool_runs_serially() {
         let pool = ThreadPool::new(1);
         let mut order = Vec::new();
-        let order_cell = parking_lot::Mutex::new(&mut order);
+        let order_cell = Mutex::new(&mut order);
         pool.parallel_for_each(10, Schedule::StaticBlock, |i| {
-            order_cell.lock().push(i);
+            lock(&order_cell).push(i);
         });
         assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
@@ -777,17 +794,15 @@ mod tests {
     fn one_item_loops_run_on_the_caller_without_a_region() {
         let pool = ThreadPool::new(3);
         let regions = pool.regions_run();
-        let ran_on = parking_lot::Mutex::new(Vec::new());
+        let ran_on = Mutex::new(Vec::new());
         pool.parallel_for(1, Schedule::StaticBlock, |ctx, chunk| {
-            ran_on
-                .lock()
-                .push((std::thread::current().id(), ctx.thread_id, chunk.range()));
+            lock(&ran_on).push((std::thread::current().id(), ctx.thread_id, chunk.range()));
         });
         let seen = pool.parallel_map(1, Schedule::Dynamic { chunk: 1 }, |i| {
             (std::thread::current().id(), i)
         });
         let me = std::thread::current().id();
-        assert_eq!(ran_on.into_inner(), vec![(me, 0, 0..1)]);
+        assert_eq!(ran_on.into_inner().unwrap(), vec![(me, 0, 0..1)]);
         assert_eq!(seen, vec![(me, 0)]);
         assert_eq!(pool.regions_run(), regions);
     }
